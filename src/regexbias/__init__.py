@@ -1,9 +1,9 @@
 """Regex-biased WFST decoding toolkit.
 
-Compiles user regexes into weighted acceptors, splices them into a
-class-based word language model through a `$REGEX` nonterminal, and decodes
-CTC-style posterior matrices with a beam search whose bias strength is a
-single per-character cost alpha.
+Compiles user regexes into acceptors biased by a per-character cost alpha,
+builds a word-level root graph optim(L' o G') with a `$REGEX` nonterminal,
+and splices a compiled regex in at that nonterminal. The decoder that reads
+CTC-style posteriors is not written yet.
 """
 
 from .fst import (

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 from . import grammar as gr
 from .errors import SymbolError
-from .fst import ACCEPTOR, BLANK, DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
-from .ops import DETERMINIZE_STATE_BUDGET, compose, connect, determinize, minimize
+from .fst import BLANK, DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
+from .ops import DETERMINIZE_STATE_BUDGET, compose, connect, optim
 
 RESERVED = {BLANK, DISAMBIG, REGEX_NT}
 
@@ -139,9 +139,7 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
 
 def nfa_to_dfa(nfa: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """Subset construction plus minimization: the canonical eps-free DFA."""
-    dfa = minimize(determinize(nfa, state_budget))
-    dfa.refresh_properties()
-    return dfa
+    return optim(nfa, state_budget)
 
 
 def dfa_to_acceptor(dfa: Wfst) -> Wfst:
@@ -156,7 +154,6 @@ def dfa_to_acceptor(dfa: Wfst) -> Wfst:
             out.add_arc(s, arc.ilabel, arc.ilabel, 0.0, arc.nextstate)
     for s in dfa.finals:
         out.set_final(s, 0.0)
-    out.properties = dfa.properties | ACCEPTOR
     return out
 
 

@@ -18,14 +18,6 @@ REGEX_NT = "$REGEX"
 
 EPSILON_ID = 0
 
-# Property flags. They are promises recorded by the operation that built the
-# machine; check_* methods compute the ground truth.
-DETERMINISTIC = 1
-ACCEPTOR = 2
-EPS_FREE = 4
-ILABEL_SORTED = 8
-OLABEL_SORTED = 16
-
 
 class SymbolTable:
     """Dense bijection between label strings and integer ids; id 0 is <eps>."""
@@ -70,15 +62,6 @@ class SymbolTable:
         """Id for symbol, or None when absent."""
         return self._ids.get(symbol)
 
-    def symbols(self):
-        return list(self._syms)
-
-    def copy(self, name=None):
-        table = SymbolTable(name or self.name)
-        table._syms = list(self._syms)
-        table._ids = dict(self._ids)
-        return table
-
     def __len__(self):
         return len(self._syms)
 
@@ -114,7 +97,6 @@ class Wfst:
         self._arcs: list[list[Arc]] = []
         self.start: int | None = None
         self.finals: dict[int, float] = {}
-        self.properties = 0
 
     # -- construction -------------------------------------------------
 
@@ -183,7 +165,7 @@ class Wfst:
         """True when the machine has no start state at all."""
         return self.start is None
 
-    # -- property predicates (ground truth, not the cached flags) ------
+    # -- property predicates --------------------------------------------
 
     def check_acceptor(self) -> bool:
         return all(arc.ilabel == arc.olabel for _, arc in self.all_arcs())
@@ -214,21 +196,6 @@ class Wfst:
             arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID for _, arc in self.all_arcs()
         )
 
-    def refresh_properties(self):
-        """Recompute the property flags from scratch."""
-        props = 0
-        if self.check_deterministic():
-            props |= DETERMINISTIC
-        if self.check_acceptor():
-            props |= ACCEPTOR
-        if self.check_eps_free():
-            props |= EPS_FREE
-        self.properties = props | (self.properties & (ILABEL_SORTED | OLABEL_SORTED))
-        return self.properties
-
-    def has_property(self, flag: int) -> bool:
-        return bool(self.properties & flag)
-
     # -- misc -----------------------------------------------------------
 
     def copy(self) -> "Wfst":
@@ -237,7 +204,6 @@ class Wfst:
                      for arcs in self._arcs]
         out.start = self.start
         out.finals = dict(self.finals)
-        out.properties = self.properties
         return out
 
     def __repr__(self):
@@ -257,5 +223,4 @@ def linear_acceptor(symbols, table: SymbolTable, arc_weight: float = ONE,
         m.add_arc(prev, label, label, arc_weight, nxt)
         prev = nxt
     m.set_final(prev, final_weight)
-    m.properties = DETERMINISTIC | ACCEPTOR | EPS_FREE
     return m

@@ -6,6 +6,9 @@ concatenation of its characters), `|`, juxtaposition for concatenation,
 earlier definitions, character classes like `[A-Z0-9]`, the escapes `\\d`
 (digits) and `\\u` (upper-case A-Z), and `#` comments. References may only
 point at names defined earlier in the file, so grammars cannot recurse.
+Expressions nest at most MAX_DEPTH levels: each operator and group adds one
+and a reference counts its definition's depth, so no recursive pass over an
+AST comes near Python's recursion limit.
 """
 
 import re as _stdlib_re
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from .errors import GrammarError
 
 MAX_REPEAT = 64
+MAX_DEPTH = 64
 
 DIGITS = tuple(string.digits)
 UPPER = tuple(string.ascii_uppercase)
@@ -86,14 +90,13 @@ class Ref:
 class GrammarSource:
     """Parsed grammar: ordered definitions plus the mandatory export."""
 
-    definitions: list = field(default_factory=list)  # (name, source text, ast)
-    export_name: str = "export"
+    definitions: list = field(default_factory=list)  # (name, ast)
 
     def names(self):
-        return [name for name, _, _ in self.definitions]
+        return [name for name, _ in self.definitions]
 
     def ast(self, name):
-        for n, _, a in self.definitions:
+        for n, a in self.definitions:
             if n == name:
                 return a
         raise GrammarError(f"no definition named {name!r}")
@@ -101,9 +104,9 @@ class GrammarSource:
     def export_ast(self):
         """The export expression with every reference substituted away."""
         resolved = {}
-        for name, _, ast in self.definitions:
+        for name, ast in self.definitions:
             resolved[name] = _substitute(ast, resolved)
-        return resolved[self.export_name]
+        return resolved["export"]
 
 
 def _substitute(node, resolved):
@@ -263,10 +266,13 @@ def _tokenize(text):
 # --- parser -----------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens, known_names):
+    """Recursive descent; every parse_* method returns (node, depth)."""
+
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.known = known_names
+        self.depths = {}  # definition name -> depth of its expression
+        self.open_groups = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -278,41 +284,54 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def nest(node, depth, tok):
+        if depth > MAX_DEPTH:
+            raise GrammarError(f"expression nests deeper than {MAX_DEPTH} levels",
+                               tok.line, tok.column)
+        return node, depth
+
     def parse_expr(self):
-        alternatives = [self.parse_concat()]
+        tok = self.peek()
+        node, depth = self.parse_concat()
+        alternatives = [node]
         while self.peek().kind == "PIPE":
             self.take()
-            alternatives.append(self.parse_concat())
+            node, d = self.parse_concat()
+            alternatives.append(node)
+            depth = max(depth, d)
         if len(alternatives) == 1:
-            return alternatives[0]
-        return Union(tuple(alternatives))
+            return node, depth
+        return self.nest(Union(tuple(alternatives)), depth + 1, tok)
 
     def parse_concat(self):
-        parts = []
+        tok = self.peek()
+        parts, depth = [], 0
         while self.peek().kind in ("STRING", "CLASS", "NAME", "LPAREN"):
-            parts.append(self.parse_postfix())
+            node, d = self.parse_postfix()
+            parts.append(node)
+            depth = max(depth, d)
         if not parts:
-            tok = self.peek()
             raise GrammarError("expected an expression", tok.line, tok.column)
         if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
+            return node, depth
+        return self.nest(Concat(tuple(parts)), depth + 1, tok)
 
     def parse_postfix(self):
-        node = self.parse_atom()
+        node, depth = self.parse_atom()
         while True:
-            kind = self.peek().kind
-            if kind == "STAR":
+            tok = self.peek()
+            if tok.kind == "STAR":
                 self.take()
                 node = Star(node)
-            elif kind == "PLUS":
+            elif tok.kind == "PLUS":
                 self.take()
                 node = Plus(node)
-            elif kind == "QMARK":
+            elif tok.kind == "QMARK":
                 self.take()
                 node = Opt(node)
-            elif kind == "LBRACE":
-                tok = self.take()
+            elif tok.kind == "LBRACE":
+                self.take()
                 lo = self.take("NUMBER").value
                 hi = lo
                 if self.peek().kind == "COMMA":
@@ -324,71 +343,59 @@ class _Parser:
                 except GrammarError as exc:
                     raise GrammarError(str(exc), tok.line, tok.column) from None
             else:
-                return node
+                return node, depth
+            node, depth = self.nest(node, depth + 1, tok)
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "STRING":
             self.take()
             if len(tok.value) == 0:
-                return Concat(())  # empty string: matches epsilon
+                return Concat(()), 1  # empty string: matches epsilon
             if len(tok.value) == 1:
-                return Literal(tok.value)
-            return Concat(tuple(Literal(c) for c in tok.value))
+                return Literal(tok.value), 1
+            return Concat(tuple(Literal(c) for c in tok.value)), 2
         if tok.kind == "CLASS":
             self.take()
-            return Class(tok.value)
+            return Class(tok.value), 1
         if tok.kind == "NAME":
             self.take()
-            if tok.value not in self.known:
+            if tok.value not in self.depths:
                 raise GrammarError(
                     f"reference to undefined name {tok.value!r} "
                     "(definitions may only refer to earlier lines)",
                     tok.line, tok.column)
-            return Ref(tok.value)
+            return Ref(tok.value), self.depths[tok.value]
         if tok.kind == "LPAREN":
             self.take()
-            node = self.parse_expr()
+            # checked before descending, so deep nesting cannot exhaust the stack
+            self.open_groups += 1
+            self.nest(None, self.open_groups, tok)
+            node, depth = self.parse_expr()
             self.take("RPAREN")
-            return node
+            self.open_groups -= 1
+            return self.nest(node, depth + 1, tok)
         raise GrammarError(f"expected an expression, found {tok.kind}", tok.line, tok.column)
 
 
 def parse_grammar(text: str) -> GrammarSource:
     """Parse and validate grammar text into ordered, reference-checked rules."""
-    tokens = _tokenize(text)
     source = GrammarSource()
-    known = set()
-    parser = _Parser(tokens, known)
+    parser = _Parser(_tokenize(text))
     while parser.peek().kind != "EOF":
         name_tok = parser.take("NAME")
         name = name_tok.value
-        if name in known:
+        if name in parser.depths:
             raise GrammarError(f"duplicate definition of {name!r}",
                                name_tok.line, name_tok.column)
         parser.take("EQUALS")
-        expr_start = parser.pos
-        ast = parser.parse_expr()
-        semi = parser.take("SEMI")
-        expr_text = _span_text(tokens, expr_start, parser.pos - 1)
-        source.definitions.append((name, expr_text, ast))
-        known.add(name)
-        del semi
-    if "export" not in known:
+        ast, depth = parser.parse_expr()
+        parser.take("SEMI")
+        source.definitions.append((name, ast))
+        parser.depths[name] = depth
+    if "export" not in parser.depths:
         raise GrammarError("grammar must end with an `export = expr ;` rule")
     return source
-
-
-def _span_text(tokens, start, end):
-    parts = []
-    for tok in tokens[start:end]:
-        if tok.kind == "STRING":
-            parts.append('"' + str(tok.value).replace("\\", "\\\\").replace('"', '\\"') + '"')
-        elif tok.kind == "CLASS":
-            parts.append("[" + "".join(tok.value) + "]")
-        else:
-            parts.append(str(tok.value))
-    return " ".join(parts)
 
 
 # --- Python-regex rendering (the reference-engine oracle hook) ---------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .compiler import character_symbols
 from .errors import LexiconError, RegexBiasError, SymbolError, SymbolTableMismatchError
 from .fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
-from .ops import compose, connect, optim, relabel, rm_epsilon, shortest_path
+from .ops import compose, optim, relabel, rm_epsilon, shortest_path
 from .semiring import ZERO
 
 SENTENCE_START = "<s>"
@@ -387,13 +387,13 @@ def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
             l_prime.osymbols.name, g_prime.isymbols.name,
             "lexicon output side must be the grammar's word table",
         )
+    # both returns are trimmed: minimize rebuilds a connected machine from its
+    # start, and rm_epsilon ends in connect
     root = optim(compose(l_prime, g_prime))
     disambig = l_prime.isymbols.find(DISAMBIG)
-    if disambig is not None:
-        root = rm_epsilon(relabel(root, imap={disambig: EPSILON_ID}))
-    root = connect(root)
-    root.refresh_properties()
-    return root
+    if disambig is None:
+        return root
+    return rm_epsilon(relabel(root, imap={disambig: EPSILON_ID}))
 
 
 def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:

@@ -20,16 +20,7 @@ from .errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from .fst import (
-    ACCEPTOR,
-    DETERMINISTIC,
-    EPS_FREE,
-    EPSILON_ID,
-    ILABEL_SORTED,
-    OLABEL_SORTED,
-    Arc,
-    Wfst,
-)
+from .fst import EPSILON_ID, Arc, Wfst
 from .semiring import ZERO
 
 DETERMINIZE_STATE_BUDGET = 1_000_000
@@ -40,12 +31,12 @@ class ReplaceNoOpWarning(UserWarning):
     """replace() found no arcs carrying the nonterminal."""
 
 
-def _empty_like(a: Wfst, b: Wfst | None = None) -> Wfst:
-    return Wfst(a.isymbols, (b or a).osymbols)
+def _empty_like(a: Wfst) -> Wfst:
+    return Wfst(a.isymbols, a.osymbols)
 
 
 # ---------------------------------------------------------------------------
-# connect / arc_sort / relabel
+# connect / relabel
 # ---------------------------------------------------------------------------
 
 def connect(a: Wfst) -> Wfst:
@@ -91,24 +82,6 @@ def connect(a: Wfst) -> Wfst:
     for s, w in a.finals.items():
         if s in keep:
             out.set_final(remap[s], w)
-    out.properties = a.properties & (DETERMINISTIC | ACCEPTOR | EPS_FREE)
-    return out
-
-
-def arc_sort(a: Wfst, by: str = "ilabel") -> Wfst:
-    """Reorder each state's arcs by input (or output) label."""
-    if by not in ("ilabel", "olabel"):
-        raise ValueError(f"arc_sort key must be 'ilabel' or 'olabel', got {by!r}")
-    out = a.copy()
-    if by == "ilabel":
-        key = lambda arc: (arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
-        flag = ILABEL_SORTED
-    else:
-        key = lambda arc: (arc.olabel, arc.ilabel, arc.weight, arc.nextstate)
-        flag = OLABEL_SORTED
-    for s in out.states():
-        out.arcs(s).sort(key=key)
-    out.properties |= flag
     return out
 
 
@@ -122,7 +95,6 @@ def relabel(a: Wfst, imap: dict[int, int] | None = None,
         for arc in out.arcs(s):
             arc.ilabel = imap.get(arc.ilabel, arc.ilabel)
             arc.olabel = omap.get(arc.olabel, arc.olabel)
-    out.properties = 0
     return out
 
 
@@ -167,9 +139,7 @@ def rm_epsilon(a: Wfst) -> Wfst:
         return _empty_like(a)
     closures = _eps_closures(a)
     if closures is None:
-        out = connect(a)
-        out.properties |= EPS_FREE
-        return out
+        return connect(a)
     out = Wfst(a.isymbols, a.osymbols)
     out.add_states(a.num_states())
     out.set_start(a.start)
@@ -192,9 +162,7 @@ def rm_epsilon(a: Wfst) -> Wfst:
                     out.add_arc(s, arc.ilabel, arc.olabel, wc + arc.weight, arc.nextstate)
         if fw != ZERO:
             out.set_final(s, fw)
-    out = connect(out)
-    out.properties |= EPS_FREE
-    return out
+    return connect(out)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +246,12 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     eps:eps arcs are removed first. Subset elements are (state, residual)
     pairs ordered by ascending state id; the minimum over each expansion
     step is extracted onto the new arc. Transducer arcs take part as
-    (ilabel, olabel) pairs, so the result is deterministic per label pair;
-    the strict single-ilabel property is recorded when it actually holds
-    (it always does for acceptors).
+    (ilabel, olabel) pairs, so the result is deterministic per label pair,
+    and deterministic per ilabel whenever the input is an acceptor.
     """
     a = rm_epsilon(a)
     if a.is_empty():
-        out = _empty_like(a)
-        out.properties = DETERMINISTIC | EPS_FREE | (a.properties & ACCEPTOR)
-        return out
+        return _empty_like(a)
     out = Wfst(a.isymbols, a.osymbols)
 
     start_key = ((a.start, 0.0),)
@@ -324,9 +289,6 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
                 state_ids[new_key] = dst
                 queue.append(new_key)
             out.add_arc(src, label[0], label[1], w_min, dst)
-    out.properties = EPS_FREE | (a.properties & ACCEPTOR)
-    if out.check_deterministic():
-        out.properties |= DETERMINISTIC
     return out
 
 
@@ -382,7 +344,6 @@ def _push_to_start(a: Wfst) -> Wfst:
         fw = a.final(s)
         if fw != ZERO:
             out.set_final(s, fw - pot[s])
-    out.properties = a.properties
     return out
 
 
@@ -457,9 +418,6 @@ def minimize(a: Wfst) -> Wfst:
                 class_state[tc] = dst
                 queue.append(tc)
             out.add_arc(src, arc.ilabel, arc.olabel, arc.weight, dst)
-    out.properties = a.properties & (ACCEPTOR | EPS_FREE)
-    if out.check_deterministic():
-        out.properties |= DETERMINISTIC
     return out
 
 

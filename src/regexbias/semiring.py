@@ -10,20 +10,3 @@ import math
 ZERO = math.inf
 ONE = 0.0
 
-
-def plus(a: float, b: float) -> float:
-    """Semiring plus: the better (cheaper) of two costs."""
-    return a if a <= b else b
-
-
-def times(a: float, b: float) -> float:
-    """Semiring times: cost accumulation. Absorbing on +inf."""
-    if a == ZERO or b == ZERO:
-        return ZERO
-    return a + b
-
-
-def approx_equal(a: float, b: float, tol: float = 1e-9) -> bool:
-    if a == b:  # covers inf == inf
-        return True
-    return abs(a - b) <= tol

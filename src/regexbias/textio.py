@@ -26,7 +26,15 @@ def parse_weight(text: str) -> float:
 def write_fst_text(m: Wfst) -> str:
     if m.is_empty():
         return ""
-    lines = []
+
+    def final_line(s):
+        w = m.final(s)
+        return f"{s}\t{format_weight(w)}" if w != 0.0 else str(s)
+
+    # the first line names the start state, so an arcless start leads with its
+    # final line (`inf` when it is not final)
+    lead = [] if m.arcs(m.start) else [m.start]
+    lines = [final_line(s) for s in lead]
     order = [m.start] + [s for s in m.states() if s != m.start]
     for s in order:
         for arc in m.arcs(s):
@@ -34,16 +42,8 @@ def write_fst_text(m: Wfst) -> str:
             if arc.weight != 0.0:
                 fields.append(format_weight(arc.weight))
             lines.append("\t".join(fields))
-    if not lines and m.start in m.finals:
-        # arcless machine: the first (final) line still names the start state
-        pass
-    for s in sorted(m.finals):
-        w = m.finals[s]
-        if w != 0.0:
-            lines.append(f"{s}\t{format_weight(w)}")
-        else:
-            lines.append(str(s))
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines.extend(final_line(s) for s in sorted(m.finals) if s not in lead)
+    return "\n".join(lines) + "\n"
 
 
 def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None = None) -> Wfst:

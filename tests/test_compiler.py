@@ -16,7 +16,7 @@ from regexbias.compiler import (
     scorer,
 )
 from regexbias.errors import SymbolError
-from regexbias.fst import DETERMINISTIC, SymbolTable
+from regexbias.fst import SymbolTable
 from regexbias.ops import enumerate_paths
 
 from conftest import make_table
@@ -110,7 +110,7 @@ class TestNfaToDfa:
     def test_deterministic_property_set(self, ab_table):
         ast = gr.parse_grammar('export = "a"* "b"?;').export_ast()
         dfa = nfa_to_dfa(ast_to_nfa(ast, ab_table))
-        assert dfa.has_property(DETERMINISTIC)
+        assert dfa.check_deterministic() and dfa.check_eps_free()
 
 
 class TestDfaToAcceptor:

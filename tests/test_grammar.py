@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regexbias import grammar as gr
 from regexbias.errors import GrammarError
@@ -75,6 +77,53 @@ class TestParse:
     def test_unterminated_string(self):
         with pytest.raises(GrammarError, match="unterminated"):
             gr.parse_grammar('export = "abc;')
+
+
+class TestDepthBound:
+    def depth_error(self, text):
+        with pytest.raises(GrammarError, match="deeper than") as err:
+            gr.parse_grammar(text).export_ast()
+        return err.value
+
+    def test_nested_parentheses(self):
+        ok = "export = " + "(" * (gr.MAX_DEPTH - 1) + '"a"' + ")" * (gr.MAX_DEPTH - 1) + ";"
+        assert gr.parse_grammar(ok).export_ast() == gr.Literal("a")
+        err = self.depth_error("export = " + "(" * 300 + '"a"' + ")" * 300 + ";")
+        assert (err.line, err.column) == (1, 10 + gr.MAX_DEPTH)
+
+    def test_stacked_postfix_operators(self):
+        ok = 'export = "a"' + "*" * (gr.MAX_DEPTH - 1) + ";"
+        assert gr.parse_grammar(ok).export_ast() is not None
+        for op in ("*", "+", "?", "{1,2}"):
+            err = self.depth_error('export = "a"' + op * 5000 + ";")
+            assert (err.line, err.column) == (1, 13 + len(op) * (gr.MAX_DEPTH - 1))
+
+    def test_reference_chain_counts_definition_depth(self):
+        # each definition wraps the previous one in a group and a star: 2 levels
+        lines = ['d0 = "a";'] + [f"d{i} = (d{i - 1})*;" for i in range(1, 200)]
+        err = self.depth_error("\n".join(lines + ["export = d199;"]))
+        assert err.line == gr.MAX_DEPTH // 2 + 1
+        short = "\n".join(lines[:gr.MAX_DEPTH // 2] + [f"export = d{gr.MAX_DEPTH // 2 - 1};"])
+        assert gr.parse_grammar(short).export_ast() is not None
+
+
+GRAMMAR_TOKENS = ['"a"', '"ab"', '""', '"', "[a-c]", "[", "]", "-", "\\d", "\\u", "\\",
+                  "|", "*", "+", "?", "(", ")", "{", "}", ",", "0", "2", "70", "=", ";",
+                  "export", "x", " ", "\n", "#"]
+GRAMMAR_TEXT = st.tuples(
+    st.sampled_from(["", "export = ", 'x = "a"*;\nexport = x ']),
+    st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=40).map("".join),
+    st.sampled_from(["", ";"]),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(GRAMMAR_TEXT)
+def test_parse_raises_only_grammar_error(text):
+    try:
+        gr.parse_grammar(text).export_ast()
+    except GrammarError:
+        pass
 
 
 class TestAstToPattern:

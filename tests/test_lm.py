@@ -22,7 +22,7 @@ from regexbias.lm import (
     make_word_table,
     merge_counts,
 )
-from regexbias.ops import compose, enumerate_paths, optim, shortest_path
+from regexbias.ops import compose, connect, enumerate_paths, optim, shortest_path
 
 from conftest import join_paths, join_with_acceptor, make_table, paths_equal
 
@@ -194,6 +194,13 @@ class TestLexicon:
         assert spellings["FOO"] != spellings["foo"]
         assert DISAMBIG in spellings["FOO"] and DISAMBIG in spellings["foo"]
         assert DISAMBIG not in spellings["foobar"]
+        # build_root's `#0` branch relabels and removes epsilons: still trimmed
+        word_table = make_word_table(["FOO", "foo", "foobar"])
+        g = grammar_from_probs({"FOO": 0.2, "foo": 0.3, "foobar": 0.5},
+                               {("FOO", "foobar"): 0.5}, word_table)
+        root = build_root(build_lexicon(lex, charset_for(["foobar"]), word_table), g)
+        trimmed = connect(root)
+        assert (trimmed.num_states(), trimmed.num_arcs()) == (root.num_states(), root.num_arcs())
 
     def test_big_lexicon_determinizes(self):
         # 1k random words with shared prefixes must not blow the budget
@@ -277,6 +284,8 @@ class TestNonterminal:
         charset, word_table, g, l, cfg = self.setup_model()
         g2, l2 = insert_nonterminal(g, l, cfg)
         root = build_root(l2, g2)
+        trimmed = connect(root)
+        assert (trimmed.num_states(), trimmed.num_arcs()) == (root.num_states(), root.num_arcs())
         nt = word_table.id(REGEX_NT)
         nt_arcs = [arc for _, arc in root.all_arcs() if arc.olabel == nt]
         assert nt_arcs, "nonterminal arcs must survive optim"

@@ -12,10 +12,9 @@ from regexbias.errors import (
     ReplaceRecursionError,
     SymbolTableMismatchError,
 )
-from regexbias.fst import DETERMINISTIC, EPSILON_ID, SymbolTable, Wfst, linear_acceptor
+from regexbias.fst import EPSILON_ID, SymbolTable, Wfst, linear_acceptor
 from regexbias.ops import (
     ReplaceNoOpWarning,
-    arc_sort,
     compose,
     connect,
     determinize,
@@ -230,24 +229,6 @@ class TestConnect:
         assert out.is_empty()
 
 
-class TestArcSort:
-    def test_sorts_and_preserves(self, rng, abcd_table):
-        m = random_machine(rng, abcd_table)
-        out = arc_sort(m, "ilabel")
-        for s in out.states():
-            labels = [a.ilabel for a in out.arcs(s)]
-            assert labels == sorted(labels)
-        assert paths_equal(enumerate_paths(out, 6), enumerate_paths(m, 6))
-        out2 = arc_sort(m, "olabel")
-        for s in out2.states():
-            labels = [a.olabel for a in out2.arcs(s)]
-            assert labels == sorted(labels)
-
-    def test_bad_key(self, ab_table):
-        with pytest.raises(ValueError):
-            arc_sort(Wfst(ab_table), "weight")
-
-
 class TestDeterminize:
     def test_min_over_duplicate_strings(self, ab_table):
         m = Wfst(ab_table)
@@ -270,8 +251,7 @@ class TestDeterminize:
         for _ in range(25):
             m = random_machine(rng, abcd_table, acyclic=True, acceptor=True)
             out = determinize(m)
-            assert out.check_deterministic()
-            assert out.has_property(DETERMINISTIC)
+            assert out.check_deterministic() and out.check_eps_free()
 
     def test_language_preserved_random(self, rng, abcd_table):
         for _ in range(40):
