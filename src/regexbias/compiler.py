@@ -7,7 +7,7 @@ alpha per symbol, so a matching string of length n costs exactly n*alpha.
 from dataclasses import dataclass
 
 from . import grammar as gr
-from .errors import SymbolError
+from .errors import BudgetExceededError, GrammarError, SymbolError
 from .fst import BLANK, DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
 from .ops import DETERMINIZE_STATE_BUDGET, compose, connect, optim
 
@@ -30,12 +30,45 @@ def character_symbols(table: SymbolTable):
     return [s for i, s in enumerate(table) if i != EPSILON_ID and s not in RESERVED]
 
 
+def _copies(node):
+    """Child copies ast_to_nfa chains for a Repeat node."""
+    return max(node.min, 1) if node.max is None else node.max
+
+
+def _nfa_states(ast):
+    """States ast_to_nfa builds for `ast`, memoised by node identity:
+    hashing a frozen node would walk its shared subtrees again."""
+    memo = {}
+
+    def count(node):
+        key = id(node)
+        if key not in memo:
+            if isinstance(node, gr.Concat) and node.children:
+                memo[key] = sum(count(c) for c in node.children)
+            elif isinstance(node, gr.Union):
+                memo[key] = 2 + sum(count(c) for c in node.children)
+            elif isinstance(node, gr.Repeat):
+                memo[key] = 2 + _copies(node) * count(node.child)
+            else:
+                memo[key] = 2
+        return memo[key]
+
+    return count(ast)
+
+
 def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
     """Thompson construction: an eps-NFA acceptor with the regex's language.
 
     Literals must exist in the alphabet; character classes narrow to the
-    alphabet's subset of their range and must stay non-empty.
+    alphabet's subset of their range and must stay non-empty. More than
+    DETERMINIZE_STATE_BUDGET states raise before any is built.
     """
+    size = _nfa_states(ast)
+    if size > DETERMINIZE_STATE_BUDGET:
+        raise BudgetExceededError(
+            f"ast_to_nfa would build {size} states, over the "
+            f"{DETERMINIZE_STATE_BUDGET} state budget"
+        )
     m = Wfst(alphabet)
 
     def lookup(symbol):
@@ -86,49 +119,21 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
                 eps(s, cs)
                 eps(cf, f)
             return s, f
-        if isinstance(node, gr.Star):
-            s, f = m.add_state(), m.add_state()
-            cs, cf = build(node.child)
-            eps(s, f)
-            eps(s, cs)
-            eps(cf, f)
-            eps(cf, cs)
-            return s, f
-        if isinstance(node, gr.Plus):
-            s, f = m.add_state(), m.add_state()
-            cs, cf = build(node.child)
-            eps(s, cs)
-            eps(cf, f)
-            eps(cf, cs)
-            return s, f
-        if isinstance(node, gr.Opt):
-            s, f = m.add_state(), m.add_state()
-            cs, cf = build(node.child)
-            eps(s, f)
-            eps(s, cs)
-            eps(cf, f)
-            return s, f
         if isinstance(node, gr.Repeat):
-            s = m.add_state()
+            # a chain of copies; the last loops back to itself when unbounded
+            s, f = m.add_state(), m.add_state()
+            if node.min == 0:
+                eps(s, f)
             cur = s
-            for _ in range(node.min):
+            for done in range(1, _copies(node) + 1):
                 cs, cf = build(node.child)
                 eps(cur, cs)
+                if done >= node.min:
+                    eps(cf, f)
                 cur = cf
-            stops = [cur]
-            for _ in range(node.max - node.min):
-                cs, cf = build(node.child)
+            if node.max is None:
                 eps(cur, cs)
-                cur = cf
-                stops.append(cur)
-            f = m.add_state()
-            for stop in stops:
-                eps(stop, f)
             return s, f
-        if isinstance(node, gr.Ref):
-            raise SymbolError(
-                f"unresolved reference {node.name!r}; resolve the grammar first"
-            )
         raise TypeError(f"not a regex AST node: {node!r}")
 
     start, final = build(ast)
@@ -175,10 +180,17 @@ def apply_bias(r: Wfst, bias: BiasSpec) -> Wfst:
 
 
 def compile_grammar(text: str, alphabet: SymbolTable):
-    """Grammar text -> (GrammarSource, unweighted acceptor R)."""
+    """Grammar text -> (GrammarSource, unweighted acceptor R).
+
+    A regex that accepts the empty string is rejected: its `$REGEX` span could
+    read nothing, a free or negative epsilon loop when nonterminal_weight <= 0.
+    """
     source = gr.parse_grammar(text)
     nfa = ast_to_nfa(source.export_ast(), alphabet)
-    return source, dfa_to_acceptor(nfa_to_dfa(nfa))
+    r = dfa_to_acceptor(nfa_to_dfa(nfa))
+    if r.is_final(r.start):
+        raise GrammarError("the export must not accept the empty string")
+    return source, r
 
 
 def compile_biased(text: str, alphabet: SymbolTable, alpha: float):

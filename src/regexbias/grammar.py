@@ -6,6 +6,13 @@ concatenation of its characters), `|`, juxtaposition for concatenation,
 earlier definitions, character classes like `[A-Z0-9]`, the escapes `\\d`
 (digits) and `\\u` (upper-case A-Z), and `#` comments. References may only
 point at names defined earlier in the file, so grammars cannot recurse.
+
+The AST has five node types: `Literal`, `Class`, `Concat`, `Union` and
+`Repeat(child, min, max)`, which spells every postfix operator (`*` is
+`{0,}`, `+` is `{1,}`, `?` is `{0,1}`; `max=None` is unbounded). The parser
+resolves a reference to the referenced definition's AST as it reads it, so
+references are shared subtrees, not copies; walk an AST memoised by node
+identity, since hashing or comparing shared subtrees repeats the work.
 Expressions nest at most MAX_DEPTH levels: each operator and group adds one
 and a reference counts its definition's depth, so no recursive pass over an
 AST comes near Python's recursion limit.
@@ -53,37 +60,20 @@ class Union:
 
 
 @dataclass(frozen=True)
-class Star:
-    child: object
-
-
-@dataclass(frozen=True)
-class Plus:
-    child: object
-
-
-@dataclass(frozen=True)
-class Opt:
-    child: object
-
-
-@dataclass(frozen=True)
 class Repeat:
+    """`child` repeated min..max times; `max=None` is unbounded."""
+
     child: object
     min: int
-    max: int
+    max: int | None
 
     def __post_init__(self):
-        if not (0 <= self.min <= self.max <= MAX_REPEAT):
+        top = self.min if self.max is None else self.max
+        if not (0 <= self.min <= top <= MAX_REPEAT):
             raise GrammarError(
                 f"repeat bounds must satisfy 0 <= min <= max <= {MAX_REPEAT}, "
                 f"got {{{self.min},{self.max}}}"
             )
-
-
-@dataclass(frozen=True)
-class Ref:
-    name: str
 
 
 @dataclass
@@ -102,29 +92,8 @@ class GrammarSource:
         raise GrammarError(f"no definition named {name!r}")
 
     def export_ast(self):
-        """The export expression with every reference substituted away."""
-        resolved = {}
-        for name, ast in self.definitions:
-            resolved[name] = _substitute(ast, resolved)
-        return resolved["export"]
-
-
-def _substitute(node, resolved):
-    if isinstance(node, Ref):
-        return resolved[node.name]
-    if isinstance(node, Concat):
-        return Concat(tuple(_substitute(c, resolved) for c in node.children))
-    if isinstance(node, Union):
-        return Union(tuple(_substitute(c, resolved) for c in node.children))
-    if isinstance(node, Star):
-        return Star(_substitute(node.child, resolved))
-    if isinstance(node, Plus):
-        return Plus(_substitute(node.child, resolved))
-    if isinstance(node, Opt):
-        return Opt(_substitute(node.child, resolved))
-    if isinstance(node, Repeat):
-        return Repeat(_substitute(node.child, resolved), node.min, node.max)
-    return node
+        """The export expression; references in it are already resolved."""
+        return self.ast("export")
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -132,6 +101,8 @@ def _substitute(node, resolved):
 _PUNCT = {"=": "EQUALS", ";": "SEMI", "|": "PIPE", "*": "STAR", "+": "PLUS",
           "?": "QMARK", "(": "LPAREN", ")": "RPAREN", "{": "LBRACE",
           "}": "RBRACE", ",": "COMMA"}
+
+_POSTFIX = {"STAR": (0, None), "PLUS": (1, None), "QMARK": (0, 1)}
 
 _NAME_RE = _stdlib_re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = _stdlib_re.compile(r"[0-9]+")
@@ -271,7 +242,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.depths = {}  # definition name -> depth of its expression
+        self.definitions = {}  # name -> (resolved ast, depth)
         self.open_groups = 0
 
     def peek(self):
@@ -321,15 +292,9 @@ class _Parser:
         node, depth = self.parse_atom()
         while True:
             tok = self.peek()
-            if tok.kind == "STAR":
+            if tok.kind in _POSTFIX:
                 self.take()
-                node = Star(node)
-            elif tok.kind == "PLUS":
-                self.take()
-                node = Plus(node)
-            elif tok.kind == "QMARK":
-                self.take()
-                node = Opt(node)
+                lo, hi = _POSTFIX[tok.kind]
             elif tok.kind == "LBRACE":
                 self.take()
                 lo = self.take("NUMBER").value
@@ -338,12 +303,12 @@ class _Parser:
                     self.take()
                     hi = self.take("NUMBER").value
                 self.take("RBRACE")
-                try:
-                    node = Repeat(node, lo, hi)
-                except GrammarError as exc:
-                    raise GrammarError(str(exc), tok.line, tok.column) from None
             else:
                 return node, depth
+            try:
+                node = Repeat(node, lo, hi)
+            except GrammarError as exc:
+                raise GrammarError(str(exc), tok.line, tok.column) from None
             node, depth = self.nest(node, depth + 1, tok)
 
     def parse_atom(self):
@@ -360,12 +325,12 @@ class _Parser:
             return Class(tok.value), 1
         if tok.kind == "NAME":
             self.take()
-            if tok.value not in self.depths:
+            if tok.value not in self.definitions:
                 raise GrammarError(
                     f"reference to undefined name {tok.value!r} "
                     "(definitions may only refer to earlier lines)",
                     tok.line, tok.column)
-            return Ref(tok.value), self.depths[tok.value]
+            return self.definitions[tok.value]
         if tok.kind == "LPAREN":
             self.take()
             # checked before descending, so deep nesting cannot exhaust the stack
@@ -385,15 +350,15 @@ def parse_grammar(text: str) -> GrammarSource:
     while parser.peek().kind != "EOF":
         name_tok = parser.take("NAME")
         name = name_tok.value
-        if name in parser.depths:
+        if name in parser.definitions:
             raise GrammarError(f"duplicate definition of {name!r}",
                                name_tok.line, name_tok.column)
         parser.take("EQUALS")
         ast, depth = parser.parse_expr()
         parser.take("SEMI")
         source.definitions.append((name, ast))
-        parser.depths[name] = depth
-    if "export" not in parser.depths:
+        parser.definitions[name] = ast, depth
+    if "export" not in parser.definitions:
         raise GrammarError("grammar must end with an `export = expr ;` rule")
     return source
 
@@ -421,16 +386,9 @@ def ast_to_pattern(node, alphabet=None) -> str:
             return "".join(render(c) for c in n.children)
         if isinstance(n, Union):
             return "(?:" + "|".join(render(c) for c in n.children) + ")"
-        if isinstance(n, Star):
-            return "(?:" + render(n.child) + ")*"
-        if isinstance(n, Plus):
-            return "(?:" + render(n.child) + ")+"
-        if isinstance(n, Opt):
-            return "(?:" + render(n.child) + ")?"
         if isinstance(n, Repeat):
-            return "(?:" + render(n.child) + ")" + "{%d,%d}" % (n.min, n.max)
-        if isinstance(n, Ref):
-            raise GrammarError(f"unresolved reference {n.name!r}; call export_ast() first")
+            top = "" if n.max is None else n.max
+            return "(?:" + render(n.child) + ")" + f"{{{n.min},{top}}}"
         raise TypeError(f"not a regex AST node: {n!r}")
 
     return render(node)

@@ -318,41 +318,14 @@ def _dist_to_final(a: Wfst):
     return dist
 
 
-def _push_to_start(a: Wfst) -> Wfst:
-    """Reweight so suffix costs sit as early as possible; total weights kept.
-
-    Skipped (returns the input) when a negative cycle makes shortest
-    suffix costs undefined; minimization still merges exactly-equal
-    suffixes then, it just cannot canonicalize weight placement.
-    """
-    dist = _dist_to_final(a)
-    if dist is None:
-        return a
-    pot = list(dist)
-    pot[a.start] = 0.0  # keep total path weights unchanged
-    out = Wfst(a.isymbols, a.osymbols)
-    out.add_states(a.num_states())
-    out.set_start(a.start)
-    for s in a.states():
-        if pot[s] == ZERO:
-            continue
-        for arc in a.arcs(s):
-            if pot[arc.nextstate] == ZERO:
-                continue
-            out.add_arc(s, arc.ilabel, arc.olabel,
-                        arc.weight + pot[arc.nextstate] - pot[s], arc.nextstate)
-        fw = a.final(s)
-        if fw != ZERO:
-            out.set_final(s, fw - pot[s])
-    return out
-
-
 def minimize(a: Wfst) -> Wfst:
     """Merge indistinguishable states of a deterministic machine.
 
     Weights are pushed toward the start, then classes are refined on the
-    exact signature (ilabel, olabel, weight bits, successor class) until
+    exact signature (ilabel, olabel, weight, successor class) until
     stable. Requires input that is deterministic at least per label pair.
+    Pushing is skipped when a negative cycle makes shortest suffix costs
+    undefined; exactly-equal suffixes still merge then.
     """
     if a.is_empty():
         return _empty_like(a)
@@ -363,61 +336,41 @@ def minimize(a: Wfst) -> Wfst:
     a = connect(a)
     if a.is_empty():
         return a
-    a = _push_to_start(a)
+    # after connect every state reaches a final, so each potential is finite
+    pot = _dist_to_final(a) or [0.0] * a.num_states()
+    pot[a.start] = 0.0  # keep total path weights unchanged
+    arcs = [[(arc.ilabel, arc.olabel, arc.weight + pot[arc.nextstate] - pot[s],
+              arc.nextstate) for arc in a.arcs(s)] for s in a.states()]
+    finals = [a.final(s) - pot[s] for s in a.states()]
 
-    def weight_bits(w: float) -> str:
-        return "inf" if w == ZERO else (w + 0.0).hex()
-
-    classes = {}
-    by_final: dict[str, list[int]] = {}
-    for s in a.states():
-        by_final.setdefault(weight_bits(a.final(s)), []).append(s)
-    for class_no, key in enumerate(sorted(by_final)):
-        for s in by_final[key]:
-            classes[s] = class_no
-
+    # weights are keyed as floats: -0.0 == 0.0, and no weight is NaN
+    ids = {}
+    classes = [ids.setdefault(w, len(ids)) for w in finals]
+    count = len(ids)
     while True:
-        signature = {}
-        for s in a.states():
-            sig = (classes[s], tuple(sorted(
-                (arc.ilabel, arc.olabel, weight_bits(arc.weight), classes[arc.nextstate])
-                for arc in a.arcs(s))))
-            signature[s] = sig
-        sig_to_class = {}
-        new_classes = {}
-        for s in a.states():
-            sig = signature[s]
-            if sig not in sig_to_class:
-                sig_to_class[sig] = len(sig_to_class)
-            new_classes[s] = sig_to_class[sig]
-        if len(sig_to_class) == len(set(classes.values())):
+        ids = {}
+        refined = [ids.setdefault((classes[s], tuple(sorted(
+            (i, o, w, classes[t]) for i, o, w, t in arcs[s]))), len(ids))
+            for s in a.states()]
+        if len(ids) == count:
             break
-        classes = new_classes
+        classes, count = refined, len(ids)
 
-    # rebuild with one representative per class, renumbered from the start
+    # rebuild from the first state reached in each class, numbered breadth first
     out = Wfst(a.isymbols, a.osymbols)
-    class_state = {}
-    queue = deque([classes[a.start]])
-    class_state[classes[a.start]] = out.add_state()
+    class_state = {classes[a.start]: out.add_state()}
     out.set_start(0)
-    rep = {}
-    for s in a.states():
-        rep.setdefault(classes[s], s)
+    queue = deque([a.start])
     while queue:
-        c = queue.popleft()
-        src = class_state[c]
-        s = rep[c]
-        fw = a.final(s)
-        if fw != ZERO:
-            out.set_final(src, fw)
-        for arc in a.arcs(s):
-            tc = classes[arc.nextstate]
-            dst = class_state.get(tc)
+        s = queue.popleft()
+        src = class_state[classes[s]]
+        out.set_final(src, finals[s])
+        for i, o, w, t in arcs[s]:
+            dst = class_state.get(classes[t])
             if dst is None:
-                dst = out.add_state()
-                class_state[tc] = dst
-                queue.append(tc)
-            out.add_arc(src, arc.ilabel, arc.olabel, arc.weight, dst)
+                dst = class_state[classes[t]] = out.add_state()
+                queue.append(t)
+            out.add_arc(src, i, o, w, dst)
     return out
 
 

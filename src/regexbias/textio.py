@@ -20,7 +20,11 @@ def format_weight(w: float) -> str:
 
 
 def parse_weight(text: str) -> float:
-    return float(text)
+    """A finite weight or `inf`; NaN and -inf are rejected with ValueError."""
+    w = float(text)
+    if w != w or w == -ZERO:
+        raise ValueError(f"weight must be finite or inf, got {text!r}")
+    return w
 
 
 def write_fst_text(m: Wfst) -> str:
@@ -47,25 +51,34 @@ def write_fst_text(m: Wfst) -> str:
 
 
 def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None = None) -> Wfst:
+    """Parse machine text; malformed input raises RegexBiasError. State ids
+    stay below twice the non-blank lines: a trimmed machine's states all appear."""
     m = Wfst(isymbols, osymbols)
+    lines = text.splitlines()
+    state_limit = 2 * sum(1 for line in lines if line.strip())
+    ilimit, olimit = len(m.isymbols), len(m.osymbols)
     pending_arcs = []
     pending_finals = []
     start = None
     max_state = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         fields = line.split("\t")
         try:
             if len(fields) in (4, 5):
-                src, dst = int(fields[0]), int(fields[1])
-                ilabel, olabel = int(fields[2]), int(fields[3])
+                src, dst, ilabel, olabel = map(int, fields[:4])
+                if not (0 <= src < state_limit and 0 <= dst < state_limit):
+                    raise ValueError(f"state ids {src}, {dst} are outside 0..{state_limit - 1}")
+                if not (0 <= ilabel < ilimit and 0 <= olabel < olimit):
+                    raise ValueError(f"labels {ilabel}:{olabel} are outside the symbol tables")
                 weight = parse_weight(fields[4]) if len(fields) == 5 else 0.0
                 pending_arcs.append((src, dst, ilabel, olabel, weight))
                 max_state = max(max_state, src, dst)
             elif len(fields) in (1, 2):
                 state = int(fields[0])
+                if not 0 <= state < state_limit:
+                    raise ValueError(f"state id {state} is outside 0..{state_limit - 1}")
                 weight = parse_weight(fields[1]) if len(fields) == 2 else 0.0
                 pending_finals.append((state, weight))
                 max_state = max(max_state, state)
@@ -75,6 +88,7 @@ def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None
             raise RegexBiasError(f"bad machine text at line {lineno}: {exc}") from None
         if start is None:
             start = int(fields[0])
+    del lines  # free the split text before the machine is built
     if start is None:
         return m
     m.add_states(max_state + 1)

@@ -1,12 +1,15 @@
-import random
+import itertools
 import re
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regexbias import grammar as gr
 from regexbias.compiler import (
     BiasSpec,
+    _nfa_states,
     apply_bias,
     ast_to_nfa,
     compile_biased,
@@ -15,7 +18,7 @@ from regexbias.compiler import (
     nfa_to_dfa,
     scorer,
 )
-from regexbias.errors import SymbolError
+from regexbias.errors import BudgetExceededError, GrammarError, SymbolError
 from regexbias.fst import SymbolTable
 from regexbias.ops import enumerate_paths
 
@@ -55,7 +58,7 @@ class TestAstToNfa:
         assert nfa.num_states() == 2 and nfa.num_arcs() == 1
 
     def test_opt_semantics(self, ab_table):
-        nfa = ast_to_nfa(gr.Opt(gr.Literal("a")), ab_table)
+        nfa = ast_to_nfa(gr.Repeat(gr.Literal("a"), 0, 1), ab_table)
         assert language(nfa, 3) == {"", "a"}
 
     def test_unknown_symbol(self, ab_table):
@@ -88,6 +91,45 @@ class TestAstToNfa:
             hits += expected
         assert hits >= 90  # the generator really does produce matches
 
+    def test_doubling_grammar_over_budget(self, ab_table):
+        # 60 doublings parse to 61 shared nodes but would unfold to 2**61 states
+        lines = ['d0 = "a";'] + [f"d{i} = d{i - 1} d{i - 1};" for i in range(1, 61)]
+        with pytest.raises(BudgetExceededError, match="ast_to_nfa would build"):
+            compile_grammar("\n".join(lines + ["export = d60;"]), ab_table)
+
+    def test_nested_repeats_over_budget(self, ab_table):
+        with pytest.raises(BudgetExceededError, match="ast_to_nfa"):
+            compile_grammar('export = ((("a"{64}){64}){64}){64};', ab_table)
+
+
+AB_TABLE = make_table(["a", "b"], "ab")
+LEAVES = st.sampled_from([gr.Literal("a"), gr.Literal("b"), gr.Class(("a", "b")),
+                          gr.Concat(())])
+
+
+def _branches(children):
+    parts = st.lists(children, min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        parts.map(gr.Concat),
+        parts.map(gr.Union),
+        st.builds(lambda child, lo, extra: gr.Repeat(child, lo, None if extra is None
+                                                     else lo + extra),
+                  children, st.integers(0, 3), st.none() | st.integers(0, 2)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.recursive(LEAVES, _branches, max_leaves=8))
+def test_random_ast_matches_reference_engine(ast):
+    nfa = ast_to_nfa(ast, AB_TABLE)
+    assert _nfa_states(ast) == nfa.num_states()
+    dfa = nfa_to_dfa(nfa)
+    pattern = re.compile(gr.ast_to_pattern(ast))
+    for n in range(6):
+        for chars in itertools.product("ab", repeat=n):
+            s = "".join(chars)
+            assert accepts(dfa, s) == bool(pattern.fullmatch(s)), (ast, s)
+
 
 class TestNfaToDfa:
     def test_a_or_a_single_arc(self, ab_table):
@@ -111,6 +153,13 @@ class TestNfaToDfa:
         ast = gr.parse_grammar('export = "a"* "b"?;').export_ast()
         dfa = nfa_to_dfa(ast_to_nfa(ast, ab_table))
         assert dfa.check_deterministic() and dfa.check_eps_free()
+
+
+class TestCompileGrammar:
+    def test_empty_string_rejected(self, ab_table):
+        for text in ['export = "a"*;', 'export = "a"?;', 'export = "";', 'export = "a" | "";']:
+            with pytest.raises(GrammarError, match="empty string"):
+                compile_biased(text, ab_table, -1.0)
 
 
 class TestDfaToAcceptor:

@@ -136,5 +136,17 @@ class TestTextFormat:
         assert back.is_empty()
 
     def test_bad_line_raises(self, ab_table):
-        with pytest.raises(RegexBiasError):
-            read_fst_text("0\t1\tx\t1\n", ab_table)
+        bad = [
+            ("0\t1\tx\t1\n", 1),
+            ("-1\t0\t1\t1\n", 1),             # negative state id
+            ("0\t1\t1\t1\n-1\n", 2),
+            ("0\t1\t3\t1\n", 1),              # labels outside the 3-symbol table
+            ("0\t1\t1\t-1\n", 1),
+            ("0\t1\t1\t1\tnan\n", 1),
+            ("0\t1\t1\t1\t-inf\n", 1),
+            ("0\t1\t1\t1\n1\tnan\n", 2),
+            ("0\t1\t1\t1\n2000000\n", 2),    # would allocate 2M states
+        ]
+        for text, lineno in bad:
+            with pytest.raises(RegexBiasError, match=f"line {lineno}:"):
+                read_fst_text(text, ab_table)

@@ -21,6 +21,8 @@ class TestParse:
         source = gr.parse_grammar('A = "x"; B = A A; export = B;')
         exported = source.export_ast()
         assert exported == gr.Concat((gr.Literal("x"), gr.Literal("x")))
+        # a reference is the referenced definition's AST, shared, not copied
+        assert exported.children[0] is exported.children[1] is source.ast("A")
 
     def test_empty_export_expression(self):
         with pytest.raises(GrammarError):
@@ -63,6 +65,11 @@ class TestParse:
             gr.parse_grammar('export = "a"{3,2};')
         with pytest.raises(GrammarError):
             gr.parse_grammar('export = "a"{0,65};')
+
+    def test_postfix_operators_are_repeats(self):
+        for op, lo, hi in [("*", 0, None), ("+", 1, None), ("?", 0, 1)]:
+            node = gr.parse_grammar(f'export = "a"{op};').export_ast()
+            assert node == gr.Repeat(gr.Literal("a"), lo, hi)
 
     def test_space_is_ordinary_symbol(self):
         source = gr.parse_grammar('export = "a b";')
@@ -139,7 +146,3 @@ class TestAstToPattern:
         pattern = gr.ast_to_pattern(source.export_ast(), alphabet=["A", "B"])
         assert re.fullmatch(pattern, "A") and re.fullmatch(pattern, "B")
         assert not re.fullmatch(pattern, "C")
-
-    def test_unresolved_ref_rejected(self):
-        with pytest.raises(GrammarError):
-            gr.ast_to_pattern(gr.Ref("A"))
