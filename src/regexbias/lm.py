@@ -13,8 +13,13 @@ Layout conventions baked in here and relied on downstream:
   verbatim in the decoded token stream (the char-loop fallback).
 * L emits a word on the first character of its spelling and a space
   separator between words; `#0` is appended to spellings that collide
-  with or prefix another word's spelling, and is relabeled away after the
-  root graph is optimized.
+  with or prefix another word's spelling.
+* G backs off on epsilon arcs. Inside `build_root` those arcs read `#0`
+  too, which L passes through on its final states, so determinization
+  keeps the backoff instead of copying the unigram fan-out into every
+  history state. Every `#0` is relabeled to epsilon after the root graph
+  is optimized, so the root keeps eps:eps arcs: it is neither
+  epsilon-free nor deterministic.
 """
 
 import math
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from .compiler import character_symbols
 from .errors import LexiconError, RegexBiasError, SymbolError, SymbolTableMismatchError
 from .fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
-from .ops import compose, optim, relabel, rm_epsilon, shortest_path
+from .ops import compose, optim, relabel
 from .semiring import ZERO
 
 SENTENCE_START = "<s>"
@@ -189,16 +194,19 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig,
     state_of = dict(word_state)
     state_of[SENTENCE_START] = start_state
 
+    vocab_mass = math.fsum(p_uni[w] for w in vocab)
     for w1 in sorted(contexts):
         src = state_of[w1]
         conts = contexts[w1]
         c_ctx = sum(conts.values())
         exact = w1 == SENTENCE_START
-        unseen = [w for w in vocab if w not in conts]
-        unseen_mass = sum(p_uni[w] for w in unseen)
-        if SENTENCE_END not in conts and not exact:
+        seen = [w for w in conts if w != SENTENCE_END]
+        unseen_mass = vocab_mass - math.fsum(p_uni[w] for w in seen)
+        end_unseen = SENTENCE_END not in conts and not exact
+        if end_unseen:
             unseen_mass += p_uni[SENTENCE_END]
-        discount = d if unseen_mass > 0.0 else 0.0  # nowhere to back off to
+        # counts, not the float difference, decide there is nowhere to back off to
+        discount = d if len(seen) < len(vocab) or end_unseen else 0.0
         for w2 in sorted(conts):
             p = (conts[w2] - discount) / c_ctx
             if w2 == SENTENCE_END:
@@ -209,9 +217,10 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig,
         if discount > 0.0:
             bow = (discount * len(conts) / c_ctx) / unseen_mass
             if exact:
-                for w in unseen:
-                    g.add_arc(src, word_table.id(w), word_table.id(w),
-                              _neglog(bow * p_uni[w]), word_state[w])
+                for w in vocab:
+                    if w not in conts:
+                        g.add_arc(src, word_table.id(w), word_table.id(w),
+                                  _neglog(bow * p_uni[w]), word_state[w])
             else:
                 g.add_arc(src, EPSILON_ID, EPSILON_ID, _neglog(bow), unigram_state)
     g.unigram_state = unigram_state
@@ -250,14 +259,13 @@ def disambiguated_spellings(lex: Lexicon):
     by_spelling = {}
     for w in sorted(spellings):
         by_spelling.setdefault(spellings[w], []).append(w)
-    all_spellings = set(spellings.values())
-
-    def has_proper_extension(sp):
-        return any(other != sp and other[:len(sp)] == sp for other in all_spellings)
-
+    # in sorted order the spellings a spelling prefixes follow it as one block
+    ordered = sorted(by_spelling)
     out = {}
-    for sp, words in sorted(by_spelling.items()):
-        needs_marker = len(words) > 1 or has_proper_extension(sp)
+    for i, sp in enumerate(ordered):
+        words = by_spelling[sp]
+        extended = i + 1 < len(ordered) and ordered[i + 1][:len(sp)] == sp
+        needs_marker = len(words) > 1 or extended
         for k, w in enumerate(words):
             if needs_marker:
                 out[w] = sp + (DISAMBIG,) * (k + 1)
@@ -380,20 +388,31 @@ def insert_nonterminal(g: Wfst, l: Wfst, cfg: LmConfig):
 
 
 def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
-    """T_root = optim(L' o G'), with the `#0` markers relabeled away after
-    optimization; `$REGEX` labels pass through optim as ordinary symbols."""
+    """T_root = optim(L' o G') with every `#0` relabeled to epsilon after
+    optimization; `$REGEX` labels pass through optim as ordinary symbols.
+
+    G's eps:eps backoff arcs read `#0` during optimization, and L' passes
+    `#0` through with a `#0:#0` loop on each of its final states, where a
+    word has just ended. Both inputs are copied, not changed; `#0` is
+    registered in their symbol tables. The root keeps the relabeled
+    eps:eps arcs, so it is neither epsilon-free nor deterministic.
+    """
     if l_prime.osymbols != g_prime.isymbols:
         raise SymbolTableMismatchError(
             l_prime.osymbols.name, g_prime.isymbols.name,
             "lexicon output side must be the grammar's word table",
         )
-    # both returns are trimmed: minimize rebuilds a connected machine from its
-    # start, and rm_epsilon ends in connect
-    root = optim(compose(l_prime, g_prime))
-    disambig = l_prime.isymbols.find(DISAMBIG)
-    if disambig is None:
-        return root
-    return rm_epsilon(relabel(root, imap={disambig: EPSILON_ID}))
+    char_disambig = l_prime.isymbols.add(DISAMBIG)
+    word_disambig = l_prime.osymbols.add(DISAMBIG)
+    g_prime.isymbols.add(DISAMBIG)
+    g = g_prime.copy()
+    for _, arc in g.all_arcs():
+        if arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID:
+            arc.ilabel = word_disambig
+    l = l_prime.copy()
+    for s in l.finals:
+        l.add_arc(s, char_disambig, word_disambig, 0.0, s)
+    return relabel(optim(compose(l, g)), imap={char_disambig: EPSILON_ID})
 
 
 def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:

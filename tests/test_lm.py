@@ -32,6 +32,81 @@ def charset_for(words, extra=" "):
     return SymbolTable.from_symbols(chars, "chars")
 
 
+def zipf_corpus(rng, n_words, n_lines, letters="abcdefgh", min_len=1):
+    """Random distinct words of min_len-6 letters, then sentences of 1-8
+    words drawn by 1/rank."""
+    words = set()
+    while len(words) < n_words:
+        words.add("".join(rng.choice(letters) for _ in range(rng.randint(min_len, 6))))
+    words = sorted(words)
+    rng.shuffle(words)
+    ranks = [1.0 / (r + 1) for r in range(len(words))]
+    return [" ".join(rng.choices(words, weights=ranks, k=rng.randint(1, 8)))
+            for _ in range(n_lines)]
+
+
+def per_word_grammar(counts, cfg):
+    """G's arcs as {(context, symbol, next context): weight} and its finals as
+    {context: weight}, summing every context's unseen mass word by word.
+    The unigram state is the context None."""
+    vocab = counts.vocabulary()
+    total = sum(c for w, c in counts.unigram.items() if w != "<s>")
+    p_uni = {w: counts.unigram.get(w, 0) / total for w in vocab + ["</s>"]}
+    arcs = {(None, w, w): -math.log(p_uni[w]) for w in vocab}
+    finals = {None: -math.log(p_uni["</s>"])}
+    contexts = {}
+    for (w1, w2), c in counts.bigram.items():
+        contexts.setdefault(w1, {})[w2] = c
+    for w1, conts in contexts.items():
+        c_ctx = sum(conts.values())
+        unseen = [w for w in vocab if w not in conts]
+        mass = sum(p_uni[w] for w in unseen)
+        if "</s>" not in conts and w1 != "<s>":
+            mass += p_uni["</s>"]
+        discount = cfg.backoff_discount if mass > 0.0 else 0.0
+        for w2, c in conts.items():
+            weight = -math.log((c - discount) / c_ctx)
+            if w2 == "</s>":
+                finals[w1] = weight
+            else:
+                arcs[(w1, w2, w2)] = weight
+        if discount:
+            bow = discount * len(conts) / c_ctx / mass
+            if w1 == "<s>":
+                arcs.update({(w1, w, w): -math.log(bow * p_uni[w]) for w in unseen})
+            else:
+                arcs[(w1, "<eps>", None)] = -math.log(bow)
+    return arcs, finals
+
+
+def grammar_by_context(g):
+    """build_grammar's output in per_word_grammar's form."""
+    context = {g.unigram_state: None, g.start: "<s>"}
+    for arc in g.arcs(g.unigram_state):
+        context[arc.nextstate] = g.isymbols.sym(arc.ilabel)
+    arcs = {}
+    for s, arc in g.all_arcs():
+        key = (context[s], g.isymbols.sym(arc.ilabel), context[arc.nextstate])
+        assert key not in arcs
+        arcs[key] = arc.weight
+    return arcs, {context[s]: w for s, w in g.finals.items()}
+
+
+def join_without_disambig(l, g, max_len):
+    """The root's paths with inputs up to `max_len`, by brute force: L's
+    paths joined with G, `#0` dropped from L's inputs, min weight per pair.
+    Each word spelling here carries at most one `#0` and a sentence of
+    `max_len` characters holds at most (max_len + 1) // 2 spelled words."""
+    longest = max_len + (max_len + 1) // 2
+    joined = join_with_acceptor(enumerate_paths(l, longest, max_out_len=max_len + 1), g)
+    out = {}
+    for (ins, outs), w in joined.items():
+        key = (tuple(c for c in ins if c != DISAMBIG), outs)
+        if len(key[0]) <= max_len and w < out.get(key, math.inf):
+            out[key] = w
+    return out
+
+
 class TestCountNgrams:
     def test_small_corpus(self):
         counts = count_ngrams(["foo", "bar", "foo bar"])
@@ -133,6 +208,29 @@ class TestGrammar:
         g, l = insert_nonterminal(g, l, cfg)
         assert check_stochastic(g, counts) <= 1e-6
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_unseen_mass_matches_per_word_sum(self, seed):
+        rng = random.Random(seed)
+        counts = count_ngrams(zipf_corpus(rng, rng.randint(5, 60), rng.randint(10, 200)))
+        cfg = LmConfig(backoff_discount=rng.choice([0.1, 0.4, 0.7]))
+        g = build_grammar(counts, cfg)
+        want_arcs, want_finals = per_word_grammar(counts, cfg)
+        got_arcs, got_finals = grammar_by_context(g)
+        assert got_arcs == pytest.approx(want_arcs, abs=1e-9)
+        assert got_finals == pytest.approx(want_finals, abs=1e-9)
+        assert check_stochastic(g, counts) <= 1e-6
+
+    def test_context_that_saw_every_word_has_no_backoff(self):
+        # "a" is followed by a, b and </s>; "b" by a and b but never </s>
+        counts = count_ngrams(["a a b a", "b b a", "a"])
+        cfg = LmConfig()
+        g = build_grammar(counts, cfg)
+        arcs, _ = grammar_by_context(g)
+        assert ("a", "<eps>", None) not in arcs
+        assert ("b", "<eps>", None) in arcs
+        assert arcs == pytest.approx(per_word_grammar(counts, cfg)[0], abs=1e-9)
+        assert check_stochastic(g, counts) <= 1e-6
+
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(RegexBiasError):
             build_grammar(count_ngrams([]), LmConfig())
@@ -194,13 +292,31 @@ class TestLexicon:
         assert spellings["FOO"] != spellings["foo"]
         assert DISAMBIG in spellings["FOO"] and DISAMBIG in spellings["foo"]
         assert DISAMBIG not in spellings["foobar"]
-        # build_root's `#0` branch relabels and removes epsilons: still trimmed
+        # build_root relabels every `#0` to epsilon and the root stays trimmed
         word_table = make_word_table(["FOO", "foo", "foobar"])
         g = grammar_from_probs({"FOO": 0.2, "foo": 0.3, "foobar": 0.5},
                                {("FOO", "foobar"): 0.5}, word_table)
         root = build_root(build_lexicon(lex, charset_for(["foobar"]), word_table), g)
         trimmed = connect(root)
         assert (trimmed.num_states(), trimmed.num_arcs()) == (root.num_states(), root.num_arcs())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_disambiguation_matches_pairwise_scan(self, seed):
+        rng = random.Random(seed)
+        pool = ["".join(rng.choice("abcd") for _ in range(rng.randint(1, 7)))
+                for _ in range(rng.randint(5, 300))]
+        lex = Lexicon()
+        for i in range(len(pool)):
+            lex.add(f"w{i}", rng.choice(pool))  # draws repeat: spellings collide
+        spellings = set(lex.entries.values())
+        got = disambiguated_spellings(lex)
+        for w, sp in lex.entries.items():
+            shared = sorted(v for v, other in lex.entries.items() if other == sp)
+            extended = any(other != sp and other[:len(sp)] == sp for other in spellings)
+            if len(shared) > 1 or extended:
+                assert got[w] == sp + (DISAMBIG,) * (shared.index(w) + 1)
+            else:
+                assert got[w] == sp
 
     def test_big_lexicon_determinizes(self):
         # 1k random words with shared prefixes must not blow the budget
@@ -339,6 +455,45 @@ class TestNonterminal:
         from regexbias.ops import rm_epsilon
 
         rm_epsilon(root)
+
+    @pytest.mark.parametrize("with_nonterminal", [False, True])
+    def test_root_with_colliding_spellings_is_plain_t(self, with_nonterminal):
+        # "a" prefixes "ab" and "b" prefixes "ba", so the lexicon's `#0` and
+        # the backoff's `#0` meet; "ba" never ends a sentence, so "ba" alone
+        # needs the backoff and then </s>
+        cfg = LmConfig()
+        counts = count_ngrams(["a ab", "b ba a", "ab b", "a b"])
+        words = counts.vocabulary()
+        word_table = make_word_table(words)
+        g = build_grammar(counts, cfg, word_table)
+        l = build_lexicon(Lexicon.from_words(words), charset_for(words), word_table)
+        if with_nonterminal:
+            word_table.add(REGEX_NT)
+            g, l = insert_nonterminal(g, l, cfg)
+        root = build_root(l, g)
+        expected = join_without_disambig(l, g, 6)
+        assert ((("b", "a"), ("ba",))) in expected
+        assert paths_equal(enumerate_paths(root, 6, max_out_len=7), expected, tol=1e-6)
+
+    def test_root_arcs_at_most_twice_the_inputs(self):
+        # the backoff survives optimization, so the root does not copy the
+        # unigram fan-out into every history state. Words have two letters or
+        # more: a one-letter word shares its symbol with the char-fallback
+        # token, which makes G nondeterministic on it at the unigram state.
+        rng = random.Random(5)
+        corpus = zipf_corpus(rng, 150, 450, "abcdefghijklmnopqrstuvwxyz", min_len=2)
+        cfg = LmConfig()
+        counts = count_ngrams(corpus)
+        words = counts.vocabulary()
+        charset = charset_for(words)
+        word_table = make_word_table(words)
+        g = build_grammar(counts, cfg, word_table)
+        l = build_lexicon(Lexicon.from_words(words), charset, word_table)
+        g, l = add_char_fallback(g, l, charset, cfg)
+        word_table.add(REGEX_NT)
+        g, l = insert_nonterminal(g, l, cfg)
+        assert len(words) >= 100
+        assert build_root(l, g).num_arcs() <= 2 * (l.num_arcs() + g.num_arcs())
 
     def test_root_without_nonterminal_is_plain_t(self):
         charset, word_table, g, l, cfg = self.setup_model()
