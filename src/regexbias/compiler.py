@@ -1,15 +1,18 @@
-"""Regex AST -> NFA -> DFA -> unweighted acceptor R -> biased machine T_r.
+"""Regex AST -> NFA -> minimal DFA, the unweighted acceptor R -> biased
+machine T_r.
 
-The bias step composes R with a one-state scorer whose self-loops cost
-alpha per symbol, so a matching string of length n costs exactly n*alpha.
+The bias step adds alpha to every arc of R, so a matching string of length
+n costs exactly n*alpha. That is R composed with the one-state scorer
+S_alpha, whose self-loops cost alpha per symbol; the tests keep that
+composition as the oracle.
 """
 
 from dataclasses import dataclass
 
 from . import grammar as gr
-from .errors import BudgetExceededError, GrammarError, SymbolError
+from .errors import BudgetExceededError, ConfigError, GrammarError, SymbolError
 from .fst import BLANK, DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
-from .ops import DETERMINIZE_STATE_BUDGET, compose, connect, optim
+from .ops import DETERMINIZE_STATE_BUDGET, optim
 
 RESERVED = {BLANK, DISAMBIG, REGEX_NT}
 
@@ -22,7 +25,7 @@ class BiasSpec:
 
     def __post_init__(self):
         if not (self.alpha == self.alpha and abs(self.alpha) != float("inf")):
-            raise ValueError(f"alpha must be a finite real, got {self.alpha}")
+            raise ConfigError(f"alpha must be a finite real, got {self.alpha}")
 
 
 def character_symbols(table: SymbolTable):
@@ -66,6 +69,7 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
     size = _nfa_states(ast)
     if size > DETERMINIZE_STATE_BUDGET:
         raise BudgetExceededError(
+            "ast_to_nfa", DETERMINIZE_STATE_BUDGET, size,
             f"ast_to_nfa would build {size} states, over the "
             f"{DETERMINIZE_STATE_BUDGET} state budget"
         )
@@ -175,8 +179,16 @@ def scorer(alphabet: SymbolTable, alpha: float) -> Wfst:
 
 
 def apply_bias(r: Wfst, bias: BiasSpec) -> Wfst:
-    """T_r = S_alpha o R: same language, each matched symbol now costs alpha."""
-    return connect(compose(scorer(r.isymbols, bias.alpha), r))
+    """T_r: R with alpha added to every arc, so each matched symbol costs alpha.
+
+    For an epsilon-free, trimmed R over character symbols, as
+    compile_grammar builds it, this is S_alpha o R (see `scorer`), state
+    for state and arc for arc.
+    """
+    t_r = r.copy()
+    for _, arc in t_r.all_arcs():
+        arc.weight += bias.alpha
+    return t_r
 
 
 def compile_grammar(text: str, alphabet: SymbolTable):
@@ -186,8 +198,8 @@ def compile_grammar(text: str, alphabet: SymbolTable):
     read nothing, a free or negative epsilon loop when nonterminal_weight <= 0.
     """
     source = gr.parse_grammar(text)
-    nfa = ast_to_nfa(source.export_ast(), alphabet)
-    r = dfa_to_acceptor(nfa_to_dfa(nfa))
+    # the minimal DFA of a zero-weight acceptor is already R
+    r = nfa_to_dfa(ast_to_nfa(source.export_ast(), alphabet))
     if r.is_final(r.start):
         raise GrammarError("the export must not accept the empty string")
     return source, r

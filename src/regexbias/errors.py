@@ -21,8 +21,22 @@ class SymbolTableMismatchError(RegexBiasError):
         super().__init__(msg)
 
 
+class ConfigError(RegexBiasError, ValueError):
+    """A configuration value is out of range."""
+
+
 class BudgetExceededError(RegexBiasError):
-    """A state or path budget was exhausted before the operation finished."""
+    """A state or path budget was exhausted before the operation finished.
+
+    `stage` names the operation that stopped, `limit` is its budget and
+    `used` how much of the budget it had used or would have used.
+    """
+
+    def __init__(self, stage, limit, used, msg):
+        self.stage = stage
+        self.limit = limit
+        self.used = used
+        super().__init__(msg)
 
 
 class NondeterministicInputError(RegexBiasError):

@@ -26,7 +26,13 @@ import math
 from dataclasses import dataclass, field
 
 from .compiler import character_symbols
-from .errors import LexiconError, RegexBiasError, SymbolError, SymbolTableMismatchError
+from .errors import (
+    ConfigError,
+    LexiconError,
+    RegexBiasError,
+    SymbolError,
+    SymbolTableMismatchError,
+)
 from .fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
 from .ops import compose, optim, relabel
 from .semiring import ZERO
@@ -55,11 +61,14 @@ class LmConfig:
 
     def __post_init__(self):
         if not 0.0 < self.backoff_discount < 1.0:
-            raise ValueError(f"backoff_discount must be in (0, 1), got {self.backoff_discount}")
+            raise ConfigError(f"backoff_discount must be in (0, 1), got {self.backoff_discount}")
         if math.isnan(self.char_fallback_penalty) or math.isinf(self.char_fallback_penalty):
-            raise ValueError("char_fallback_penalty must be finite")
-        if math.isnan(self.nonterminal_weight):
-            raise ValueError("nonterminal_weight may not be NaN")
+            raise ConfigError("char_fallback_penalty must be finite")
+        # +inf means no `$REGEX` arc; -inf would make every residual -inf - -inf
+        if math.isnan(self.nonterminal_weight) or self.nonterminal_weight == -math.inf:
+            raise ConfigError(
+                f"nonterminal_weight must be a real or +inf, got {self.nonterminal_weight}"
+            )
 
 
 class Lexicon:
@@ -420,12 +429,14 @@ def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:
 
     Char-fallback and nonterminal arcs are biasing machinery outside the
     probability budget and are excluded: they are the non-epsilon arcs into
-    the unigram state, since word arcs always lead to word states.
+    the unigram state, since word arcs always lead to word states. A backoff
+    state's unseen mass is the vocabulary's mass minus its seen words' mass.
     """
     vocab = set(counts.vocabulary())
     total = sum(c for w, c in counts.unigram.items() if w != SENTENCE_START)
     p_uni = {w: counts.unigram[w] / total
              for w in counts.unigram if w != SENTENCE_START}
+    vocab_mass = math.fsum(p_uni[w] for w in vocab)
     worst = 0.0
     u = getattr(g, "unigram_state", None)
     for s in g.states():
@@ -448,7 +459,7 @@ def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:
             mass += math.exp(-g.final(s))
         if backoff_weight is not None:
             seen = {symbol for symbol, _ in word_arcs}
-            unseen = sum(p for w, p in p_uni.items() if w in vocab and w not in seen)
+            unseen = vocab_mass - math.fsum(p_uni[w] for w in seen)
             if not g.is_final(s):
                 unseen += p_uni.get(SENTENCE_END, 0.0)
             mass += math.exp(-backoff_weight) * unseen

@@ -3,9 +3,14 @@
 Every function returns a fresh machine and leaves its inputs untouched.
 Composition uses the 3-state epsilon filter so epsilon paths are neither
 duplicated nor dropped. Determinization is a weighted subset construction
-carrying residual weights; transducers are handled by treating the
+carrying residual weights; it follows eps:eps arcs itself, through each
+state's epsilon closure. Transducers are handled by treating the
 (ilabel, olabel) pair as the subset-construction label, which is also the
 signature minimization refines on.
+
+Epsilon closures, the potentials minimization pushes weights with, and
+shortest paths are all single-source shortest distances (Mohri 2002), and
+one routine, `_shortest_distance`, computes them.
 """
 
 import warnings
@@ -99,70 +104,42 @@ def relabel(a: Wfst, imap: dict[int, int] | None = None,
 
 
 # ---------------------------------------------------------------------------
-# epsilon removal
+# shortest distance
 # ---------------------------------------------------------------------------
 
-def _eps_closures(a: Wfst):
-    """Min-cost eps:eps closure from every state; error on negative cycles."""
-    eps_arcs = [[] for _ in a.states()]
-    has_eps = False
-    for s, arc in a.all_arcs():
-        if arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID:
-            eps_arcs[s].append(arc)
-            has_eps = True
-    if not has_eps:
-        return None
-    n = a.num_states()
-    closures = []
-    for s in a.states():
-        dist = {s: 0.0}
-        for round_no in range(n + 1):
-            changed = False
-            for q, d in list(dist.items()):
-                for arc in eps_arcs[q]:
-                    nd = d + arc.weight
-                    if nd < dist.get(arc.nextstate, ZERO) - 1e-12:
-                        dist[arc.nextstate] = nd
-                        changed = True
-            if not changed:
-                break
-            if round_no == n:
-                raise NegativeCycleError(dist.keys(), "negative eps:eps cycle")
-        del dist[s]
-        closures.append(dist)
-    return closures
+def _shortest_distance(n: int, sources, arcs_of):
+    """Shortest distances from `sources` ({state: initial distance}) over
+    the arcs `arcs_of(state)` returns, in a machine of n states.
 
-
-def rm_epsilon(a: Wfst) -> Wfst:
-    """Remove eps:eps arcs by weighted closure; the weighted language is kept."""
-    if a.is_empty():
-        return _empty_like(a)
-    closures = _eps_closures(a)
-    if closures is None:
-        return connect(a)
-    out = Wfst(a.isymbols, a.osymbols)
-    out.add_states(a.num_states())
-    out.set_start(a.start)
-    for s in a.states():
-        fw = a.final(s)
-        seen = set()
-        for arc in a.arcs(s):
-            if arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID:
-                continue
-            out.add_arc(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
-            seen.add((arc.ilabel, arc.olabel, arc.weight, arc.nextstate))
-        for t, wc in sorted(closures[s].items()):
-            fw = min(fw, wc + a.final(t))
-            for arc in a.arcs(t):
-                if arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID:
-                    continue
-                key = (arc.ilabel, arc.olabel, wc + arc.weight, arc.nextstate)
-                if key not in seen:
-                    seen.add(key)
-                    out.add_arc(s, arc.ilabel, arc.olabel, wc + arc.weight, arc.nextstate)
-        if fw != ZERO:
-            out.set_final(s, fw)
-    return connect(out)
+    Returns (dist, pred): dist maps every reached state to its distance,
+    pred maps every state reached from another to (that state, the arc).
+    Arcs only need `weight` and `nextstate`. FIFO Bellman-Ford: a distance
+    changes only when it drops by more than 1e-15. An improving walk of n
+    arcs repeats a state, so only a negative cycle makes one; that raises
+    NegativeCycleError naming the states still improving.
+    """
+    dist = dict(sources)
+    pred = {}
+    steps = dict.fromkeys(dist, 0)
+    queue = deque(dist)
+    queued = set(dist)
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        base, walk = dist[s], steps[s] + 1
+        for arc in arcs_of(s):
+            t = arc.nextstate
+            nd = base + arc.weight
+            if nd < dist.get(t, ZERO) - 1e-15:
+                if walk >= n:
+                    raise NegativeCycleError(queued | {t})
+                dist[t] = nd
+                steps[t] = walk
+                pred[t] = (s, arc)
+                if t not in queued:
+                    queued.add(t)
+                    queue.append(t)
+    return dist, pred
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +220,35 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
 def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """Weighted subset construction with residual weights pushed to the start.
 
-    eps:eps arcs are removed first. Subset elements are (state, residual)
-    pairs ordered by ascending state id; the minimum over each expansion
-    step is extracted onto the new arc. Transducer arcs take part as
-    (ilabel, olabel) pairs, so the result is deterministic per label pair,
-    and deterministic per ilabel whenever the input is an acceptor.
+    Subset elements are (state, residual) pairs ordered by ascending state
+    id: the start and targets of arcs that are not eps:eps. Each element is
+    expanded through its eps:eps closure, found with `_shortest_distance`
+    when the state is first expanded; a negative eps:eps cycle reached that
+    way raises NegativeCycleError. The minimum over each expansion step is
+    extracted onto the new arc. Transducer arcs take part as (ilabel,
+    olabel) pairs, so the result is deterministic per label pair, and
+    deterministic per ilabel whenever the input is an acceptor. States that
+    cannot reach a final are kept; minimize trims them.
     """
-    a = rm_epsilon(a)
     if a.is_empty():
         return _empty_like(a)
-    out = Wfst(a.isymbols, a.osymbols)
+    eps_arcs: dict[int, list[Arc]] = {}
+    for s, arc in a.all_arcs():
+        if arc.ilabel == EPSILON_ID == arc.olabel:
+            eps_arcs.setdefault(s, []).append(arc)
+    closures = {}  # state -> [(state, cost)] of its eps:eps closure, by state id
 
+    def closure(s):
+        if s not in closures:
+            if s in eps_arcs:
+                dist = _shortest_distance(a.num_states(), {s: 0.0},
+                                          lambda q: eps_arcs.get(q, ()))[0]
+                closures[s] = sorted(dist.items())
+            else:
+                closures[s] = [(s, 0.0)]
+        return closures[s]
+
+    out = Wfst(a.isymbols, a.osymbols)
     start_key = ((a.start, 0.0),)
     state_ids = {start_key: out.add_state()}
     out.set_start(0)
@@ -264,15 +259,17 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
         fw = ZERO
         moves: dict[tuple[int, int], dict[int, float]] = {}
         for s, residual in key:
-            sf = a.final(s)
-            if sf != ZERO:
-                fw = min(fw, residual + sf)
-            for arc in a.arcs(s):
-                label = (arc.ilabel, arc.olabel)
-                targets = moves.setdefault(label, {})
-                w = residual + arc.weight
-                if w < targets.get(arc.nextstate, ZERO):
-                    targets[arc.nextstate] = w
+            for t, wc in closure(s):
+                tf = a.final(t)
+                if tf != ZERO:
+                    fw = min(fw, residual + (wc + tf))
+                for arc in a.arcs(t):
+                    if arc.ilabel == EPSILON_ID == arc.olabel:
+                        continue
+                    targets = moves.setdefault((arc.ilabel, arc.olabel), {})
+                    w = residual + (wc + arc.weight)
+                    if w < targets.get(arc.nextstate, ZERO):
+                        targets[arc.nextstate] = w
         if fw != ZERO:
             out.set_final(src, fw)
         for label in sorted(moves):
@@ -283,7 +280,8 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
             if dst is None:
                 if len(state_ids) >= state_budget:
                     raise BudgetExceededError(
-                        f"determinize exceeded the {state_budget} subset-state budget"
+                        "determinize", state_budget, len(state_ids),
+                        f"determinize exceeded the {state_budget} subset-state budget",
                     )
                 dst = out.add_state()
                 state_ids[new_key] = dst
@@ -295,28 +293,6 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
-
-def _dist_to_final(a: Wfst):
-    """Per-state min cost of reaching (and paying) a final. None on negative cycles."""
-    n = a.num_states()
-    dist = [a.final(s) for s in a.states()]
-    for round_no in range(n):
-        changed = False
-        for s, arc in a.all_arcs():
-            if dist[arc.nextstate] == ZERO:
-                continue
-            nd = arc.weight + dist[arc.nextstate]
-            if nd < dist[s] - 1e-15:
-                dist[s] = nd
-                changed = True
-        if not changed:
-            return dist
-    # one settled pass ran out: a further improvement means a negative cycle
-    for s, arc in a.all_arcs():
-        if dist[arc.nextstate] != ZERO and arc.weight + dist[arc.nextstate] < dist[s] - 1e-15:
-            return None
-    return dist
-
 
 def minimize(a: Wfst) -> Wfst:
     """Merge indistinguishable states of a deterministic machine.
@@ -336,8 +312,17 @@ def minimize(a: Wfst) -> Wfst:
     a = connect(a)
     if a.is_empty():
         return a
-    # after connect every state reaches a final, so each potential is finite
-    pot = _dist_to_final(a) or [0.0] * a.num_states()
+    # potentials are the shortest distances to a final, over reversed arcs;
+    # after connect every state reaches a final, so each one is finite
+    rev = [[] for _ in a.states()]
+    for s, arc in a.all_arcs():
+        rev[arc.nextstate].append(Arc(arc.ilabel, arc.olabel, arc.weight, s))
+    try:
+        dist = _shortest_distance(a.num_states(), a.finals, rev.__getitem__)[0]
+    except NegativeCycleError:
+        dist = dict.fromkeys(a.states(), 0.0)
+    pot = [dist[s] for s in a.states()]
+    del rev, dist  # freed before the refinement below, minimize's memory peak
     pot[a.start] = 0.0  # keep total path weights unchanged
     arcs = [[(arc.ilabel, arc.olabel, arc.weight + pot[arc.nextstate] - pot[s],
               arc.nextstate) for arc in a.arcs(s)] for s in a.states()]
@@ -496,6 +481,7 @@ def enumerate_paths(a: Wfst, max_len: int, max_out_len: int | None = None,
                 expansions += 1
                 if expansions > path_budget:
                     raise BudgetExceededError(
+                        "enumerate_paths", path_budget, expansions,
                         f"enumerate_paths exceeded its budget of {path_budget} "
                         f"(state, input, output) key improvements after "
                         f"{len(best)} keys and {len(accepted)} accepted pairs, "
@@ -512,45 +498,17 @@ def enumerate_paths(a: Wfst, max_len: int, max_out_len: int | None = None,
 def shortest_path(a: Wfst):
     """Min-cost accepting path as (input symbols, output symbols, weight).
 
-    Bellman-Ford, so bias-weighted machines with negative arcs are fine as
-    long as no negative cycle is reachable; such a cycle raises an error
-    naming the states still improving after convergence should have
-    happened.
+    Bias-weighted machines with negative arcs are fine as long as no
+    negative cycle is reachable from the start; such a cycle raises
+    NegativeCycleError (see `_shortest_distance`).
     """
     if a.is_empty():
         raise NoPathError("machine has no states")
-    n = a.num_states()
-    dist = [ZERO] * n
-    pred: list[tuple[int, Arc] | None] = [None] * n
-    dist[a.start] = 0.0
-    for _ in range(n - 1):
-        changed = False
-        for s in range(n):
-            if dist[s] == ZERO:
-                continue
-            base = dist[s]
-            for arc in a.arcs(s):
-                nd = base + arc.weight
-                if nd < dist[arc.nextstate] - 1e-15:
-                    dist[arc.nextstate] = nd
-                    pred[arc.nextstate] = (s, arc)
-                    changed = True
-        if not changed:
-            break
-    else:
-        improving = set()
-        for s in range(n):
-            if dist[s] == ZERO:
-                continue
-            for arc in a.arcs(s):
-                if dist[s] + arc.weight < dist[arc.nextstate] - 1e-15:
-                    improving.add(arc.nextstate)
-        if improving:
-            raise NegativeCycleError(improving)
+    dist, pred = _shortest_distance(a.num_states(), {a.start: 0.0}, a.arcs)
 
     best_state, best_cost = None, ZERO
     for s, fw in a.finals.items():
-        if dist[s] == ZERO:
+        if s not in dist:
             continue
         total = dist[s] + fw
         if total < best_cost or (total == best_cost and (best_state is None or s < best_state)):
@@ -560,10 +518,9 @@ def shortest_path(a: Wfst):
 
     arcs_rev = []
     s = best_state
-    while pred[s] is not None:
-        prev, arc = pred[s]
+    while s in pred:
+        s, arc = pred[s]
         arcs_rev.append(arc)
-        s = prev
     ins, outs = [], []
     for arc in reversed(arcs_rev):
         if arc.ilabel != EPSILON_ID:

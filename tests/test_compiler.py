@@ -18,9 +18,16 @@ from regexbias.compiler import (
     nfa_to_dfa,
     scorer,
 )
-from regexbias.errors import BudgetExceededError, GrammarError, SymbolError
+from regexbias.errors import (
+    BudgetExceededError,
+    ConfigError,
+    GrammarError,
+    RegexBiasError,
+    SymbolError,
+)
 from regexbias.fst import SymbolTable
-from regexbias.ops import enumerate_paths
+from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose, connect, enumerate_paths
+from regexbias.textio import write_fst_text
 
 from conftest import make_table
 
@@ -94,12 +101,16 @@ class TestAstToNfa:
     def test_doubling_grammar_over_budget(self, ab_table):
         # 60 doublings parse to 61 shared nodes but would unfold to 2**61 states
         lines = ['d0 = "a";'] + [f"d{i} = d{i - 1} d{i - 1};" for i in range(1, 61)]
-        with pytest.raises(BudgetExceededError, match="ast_to_nfa would build"):
+        with pytest.raises(BudgetExceededError, match="ast_to_nfa would build") as err:
             compile_grammar("\n".join(lines + ["export = d60;"]), ab_table)
+        assert (err.value.stage, err.value.limit) == ("ast_to_nfa", DETERMINIZE_STATE_BUDGET)
+        assert err.value.used == 2 * 2 ** 60  # two states for each of 2**60 "a"s
 
     def test_nested_repeats_over_budget(self, ab_table):
-        with pytest.raises(BudgetExceededError, match="ast_to_nfa"):
+        with pytest.raises(BudgetExceededError, match="ast_to_nfa") as err:
             compile_grammar('export = ((("a"{64}){64}){64}){64};', ab_table)
+        assert (err.value.stage, err.value.limit) == ("ast_to_nfa", DETERMINIZE_STATE_BUDGET)
+        assert err.value.used > err.value.limit
 
 
 AB_TABLE = make_table(["a", "b"], "ab")
@@ -221,6 +232,24 @@ class TestApplyBias:
             BiasSpec(float("inf"))
         with pytest.raises(ValueError):
             BiasSpec(float("nan"))
+        for alpha in (float("-inf"), float("nan")):
+            with pytest.raises(ConfigError) as err:
+                BiasSpec(alpha)
+            assert isinstance(err.value, RegexBiasError)
+
+    @pytest.mark.parametrize("text", [
+        'export = "A" "B"*;',
+        'export = ("A" | "B")* "A" ("A" | "B"){3};',
+        'export = [A-Z]{1,3} ("-" | \\d)+;'.replace("-", " "),
+        'export = \\d{2} "X" \\d{2} | [A-C]+;',
+    ])
+    def test_equals_scorer_composition(self, text, alnum_table):
+        # the one-copy fold against the composition it replaces, byte for byte
+        for alpha in (-2.5, 0.0, 1.0):
+            _, r, t_r = compile_biased(text, alnum_table, alpha)
+            oracle = connect(compose(scorer(alnum_table, alpha), r))
+            assert write_fst_text(t_r) == write_fst_text(oracle)
+            assert write_fst_text(apply_bias(r, BiasSpec(alpha))) == write_fst_text(oracle)
 
 
 class TestScorer:

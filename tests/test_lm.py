@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from regexbias.errors import LexiconError, RegexBiasError, SymbolError
+from regexbias.errors import ConfigError, LexiconError, RegexBiasError, SymbolError
 from regexbias.fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
 from regexbias.lm import (
     Lexicon,
@@ -22,7 +22,14 @@ from regexbias.lm import (
     make_word_table,
     merge_counts,
 )
-from regexbias.ops import compose, connect, enumerate_paths, optim, shortest_path
+from regexbias.ops import (
+    _shortest_distance,
+    compose,
+    connect,
+    enumerate_paths,
+    optim,
+    shortest_path,
+)
 
 from conftest import join_paths, join_with_acceptor, make_table, paths_equal
 
@@ -90,6 +97,41 @@ def grammar_by_context(g):
         assert key not in arcs
         arcs[key] = arc.weight
     return arcs, {context[s]: w for s, w in g.finals.items()}
+
+
+def per_word_deviation(g, counts):
+    """check_stochastic's deviation, summing each backoff state's unseen
+    mass word by word over the vocabulary (O(V) per state)."""
+    vocab = set(counts.vocabulary())
+    total = sum(c for w, c in counts.unigram.items() if w != "<s>")
+    p_uni = {w: counts.unigram[w] / total for w in counts.unigram if w != "<s>"}
+    worst = 0.0
+    for s in g.states():
+        word_arcs = []
+        backoff_weight = None
+        for arc in g.arcs(s):
+            if arc.ilabel == EPSILON_ID:
+                if arc.nextstate == g.unigram_state:
+                    backoff_weight = arc.weight
+                continue
+            if arc.nextstate == g.unigram_state:
+                continue
+            symbol = g.isymbols.sym(arc.ilabel)
+            if symbol in vocab:
+                word_arcs.append((symbol, arc.weight))
+        if not word_arcs and backoff_weight is None and not g.is_final(s):
+            continue
+        mass = sum(math.exp(-w) for _, w in word_arcs)
+        if g.is_final(s):
+            mass += math.exp(-g.final(s))
+        if backoff_weight is not None:
+            seen = {symbol for symbol, _ in word_arcs}
+            unseen = sum(p for w, p in p_uni.items() if w in vocab and w not in seen)
+            if not g.is_final(s):
+                unseen += p_uni.get("</s>", 0.0)
+            mass += math.exp(-backoff_weight) * unseen
+        worst = max(worst, abs(mass - 1.0))
+    return worst
 
 
 def join_without_disambig(l, g, max_len):
@@ -231,6 +273,23 @@ class TestGrammar:
         assert arcs == pytest.approx(per_word_grammar(counts, cfg)[0], abs=1e-9)
         assert check_stochastic(g, counts) <= 1e-6
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_check_stochastic_matches_per_word_sum(self, seed):
+        rng = random.Random(seed)
+        counts = count_ngrams(zipf_corpus(rng, rng.randint(5, 80), rng.randint(10, 300)))
+        words = counts.vocabulary()
+        charset = charset_for(words)
+        word_table = make_word_table(words)
+        cfg = LmConfig(backoff_discount=rng.choice([0.1, 0.4, 0.7]))
+        g = build_grammar(counts, cfg, word_table)
+        l = build_lexicon(Lexicon.from_words(words), charset, word_table)
+        g, l = add_char_fallback(g, l, charset, cfg)
+        word_table.add(REGEX_NT)
+        g, l = insert_nonterminal(g, l, cfg)
+        assert any(arc.ilabel == EPSILON_ID for _, arc in g.all_arcs())
+        assert check_stochastic(g, counts) == pytest.approx(per_word_deviation(g, counts),
+                                                            abs=1e-12)
+
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(RegexBiasError):
             build_grammar(count_ngrams([]), LmConfig())
@@ -242,6 +301,17 @@ class TestGrammar:
             LmConfig(backoff_discount=1.0)
         with pytest.raises(ValueError):
             LmConfig(char_fallback_penalty=math.inf)
+
+    @pytest.mark.parametrize("bad", [dict(backoff_discount=0.0),
+                                     dict(char_fallback_penalty=math.nan),
+                                     dict(nonterminal_weight=math.nan),
+                                     dict(nonterminal_weight=-math.inf)])
+    def test_bad_config_is_typed(self, bad):
+        # -inf used to pass and crash determinize in build_root: every
+        # residual of a `$REGEX` subset became -inf - -inf = nan
+        with pytest.raises(ConfigError) as err:
+            LmConfig(**bad)
+        assert isinstance(err.value, RegexBiasError) and isinstance(err.value, ValueError)
 
 
 class TestLexicon:
@@ -451,10 +521,11 @@ class TestNonterminal:
         charset, word_table, g, l, cfg = self.setup_model()
         g2, l2 = insert_nonterminal(g, l, cfg)
         root = build_root(l2, g2)
-        # rm_epsilon would raise on a negative eps:eps cycle
-        from regexbias.ops import rm_epsilon
-
-        rm_epsilon(root)
+        assert not root.check_eps_free()
+        # from every state at once: a negative eps:eps cycle anywhere raises
+        _shortest_distance(root.num_states(), dict.fromkeys(root.states(), 0.0),
+                           lambda s: [arc for arc in root.arcs(s)
+                                      if arc.ilabel == EPSILON_ID == arc.olabel])
 
     @pytest.mark.parametrize("with_nonterminal", [False, True])
     def test_root_with_colliding_spellings_is_plain_t(self, with_nonterminal):

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regexbias.errors import (
     BudgetExceededError,
@@ -15,6 +17,7 @@ from regexbias.errors import (
 from regexbias.fst import EPSILON_ID, SymbolTable, Wfst, linear_acceptor
 from regexbias.ops import (
     ReplaceNoOpWarning,
+    _shortest_distance,
     compose,
     connect,
     determinize,
@@ -22,12 +25,18 @@ from regexbias.ops import (
     minimize,
     optim,
     replace,
-    rm_epsilon,
     shortest_path,
 )
 from regexbias.semiring import ZERO
 
-from conftest import acceptor_weights, join_paths, make_table, paths_equal, random_machine
+from conftest import (
+    _eps_closure,
+    acceptor_weights,
+    join_paths,
+    make_table,
+    paths_equal,
+    random_machine,
+)
 
 
 def identity_scorer(table, weight):
@@ -79,8 +88,9 @@ class TestEnumeratePaths:
         m.set_final(s)
         m.add_arc(s, 1, 1, 0.0, s)
         m.add_arc(s, 2, 2, 0.0, s)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             enumerate_paths(m, 30, path_budget=100)
+        assert (err.value.stage, err.value.limit, err.value.used) == ("enumerate_paths", 100, 101)
 
 
 class TestAcceptorWeights:
@@ -188,24 +198,37 @@ class TestCompose:
             assert paths_equal(enumerate_paths(c, 6), expected)
 
 
-class TestRmEpsilon:
-    def test_eps_chain_collapses_into_final(self, ab_table):
+def eps_arcs_of(m):
+    return lambda s: [arc for arc in m.arcs(s) if arc.ilabel == EPSILON_ID == arc.olabel]
+
+
+class TestShortestDistance:
+    def test_eps_closures_match_walk_random(self, rng, abcd_table):
+        # cyclic epsilon acceptors, from every state, against the conftest walk
+        wider = 0
+        for _ in range(40):
+            m = random_machine(rng, abcd_table, acceptor=True, eps_prob=0.35)
+            for s in m.states():
+                dist, pred = _shortest_distance(m.num_states(), {s: 0.0}, eps_arcs_of(m))
+                want = _eps_closure(m, {s: 0.0})
+                assert dist == pytest.approx(want, abs=1e-12)
+                for t, (q, arc) in pred.items():
+                    assert arc in m.arcs(q) and arc.nextstate == t
+                    assert dist[t] == pytest.approx(dist[q] + arc.weight, abs=1e-12)
+                wider += len(dist) > 1
+        assert wider >= 40
+
+    def test_negative_cycle_among_sources(self, ab_table):
+        # every state is a source at 0.0, as in test_lm's root check, so a
+        # cycle is found although no arc leads into it from outside
         m = Wfst(ab_table)
         m.add_states(3)
         m.set_start(0)
-        m.add_arc(0, EPSILON_ID, EPSILON_ID, 1.0, 1)
-        m.add_arc(1, EPSILON_ID, EPSILON_ID, 2.0, 2)
-        m.set_final(2)
-        out = rm_epsilon(m)
-        assert out.final(out.start) == pytest.approx(3.0)
-        assert out.num_arcs() == 0
-
-    def test_language_preserved_random(self, rng, abcd_table):
-        for _ in range(40):
-            m = random_machine(rng, abcd_table, eps_prob=0.35)
-            out = rm_epsilon(m)
-            assert out.check_eps_free()
-            assert paths_equal(enumerate_paths(out, 6), enumerate_paths(m, 6))
+        m.add_arc(1, EPSILON_ID, EPSILON_ID, 0.5, 2)
+        m.add_arc(2, EPSILON_ID, EPSILON_ID, -1.0, 1)
+        with pytest.raises(NegativeCycleError) as err:
+            _shortest_distance(3, dict.fromkeys(m.states(), 0.0), eps_arcs_of(m))
+        assert set(err.value.states) <= {1, 2} and err.value.states
 
 
 class TestConnect:
@@ -230,6 +253,38 @@ class TestConnect:
 
 
 class TestDeterminize:
+    def test_eps_chain_collapses_into_final(self, ab_table):
+        m = Wfst(ab_table)
+        m.add_states(3)
+        m.set_start(0)
+        m.add_arc(0, EPSILON_ID, EPSILON_ID, 1.0, 1)
+        m.add_arc(1, EPSILON_ID, EPSILON_ID, 2.0, 2)
+        m.set_final(2)
+        out = determinize(m)
+        assert out.final(out.start) == pytest.approx(3.0)
+        assert out.num_arcs() == 0
+
+    def test_negative_eps_cycle_raises(self, ab_table):
+        m = Wfst(ab_table)
+        m.add_states(3)
+        m.set_start(0)
+        m.add_arc(0, 1, 1, 0.0, 1)
+        m.add_arc(1, EPSILON_ID, EPSILON_ID, 0.5, 2)
+        m.add_arc(2, EPSILON_ID, EPSILON_ID, -1.0, 1)
+        m.set_final(2)
+        with pytest.raises(NegativeCycleError) as err:
+            determinize(m)
+        assert set(err.value.states) <= {1, 2} and err.value.states
+        # a negative eps:eps cycle the start cannot reach is never expanded
+        unreached = Wfst(ab_table)
+        unreached.add_states(3)
+        unreached.set_start(0)
+        unreached.add_arc(0, 1, 1, 0.0, 0)
+        unreached.set_final(0)
+        unreached.add_arc(1, EPSILON_ID, EPSILON_ID, -1.0, 2)
+        unreached.add_arc(2, EPSILON_ID, EPSILON_ID, -1.0, 1)
+        assert enumerate_paths(determinize(unreached), 2) == enumerate_paths(unreached, 2)
+
     def test_min_over_duplicate_strings(self, ab_table):
         m = Wfst(ab_table)
         m.add_states(3)
@@ -273,8 +328,9 @@ class TestDeterminize:
         m.add_arc(2, 1, 1, 2.0, 2)
         m.set_final(1)
         m.set_final(2)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             determinize(m, state_budget=500)
+        assert (err.value.stage, err.value.limit, err.value.used) == ("determinize", 500, 500)
 
 
 class TestMinimize:
@@ -358,6 +414,34 @@ class TestOptim:
             out = optim(m)
             assert paths_equal(enumerate_paths(out, 8, max_out_len=8),
                                enumerate_paths(m, 8, max_out_len=8))
+
+
+LAW_TABLE = make_table(["a", "b"], "ab")
+
+
+@st.composite
+def acyclic_eps_machines(draw):
+    """Acyclic transducers over {a, b} whose arcs may read or write epsilon,
+    eps:eps arcs included; arcs only lead to higher state ids."""
+    n = draw(st.integers(1, 5))
+    m = Wfst(LAW_TABLE, LAW_TABLE)
+    m.add_states(n)
+    m.set_start(0)
+    for _ in range(draw(st.integers(0, 10)) if n > 1 else 0):
+        src = draw(st.integers(0, n - 2))
+        m.add_arc(src, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                  draw(st.integers(-4, 12)) / 4, draw(st.integers(src + 1, n - 1)))
+    for s in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+        m.set_final(s, draw(st.integers(0, 8)) / 4)
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(acyclic_eps_machines())
+def test_determinize_and_optim_keep_paths(m):
+    want = enumerate_paths(m, 5, max_out_len=5)
+    assert paths_equal(enumerate_paths(determinize(m), 5, max_out_len=5), want)
+    assert paths_equal(enumerate_paths(optim(m), 5, max_out_len=5), want)
 
 
 class TestReplace:
