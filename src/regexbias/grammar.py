@@ -7,6 +7,11 @@ earlier definitions, character classes like `[A-Z0-9]`, the escapes `\\d`
 (digits) and `\\u` (upper-case A-Z), and `#` comments. References may only
 point at names defined earlier in the file, so grammars cannot recurse.
 
+Lexical rules: one compiled pattern, `_TOKEN_RE`, scans the text. Strings
+and classes end on their own line, and `\\` inside them escapes any
+character, a class range's upper end included. Errors point at the start of
+the offending token.
+
 The AST has five node types: `Literal`, `Class`, `Concat`, `Union` and
 `Repeat(child, min, max)`, which spells every postfix operator (`*` is
 `{0,}`, `+` is `{1,}`, `?` is `{0,1}`; `max=None` is unbounded). The parser
@@ -20,6 +25,7 @@ AST comes near Python's recursion limit.
 
 import re as _stdlib_re
 import string
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import GrammarError
@@ -98,139 +104,69 @@ class GrammarSource:
 
 # --- tokenizer --------------------------------------------------------------
 
-_PUNCT = {"=": "EQUALS", ";": "SEMI", "|": "PIPE", "*": "STAR", "+": "PLUS",
-          "?": "QMARK", "(": "LPAREN", ")": "RPAREN", "{": "LBRACE",
-          "}": "RBRACE", ",": "COMMA"}
-
 _POSTFIX = {"STAR": (0, None), "PLUS": (1, None), "QMARK": (0, 1)}
 
-_NAME_RE = _stdlib_re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = _stdlib_re.compile(r"[0-9]+")
+_TOKEN_RE = _stdlib_re.compile(r"""
+    (?P<skip>     [ \t\r\n]+ | \#.* )
+  | (?P<STRING>   " (?: [^"\\\n] | \\. )* (?P<STRING_end> " )? )
+  | (?P<CLASS>    \[ (?: [^]\\\n] | \\. )* (?P<CLASS_end> ] )? )
+  | (?P<ESCAPE>   \\[\s\S]? )
+  | (?P<EQUALS>=) | (?P<SEMI>;) | (?P<PIPE>\|) | (?P<STAR>\*) | (?P<PLUS>\+) | (?P<QMARK>\?)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<COMMA>,)
+  | (?P<NUMBER>   [0-9]+ )
+  | (?P<NAME>     [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<OTHER>    . )
+""", _stdlib_re.VERBOSE)
+_ESCAPED = _stdlib_re.compile(r"\\(.)")
+_CLASS_ITEM = _stdlib_re.compile(r"([^\\])-\\?(.)|\\?(.)")  # a range lo-hi, or one member
+_ESCAPES = {"\\d": DIGITS, "\\u": UPPER}
+# (message, message when the text ends in the backslash that left it open)
+_UNCLOSED = {"STRING": ("unterminated string literal", "dangling backslash in string"),
+             "CLASS": ("unterminated character class", "dangling backslash in class")}
 
-
-@dataclass
-class _Token:
-    kind: str
-    value: object
-    line: int
-    column: int
+_Token = namedtuple("_Token", "kind value line column")
 
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def err(msg):
-        raise GrammarError(msg, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0  # newlines only occur in skipped text
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = m.start() + value.rindex("\n") + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == '"':
-            i += 1
-            col += 1
-            chars = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    err("unterminated string literal")
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        err("dangling backslash in string")
-                    chars.append(text[i + 1])
-                    i += 2
-                    col += 2
-                else:
-                    chars.append(c)
-                    i += 1
-                    col += 1
-            tokens.append(_Token("STRING", "".join(chars), line, start_col))
-            continue
-        if ch == "[":
-            i += 1
-            col += 1
+        where = line, m.start() - line_start + 1  # every position comes from here
+        if kind in _UNCLOSED and m.group(kind + "_end") is None:
+            raise GrammarError(_UNCLOSED[kind][text[m.end():] == "\\"], *where)
+        if kind == "STRING":
+            value = _ESCAPED.sub(r"\1", value[1:-1])
+        elif kind == "CLASS":
             members = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    err("unterminated character class")
-                c = text[i]
-                if c == "]":
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        err("dangling backslash in class")
-                    members.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if (i + 2 < n and text[i + 1] == "-" and text[i + 2] not in "]\n"):
-                    lo, hi = c, text[i + 2]
-                    if ord(lo) > ord(hi):
-                        err(f"backwards class range {lo}-{hi}")
-                    members.extend(chr(o) for o in range(ord(lo), ord(hi) + 1))
-                    i += 3
-                    col += 3
-                    continue
-                members.append(c)
-                i += 1
-                col += 1
+            for lo, hi, member in _CLASS_ITEM.findall(value[1:-1]):
+                if not lo:
+                    members.append(member)
+                elif lo > hi:
+                    raise GrammarError(f"backwards class range {lo}-{hi}", *where)
+                else:
+                    members.extend(map(chr, range(ord(lo), ord(hi) + 1)))
             if not members:
-                err("empty character class")
-            tokens.append(_Token("CLASS", tuple(members), line, start_col))
-            continue
-        if ch == "\\":
-            if i + 1 >= n:
-                err("dangling backslash")
-            esc = text[i + 1]
-            if esc == "d":
-                tokens.append(_Token("CLASS", DIGITS, line, start_col))
-            elif esc == "u":
-                tokens.append(_Token("CLASS", UPPER, line, start_col))
-            else:
-                err(f"unknown escape \\{esc} (only \\d and \\u are supported)")
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NUMBER", int(m.group()), line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NAME", m.group(), line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        err(f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", None, line, col))
+                raise GrammarError("empty character class", *where)
+            value = tuple(members)
+        elif kind == "ESCAPE":
+            if value == "\\":
+                raise GrammarError("dangling backslash", *where)
+            if value not in _ESCAPES:
+                raise GrammarError(
+                    f"unknown escape {value} (only \\d and \\u are supported)", *where)
+            kind, value = "CLASS", _ESCAPES[value]
+        elif kind == "NUMBER":
+            value = int(value)
+        elif kind == "OTHER":
+            raise GrammarError(f"unexpected character {value!r}", *where)
+        tokens.append(_Token(kind, value, *where))
+    tokens.append(_Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
 
 

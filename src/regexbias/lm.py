@@ -34,7 +34,7 @@ from .errors import (
     SymbolTableMismatchError,
 )
 from .fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
-from .ops import compose, optim, relabel
+from .ops import compose, optim
 from .semiring import ZERO
 
 SENTENCE_START = "<s>"
@@ -421,7 +421,11 @@ def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
     l = l_prime.copy()
     for s in l.finals:
         l.add_arc(s, char_disambig, word_disambig, 0.0, s)
-    return relabel(optim(compose(l, g)), imap={char_disambig: EPSILON_ID})
+    root = optim(compose(l, g))
+    for _, arc in root.all_arcs():
+        if arc.ilabel == char_disambig:
+            arc.ilabel = EPSILON_ID
+    return root
 
 
 def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:

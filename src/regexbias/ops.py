@@ -41,7 +41,7 @@ def _empty_like(a: Wfst) -> Wfst:
 
 
 # ---------------------------------------------------------------------------
-# connect / relabel
+# connect
 # ---------------------------------------------------------------------------
 
 def connect(a: Wfst) -> Wfst:
@@ -90,19 +90,6 @@ def connect(a: Wfst) -> Wfst:
     return out
 
 
-def relabel(a: Wfst, imap: dict[int, int] | None = None,
-            omap: dict[int, int] | None = None) -> Wfst:
-    """Rewrite arc labels through the given id maps (missing ids pass through)."""
-    out = a.copy()
-    imap = imap or {}
-    omap = omap or {}
-    for s in out.states():
-        for arc in out.arcs(s):
-            arc.ilabel = imap.get(arc.ilabel, arc.ilabel)
-            arc.olabel = omap.get(arc.olabel, arc.olabel)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shortest distance
 # ---------------------------------------------------------------------------
@@ -114,15 +101,23 @@ def _shortest_distance(n: int, sources, arcs_of):
     Returns (dist, pred): dist maps every reached state to its distance,
     pred maps every state reached from another to (that state, the arc).
     Arcs only need `weight` and `nextstate`. FIFO Bellman-Ford: a distance
-    changes only when it drops by more than 1e-15. An improving walk of n
-    arcs repeats a state, so only a negative cycle makes one; that raises
-    NegativeCycleError naming the states still improving.
+    changes only when it drops by more than 1e-15.
+
+    A negative cycle raises NegativeCycleError. Every n relaxations the
+    pred links are searched for a cycle in O(n), the amortized parent-graph
+    check of Cherkassky & Goldberg (1999). A cycle of pred links is always
+    negative, since each link was set by a strict improvement, and its
+    states are the ones named; this stops a search that hangs a long tail
+    off a negative cycle after O(n) relaxations, not O(n*m). As a backstop,
+    an improving walk of n arcs repeats a state, so only a negative cycle
+    makes one; that raises naming the states still improving.
     """
     dist = dict(sources)
     pred = {}
     steps = dict.fromkeys(dist, 0)
     queue = deque(dist)
     queued = set(dist)
+    relaxed = 0
     while queue:
         s = queue.popleft()
         queued.discard(s)
@@ -136,10 +131,29 @@ def _shortest_distance(n: int, sources, arcs_of):
                 dist[t] = nd
                 steps[t] = walk
                 pred[t] = (s, arc)
+                relaxed += 1
+                if relaxed % n == 0:
+                    cycle = _pred_cycle(pred)
+                    if cycle:
+                        raise NegativeCycleError(cycle)
                 if t not in queued:
                     queued.add(t)
                     queue.append(t)
     return dist, pred
+
+
+def _pred_cycle(pred):
+    """The states of a cycle of pred links, or None; O(len(pred))."""
+    done = set()
+    for s in pred:
+        walk = {}  # state -> position on this walk
+        while s in pred and s not in done and s not in walk:
+            walk[s] = len(walk)
+            s = pred[s][0]
+        if s in walk:
+            return list(walk)[walk[s]:]
+        done.update(walk)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +389,8 @@ def replace(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
     weight) into a copy of sub's start, with epsilon returns from sub's
     finals to t carrying the final weights. Copies are shared per return
     target so paths cannot leak between different call sites. One level
-    only: sub itself must not carry the nonterminal.
+    only: sub itself must not carry the nonterminal. An empty sub, like one
+    without finals, just drops the nonterminal arcs.
     """
     for _, arc in sub.all_arcs():
         if arc.ilabel == nonterminal or arc.olabel == nonterminal:
@@ -418,6 +433,8 @@ def replace(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
             out.add_arc(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
 
     copies: dict[int, int] = {}  # return target -> sub copy offset
+    if sub.is_empty():
+        nt_arcs = []  # sub accepts nothing, so no call site leads anywhere
     for s, arc in nt_arcs:
         target = arc.nextstate
         offset = copies.get(target)

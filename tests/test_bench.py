@@ -1,19 +1,52 @@
 """The benchmark imports toolkit names directly; a rename or deletion in
-`src/` must fail here, not only when the benchmark next runs."""
+`src/` must fail here, not only when the benchmark next runs. Its own
+correctness checks run here too, on a seeded slice of its inputs."""
 
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_MODULES = ("inputs", "measure", "workloads")
+SLOW_RUNGS = ("ladder11", "ladder12")   # 2**12 and 2**13 DFA states
+ENTITY_REQUESTS = 100
 
 
-def test_benchmark_workloads_import(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's `workloads` and `measure` modules, imported from bench/."""
     monkeypatch.syspath_prepend(str(BENCH))
     try:
-        workloads = importlib.import_module("workloads")
-        assert set(workloads.WORKLOADS) == {"root-build", "regex-requests", "regex-ladder"}
+        yield importlib.import_module("workloads"), importlib.import_module("measure")
     finally:
         for name in BENCH_MODULES:
             sys.modules.pop(name, None)
+
+
+def test_benchmark_workloads_import(bench):
+    workloads, _ = bench
+    assert set(workloads.WORKLOADS) == {"root-build", "regex-requests", "regex-ladder"}
+
+
+def test_benchmark_checks_pass_on_seed_1(bench):
+    workloads, measure = bench
+    off = measure.NullTracer()
+    ladder = workloads.RegexLadder(1)
+    ladder.setup(off)
+    requests = workloads.RegexRequests(1)
+    requests.setup(off)
+    regexes = [rx for rx in ladder.regexes if rx.family not in SLOW_RUNGS]
+    regexes += [requests.item(i) for i in range(ENTITY_REQUESTS)]
+    problems = []
+    for rx in regexes:
+        t_r = workloads.compile_regex(rx, ladder.alphabet, off).t_r
+        problems += workloads.check_regex(rx, t_r, ladder.alphabet)
+
+    root_build = workloads.RootBuild(1)
+    root_build.setup(off)
+    item, out = root_build.item(0), {}
+    root_build.request(item, off, out)
+    problems += root_build.check(0, item, out)
+    assert problems == []

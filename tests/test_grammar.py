@@ -85,6 +85,33 @@ class TestParse:
         with pytest.raises(GrammarError, match="unterminated"):
             gr.parse_grammar('export = "abc;')
 
+    def test_escaped_newline_does_not_continue_a_string(self):
+        # a newline may not appear in a string even after a backslash, so the
+        # error names the string's start and no later position is shifted
+        with pytest.raises(GrammarError, match="unterminated string") as err:
+            gr.parse_grammar('export = "a\\\nb" $;')
+        assert (err.value.line, err.value.column) == (1, 10)
+        with pytest.raises(GrammarError, match="unterminated character class"):
+            gr.parse_grammar('export = [a\\\n];')
+
+    def test_error_after_trailing_comment_points_at_end(self):
+        with pytest.raises(GrammarError, match="found EOF") as err:
+            gr.parse_grammar('export = "a" # done')
+        assert (err.value.line, err.value.column) == (1, 20)
+
+    def test_escaped_bracket_in_class(self):
+        assert gr.parse_grammar('export = [\\]];').export_ast() == gr.Class(("]",))
+        assert gr.parse_grammar('export = [a\\]b];').export_ast() == gr.Class(("a", "]", "b"))
+
+    def test_class_range_ending_in_escape(self):
+        # a backslash escapes a range's upper end: X to ], not X to backslash
+        node = gr.parse_grammar('export = [X-\\]];').export_ast()
+        assert node == gr.Class(tuple("XYZ[\\]"))
+        node = gr.parse_grammar('export = [+-\\-];').export_ast()
+        assert node == gr.Class(("+", ",", "-"))
+        with pytest.raises(GrammarError, match="backwards class range z-a"):
+            gr.parse_grammar('export = [z-\\a];')
+
 
 class TestDepthBound:
     def depth_error(self, text):
@@ -131,6 +158,67 @@ def test_parse_raises_only_grammar_error(text):
         gr.parse_grammar(text).export_ast()
     except GrammarError:
         pass
+
+
+PUNCT_KINDS = {"=": "EQUALS", ";": "SEMI", "|": "PIPE", "*": "STAR", "+": "PLUS",
+               "?": "QMARK", "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
+               ",": "COMMA"}
+BODY_CHARS = st.characters(blacklist_characters="\n", max_codepoint=0x7F)
+SAFE_LO = st.characters(whitelist_categories=("Lu", "Ll", "Nd"), max_codepoint=0x7F)
+
+
+@st.composite
+def string_token(draw):
+    value = draw(st.text(BODY_CHARS, max_size=6))
+    text = "".join("\\" + c if c in '"\\' or draw(st.booleans()) else c for c in value)
+    return '"' + text + '"', "STRING", value
+
+
+@st.composite
+def class_token(draw):
+    text, members = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lo = draw(SAFE_LO)
+            hi = chr(ord(lo) + draw(st.integers(0, 3)))
+            text.append(lo + "-" + ("\\" + hi if hi in "]\\" or draw(st.booleans()) else hi))
+            members.extend(chr(o) for o in range(ord(lo), ord(hi) + 1))
+        else:
+            c = draw(BODY_CHARS)
+            text.append("\\" + c if c in "]\\-" or draw(st.booleans()) else c)
+            members.append(c)
+    return "[" + "".join(text) + "]", "CLASS", tuple(members)
+
+
+LEX_TOKENS = st.one_of(
+    string_token(),
+    class_token(),
+    st.sampled_from([("\\d", "CLASS", gr.DIGITS), ("\\u", "CLASS", gr.UPPER)]),
+    st.sampled_from([(c, kind, c) for c, kind in PUNCT_KINDS.items()]),
+    st.integers(0, 999).map(lambda n: (str(n), "NUMBER", n)),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).map(
+        lambda name: (name, "NAME", name)),
+)
+SEPARATOR = st.lists(st.sampled_from([" ", "\t", "\r", "\n", '# note "[\\\n']),
+                     min_size=1, max_size=3).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(SEPARATOR, LEX_TOKENS), max_size=12), SEPARATOR,
+       st.sampled_from(["", "# a comment may end the text"]))
+def test_tokens_and_positions_from_offsets(pieces, tail, last_comment):
+    text, want = "", []
+    for sep, (token_text, kind, value) in pieces:
+        text += sep
+        offset = len(text)
+        text += token_text
+        want.append((kind, value, offset))
+    text += tail + last_comment
+    want.append(("EOF", None, len(text)))
+    got = [(t.kind, t.value, t.line, t.column) for t in gr._tokenize(text)]
+    assert got == [(kind, value, text.count("\n", 0, offset) + 1,
+                    offset - text.rfind("\n", 0, offset))
+                   for kind, value, offset in want]
 
 
 class TestAstToPattern:

@@ -28,6 +28,7 @@ from regexbias.ops import (
     shortest_path,
 )
 from regexbias.semiring import ZERO
+from regexbias.textio import write_fst_text
 
 from conftest import (
     _eps_closure,
@@ -229,6 +230,29 @@ class TestShortestDistance:
         with pytest.raises(NegativeCycleError) as err:
             _shortest_distance(3, dict.fromkeys(m.states(), 0.0), eps_arcs_of(m))
         assert set(err.value.states) <= {1, 2} and err.value.states
+
+    def test_negative_cycle_found_from_pred_links(self, ab_table):
+        # a long chain hangs off a two-state negative cycle: the pred check
+        # stops the search within O(n) arc scans, not the n-arc walk bound's
+        # O(n * m), and names the cycle rather than the chain
+        n = 2002
+        m = Wfst(ab_table)
+        m.add_states(n)
+        m.set_start(0)
+        m.add_arc(0, 1, 1, -1.0, 1)
+        m.add_arc(1, 1, 1, 0.0, 0)
+        for s in range(1, n - 1):
+            m.add_arc(s, 1, 1, 0.0, s + 1)
+        calls = []
+
+        def arcs_of(s):
+            calls.append(s)
+            return m.arcs(s)
+
+        with pytest.raises(NegativeCycleError) as err:
+            _shortest_distance(n, {0: 0.0}, arcs_of)
+        assert set(err.value.states) == {0, 1}
+        assert len(calls) < 5 * n
 
 
 class TestConnect:
@@ -509,6 +533,19 @@ class TestReplace:
         with pytest.warns(ReplaceNoOpWarning):
             out = replace(root, nt, sub)
         assert paths_equal(enumerate_paths(out, 3), enumerate_paths(root, 3))
+
+    def test_empty_sub_drops_call_sites(self):
+        # an empty sub accepts nothing: the result is the one a sub without
+        # finals gives, the root without its nonterminal arcs, trimmed
+        table = make_table(["x", "$REGEX"], "syms")
+        nt = table.id("$REGEX")
+        root = self.make_root(table, nt)
+        root.add_arc(0, table.id("x"), table.id("x"), 1.5, 1)
+        no_final = linear_acceptor("x", table)
+        no_final.set_final(1, ZERO)
+        out = replace(root, nt, Wfst(table, table))
+        assert write_fst_text(out) == write_fst_text(replace(root, nt, no_final))
+        assert enumerate_paths(out, 2) == {(("x",), ("x",)): 1.5}
 
     def test_recursion_rejected(self):
         table = make_table(["x", "$REGEX"], "syms")
