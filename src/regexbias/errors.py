@@ -46,9 +46,9 @@ class NondeterministicInputError(RegexBiasError):
 class NegativeCycleError(RegexBiasError):
     """A negative-weight cycle makes shortest costs unbounded."""
 
-    def __init__(self, states, msg=None):
+    def __init__(self, states):
         self.states = sorted(states)
-        super().__init__(msg or f"negative-weight cycle involving states {self.states}")
+        super().__init__(f"negative-weight cycle involving states {self.states}")
 
 
 class NoPathError(RegexBiasError):
@@ -72,11 +72,3 @@ class GrammarError(RegexBiasError):
 
 class LexiconError(RegexBiasError):
     """Lexicon entry refers to unknown characters or is malformed."""
-
-
-class PosteriorFormatError(RegexBiasError):
-    """A posterior matrix file or array failed validation."""
-
-
-class DecodeDeadEndError(RegexBiasError):
-    """Every search token was pruned or stuck; no hypothesis survives."""

@@ -53,10 +53,9 @@ class SymbolTable:
             raise SymbolError(f"unknown symbol {symbol!r} in table {self.name!r}") from None
 
     def sym(self, label_id: int) -> str:
-        try:
+        if 0 <= label_id < len(self._syms):
             return self._syms[label_id]
-        except IndexError:
-            raise SymbolError(f"no symbol with id {label_id} in table {self.name!r}") from None
+        raise SymbolError(f"no symbol with id {label_id} in table {self.name!r}")
 
     def find(self, symbol: str):
         """Id for symbol, or None when absent."""
@@ -64,9 +63,6 @@ class SymbolTable:
 
     def __len__(self):
         return len(self._syms)
-
-    def __contains__(self, symbol):
-        return symbol in self._ids
 
     def __iter__(self):
         return iter(self._syms)

@@ -88,9 +88,6 @@ class GrammarSource:
 
     definitions: list = field(default_factory=list)  # (name, ast)
 
-    def names(self):
-        return [name for name, _ in self.definitions]
-
     def ast(self, name):
         for n, a in self.definitions:
             if n == name:
@@ -162,7 +159,12 @@ def _tokenize(text):
                     f"unknown escape {value} (only \\d and \\u are supported)", *where)
             kind, value = "CLASS", _ESCAPES[value]
         elif kind == "NUMBER":
-            value = int(value)
+            # more than MAX_REPEAT significant digits is out of range whatever
+            # they are, and int() refuses thousands of digits, zeros included
+            digits = value.lstrip("0")
+            if len(digits) > MAX_REPEAT:
+                raise GrammarError(f"repeat bound exceeds {MAX_REPEAT}", *where)
+            value = int(digits or "0")
         elif kind == "OTHER":
             raise GrammarError(f"unexpected character {value!r}", *where)
         tokens.append(_Token(kind, value, *where))

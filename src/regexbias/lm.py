@@ -3,7 +3,10 @@
 
 Layout conventions baked in here and relied on downstream:
 
-* G's unigram/backoff state is recorded as `machine.unigram_state`.
+* G's unigram/backoff state is state 0 (`UNIGRAM_STATE`), followed by one
+  state per word in sorted order, each reached from state 0 by the word's
+  unigram arc. Any G laid out this way works downstream, including one read
+  back from machine text: nothing else marks the unigram state.
 * A sentence holds at least one token: `<s>` never backs off to `</s>`.
   `<s>` backs off exactly, with one arc per unseen word, instead of an
   epsilon arc into the unigram state; the char-fallback and `$REGEX`
@@ -40,13 +43,13 @@ from .semiring import ZERO
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
 WORD_SEPARATOR = " "
+UNIGRAM_STATE = 0
 
 
 @dataclass
 class NgramCounts:
     unigram: dict = field(default_factory=dict)
     bigram: dict = field(default_factory=dict)
-    sentences: int = 0
 
     def vocabulary(self):
         return sorted(w for w in self.unigram
@@ -95,23 +98,6 @@ class Lexicon:
             lex.add(w, tuple(w))
         return lex
 
-    @classmethod
-    def from_text(cls, text):
-        """Parse `word<TAB>c1 c2 c3 ...` lines."""
-        lex = cls()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            word, _, rest = line.partition("\t")
-            chars = rest.split(" ") if rest else []
-            if not word or not chars or any(not c for c in chars):
-                raise LexiconError(f"bad lexicon line {lineno}: {line!r}")
-            lex.add(word, chars)
-        return lex
-
-    def to_text(self):
-        return "".join(f"{w}\t{' '.join(sp)}\n" for w, sp in sorted(self.entries.items()))
-
     def words(self):
         return sorted(self.entries)
 
@@ -127,7 +113,6 @@ def count_ngrams(lines) -> NgramCounts:
         tokens = line.split()
         if not tokens:
             continue
-        counts.sentences += 1
         uni[SENTENCE_START] = uni.get(SENTENCE_START, 0) + 1
         prev = SENTENCE_START
         for tok in tokens:
@@ -139,18 +124,6 @@ def count_ngrams(lines) -> NgramCounts:
     return counts
 
 
-def merge_counts(parts) -> NgramCounts:
-    """Counts form a commutative monoid; shard and merge freely."""
-    total = NgramCounts()
-    for part in parts:
-        for w, c in part.unigram.items():
-            total.unigram[w] = total.unigram.get(w, 0) + c
-        for pair, c in part.bigram.items():
-            total.bigram[pair] = total.bigram.get(pair, 0) + c
-        total.sentences += part.sentences
-    return total
-
-
 def make_word_table(words, name="words") -> SymbolTable:
     return SymbolTable.from_symbols(sorted(words), name)
 
@@ -159,6 +132,35 @@ def _neglog(p: float) -> float:
     if p <= 0.0:
         return ZERO
     return -math.log(p)
+
+
+def _unigram_layout(p_uni: dict, word_table: SymbolTable | None):
+    """G's shared layout: the unigram state UNIGRAM_STATE, then one state per
+    word of `p_uni` in sorted order, reached from it at -log p(w). Returns
+    the machine, with no start state yet, and {word: state}."""
+    if not p_uni:
+        raise RegexBiasError("cannot build a grammar from an empty vocabulary")
+    if word_table is None:
+        word_table = make_word_table(p_uni)
+    g = Wfst(word_table, word_table)
+    g.add_state()
+    word_state = {}
+    for w in sorted(p_uni):
+        word_state[w] = g.add_state()
+        tok = word_table.id(w)
+        g.add_arc(UNIGRAM_STATE, tok, tok, _neglog(p_uni[w]), word_state[w])
+    return g, word_state
+
+
+def _add_unigram_loops(g: Wfst, labels, weight: float) -> Wfst:
+    """A copy of G with, per label, a loop on the unigram state and an arc
+    into it from the start state, both at `weight`."""
+    g2 = g.copy()
+    for tok in labels:
+        g2.add_arc(UNIGRAM_STATE, tok, tok, weight, UNIGRAM_STATE)
+        if g2.start != UNIGRAM_STATE:
+            g2.add_arc(g2.start, tok, tok, weight, UNIGRAM_STATE)
+    return g2
 
 
 def build_grammar(counts: NgramCounts, cfg: LmConfig,
@@ -175,25 +177,15 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig,
     with one arc per unseen word w at bow * p(w) straight to w's state.
     """
     vocab = counts.vocabulary()
-    if not vocab:
-        raise RegexBiasError("cannot build a grammar from an empty vocabulary")
-    if word_table is None:
-        word_table = make_word_table(vocab)
     d = cfg.backoff_discount
-
     total = sum(c for w, c in counts.unigram.items() if w != SENTENCE_START)
     p_uni = {w: counts.unigram[w] / total for w in vocab}
-    p_uni[SENTENCE_END] = counts.unigram.get(SENTENCE_END, 0) / total
+    g, word_state = _unigram_layout(p_uni, word_table)
+    word_table = g.isymbols
 
-    g = Wfst(word_table, word_table)
-    unigram_state = g.add_state()
-    word_state = {}
-    for w in vocab:
-        word_state[w] = g.add_state()
-        g.add_arc(unigram_state, word_table.id(w), word_table.id(w),
-                  _neglog(p_uni[w]), word_state[w])
+    p_uni[SENTENCE_END] = counts.unigram.get(SENTENCE_END, 0) / total
     if p_uni[SENTENCE_END] > 0.0:
-        g.set_final(unigram_state, _neglog(p_uni[SENTENCE_END]))
+        g.set_final(UNIGRAM_STATE, _neglog(p_uni[SENTENCE_END]))
 
     contexts = {}
     for (w1, w2), c in counts.bigram.items():
@@ -231,8 +223,7 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig,
                         g.add_arc(src, word_table.id(w), word_table.id(w),
                                   _neglog(bow * p_uni[w]), word_state[w])
             else:
-                g.add_arc(src, EPSILON_ID, EPSILON_ID, _neglog(bow), unigram_state)
-    g.unigram_state = unigram_state
+                g.add_arc(src, EPSILON_ID, EPSILON_ID, _neglog(bow), UNIGRAM_STATE)
     return g
 
 
@@ -240,24 +231,15 @@ def grammar_from_probs(uni_probs: dict, bi_probs: dict | None = None,
                        word_table: SymbolTable | None = None) -> Wfst:
     """G from hand-set probabilities, shaped like the two-word figure model:
     unigram arcs from the start at -log p(w), bigram arcs between word
-    states at -log p(w2|w1), every word state final with weight 0."""
-    if not uni_probs:
-        raise RegexBiasError("cannot build a grammar from an empty vocabulary")
-    if word_table is None:
-        word_table = make_word_table(uni_probs)
-    g = Wfst(word_table, word_table)
-    start = g.add_state()
-    g.set_start(start)
-    word_state = {}
-    for w in sorted(uni_probs):
-        word_state[w] = g.add_state()
-        g.add_arc(start, word_table.id(w), word_table.id(w),
-                  _neglog(uni_probs[w]), word_state[w])
-        g.set_final(word_state[w], 0.0)
+    states at -log p(w2|w1), every word state final with weight 0. The start
+    state is the unigram state."""
+    g, word_state = _unigram_layout(uni_probs, word_table)
+    g.set_start(UNIGRAM_STATE)
+    for s in word_state.values():
+        g.set_final(s, 0.0)
     for (w1, w2), p in sorted((bi_probs or {}).items()):
-        g.add_arc(word_state[w1], word_table.id(w2), word_table.id(w2),
-                  _neglog(p), word_state[w2])
-    g.unigram_state = start
+        tok = g.isymbols.id(w2)
+        g.add_arc(word_state[w1], tok, tok, _neglog(p), word_state[w2])
     return g
 
 
@@ -338,16 +320,7 @@ def add_char_fallback(g: Wfst, l: Wfst, charset: SymbolTable, cfg: LmConfig):
     for c in chars:
         word_table.add(c)
 
-    g2 = g.copy()
-    u = getattr(g, "unigram_state", None)
-    if u is None:
-        raise RegexBiasError("grammar has no recorded unigram_state")
-    for c in chars:
-        tok = word_table.id(c)
-        g2.add_arc(u, tok, tok, cfg.char_fallback_penalty, u)
-        if g2.start != u:
-            g2.add_arc(g2.start, tok, tok, cfg.char_fallback_penalty, u)
-    g2.unigram_state = u
+    g2 = _add_unigram_loops(g, [word_table.id(c) for c in chars], cfg.char_fallback_penalty)
 
     l2 = l.copy()
     hub = l2.add_state()
@@ -375,16 +348,9 @@ def insert_nonterminal(g: Wfst, l: Wfst, cfg: LmConfig):
         raise SymbolError(
             f"{REGEX_NT!r} is not registered in the word table {word_table.name!r}"
         )
-    u = getattr(g, "unigram_state", None)
-    if u is None:
-        raise RegexBiasError("grammar has no recorded unigram_state")
-
-    g2 = g.copy()
-    if cfg.nonterminal_weight != ZERO:  # +inf would kill the path anyway
-        g2.add_arc(u, nt, nt, cfg.nonterminal_weight, u)
-        if g2.start != u:
-            g2.add_arc(g2.start, nt, nt, cfg.nonterminal_weight, u)
-    g2.unigram_state = u
+    # +inf would kill the path anyway
+    labels = [nt] if cfg.nonterminal_weight != ZERO else []
+    g2 = _add_unigram_loops(g, labels, cfg.nonterminal_weight)
 
     l2 = l.copy()
     end = l2.add_state()
@@ -442,16 +408,15 @@ def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:
              for w in counts.unigram if w != SENTENCE_START}
     vocab_mass = math.fsum(p_uni[w] for w in vocab)
     worst = 0.0
-    u = getattr(g, "unigram_state", None)
     for s in g.states():
         word_arcs = []
         backoff_weight = None
         for arc in g.arcs(s):
             if arc.ilabel == EPSILON_ID:
-                if arc.nextstate == u:
+                if arc.nextstate == UNIGRAM_STATE:
                     backoff_weight = arc.weight
                 continue
-            if arc.nextstate == u:
+            if arc.nextstate == UNIGRAM_STATE:
                 continue  # char-fallback or `$REGEX` arc, outside the budget
             symbol = g.isymbols.sym(arc.ilabel)
             if symbol in vocab:

@@ -1,11 +1,11 @@
-"""AT&T-style text serialization for machines and symbol tables.
+"""AT&T-style machine text.
 
 Arc lines are `src<TAB>dst<TAB>ilabel<TAB>olabel<TAB>weight`, final lines
 are `state<TAB>weight`; the weight field is omitted when it is 0. Labels
-are integer ids resolved against the symbol table files written alongside
-(`symbol<TAB>id` per line, `<eps>` is id 0). The first line's src is the
-start state. Weights print with up to 9 significant digits, `inf` for the
-zero element.
+are integer ids into the symbol tables the reader is given (`<eps>` is
+id 0); the tables themselves are not serialized. The first line's src is
+the start state. Weights print with up to 9 significant digits, `inf` for
+the zero element.
 """
 
 from .errors import RegexBiasError
@@ -98,50 +98,3 @@ def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None
     for state, weight in pending_finals:
         m.set_final(state, weight)
     return m
-
-
-def write_fst(m: Wfst, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_fst_text(m))
-
-
-def read_fst(path, isymbols: SymbolTable, osymbols: SymbolTable | None = None) -> Wfst:
-    with open(path, encoding="utf-8") as fh:
-        return read_fst_text(fh.read(), isymbols, osymbols)
-
-
-def write_symbols_text(table: SymbolTable) -> str:
-    return "".join(f"{sym}\t{i}\n" for i, sym in enumerate(table))
-
-
-def read_symbols_text(text: str, name="symbols") -> SymbolTable:
-    table = SymbolTable(name)
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        sym, _, id_text = line.rpartition("\t")
-        try:
-            sym_id = int(id_text)
-        except ValueError:
-            raise RegexBiasError(f"bad symbol table line {lineno}: {line!r}") from None
-        if sym_id == 0:
-            continue  # <eps> is implicit
-        got = table.add(sym)
-        if got != sym_id:
-            raise RegexBiasError(
-                f"symbol table ids must be dense and in order: {sym!r} "
-                f"declared {sym_id}, expected {got}"
-            )
-    return table
-
-
-def write_symbols(table: SymbolTable, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_symbols_text(table))
-
-
-def read_symbols(path, name=None) -> SymbolTable:
-    import os
-
-    with open(path, encoding="utf-8") as fh:
-        return read_symbols_text(fh.read(), name or os.path.basename(str(path)))

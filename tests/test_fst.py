@@ -1,15 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regexbias.errors import RegexBiasError, SymbolError
 from regexbias.fst import EPSILON, EPSILON_ID, SymbolTable, Wfst, linear_acceptor
-from regexbias.textio import (
-    read_fst_text,
-    read_symbols_text,
-    write_fst_text,
-    write_symbols_text,
-)
+from regexbias.ops import connect, shortest_path
+from regexbias.textio import read_fst_text, write_fst_text
+
+from conftest import make_table
 
 
 class TestSymbolTable:
@@ -32,11 +32,17 @@ class TestSymbolTable:
         with pytest.raises(SymbolError):
             t.add("a\tb")
 
-    def test_roundtrip_text(self):
-        t = SymbolTable.from_symbols(["a", " ", "#0", "$REGEX"], "chars")
-        text = write_symbols_text(t)
-        back = read_symbols_text(text, "chars")
-        assert back == t
+    def test_negative_id_rejected(self, ab_table):
+        with pytest.raises(SymbolError):
+            ab_table.sym(-1)
+        # an arc labelled -1 used to be reported as the last symbol, 'b'
+        m = Wfst(ab_table)
+        m.add_states(2)
+        m.set_start(0)
+        m.add_arc(0, -1, -1, 0.0, 1)
+        m.set_final(1)
+        with pytest.raises(SymbolError):
+            shortest_path(m)
 
 
 class TestWfst:
@@ -150,3 +156,34 @@ class TestTextFormat:
         for text, lineno in bad:
             with pytest.raises(RegexBiasError, match=f"line {lineno}:"):
                 read_fst_text(text, ab_table)
+
+
+TEXT_TABLE = make_table(["a", "b"], "ab")
+WEIGHTS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trimmed_machines(draw):
+    """Transducers over {a, b} trimmed by connect, with epsilon labels,
+    negative and `inf` arc weights, any start state, arcless ones included."""
+    n = draw(st.integers(1, 6))
+    m = Wfst(TEXT_TABLE, TEXT_TABLE)
+    m.add_states(n)
+    m.set_start(draw(st.integers(0, n - 1)))
+    for _ in range(draw(st.integers(0, 12))):
+        m.add_arc(draw(st.integers(0, n - 1)), draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                  draw(st.one_of(WEIGHTS, st.just(math.inf))), draw(st.integers(0, n - 1)))
+    for s in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+        m.set_final(s, draw(WEIGHTS))
+    return connect(m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trimmed_machines())
+def test_text_roundtrip_keeps_text_start_and_counts(m):
+    text = write_fst_text(m)
+    back = read_fst_text(text, TEXT_TABLE)
+    assert write_fst_text(back) == text
+    assert back.start == m.start
+    assert (back.num_states(), back.num_arcs(), back.finals.keys()) == \
+           (m.num_states(), m.num_arcs(), m.finals.keys())

@@ -12,7 +12,7 @@ class TestParse:
     def test_digit_union(self):
         text = 'DIGIT = "0"|"1"|"2"|"3"|"4"|"5"|"6"|"7"|"8"|"9";\nexport = DIGIT;'
         source = gr.parse_grammar(text)
-        assert source.names() == ["DIGIT", "export"]
+        assert [name for name, _ in source.definitions] == ["DIGIT", "export"]
         digit = source.ast("DIGIT")
         assert isinstance(digit, gr.Union) and len(digit.children) == 10
         assert source.export_ast() == digit
@@ -65,6 +65,14 @@ class TestParse:
             gr.parse_grammar('export = "a"{3,2};')
         with pytest.raises(GrammarError):
             gr.parse_grammar('export = "a"{0,65};')
+
+    def test_long_repeat_bound_is_typed(self):
+        # int() raises an untyped ValueError on thousands of digits
+        with pytest.raises(GrammarError, match="exceeds 64") as err:
+            gr.parse_grammar('export = "a"{' + "9" * 5000 + "};")
+        assert (err.value.line, err.value.column) == (1, 14)
+        node = gr.parse_grammar('export = "a"{' + "0" * 5000 + "2};").export_ast()
+        assert node == gr.Repeat(gr.Literal("a"), 2, 2)
 
     def test_postfix_operators_are_repeats(self):
         for op, lo, hi in [("*", 0, None), ("+", 1, None), ("?", 0, 1)]:
