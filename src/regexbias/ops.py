@@ -5,8 +5,10 @@ Composition uses the 3-state epsilon filter so epsilon paths are neither
 duplicated nor dropped. Determinization is a weighted subset construction
 carrying residual weights; it follows eps:eps arcs itself, through each
 state's epsilon closure. Transducers are handled by treating the
-(ilabel, olabel) pair as the subset-construction label, which is also the
-signature minimization refines on.
+(ilabel, olabel) pair as the subset-construction label. Minimization
+trims, pushes weights and merges states by Hopcroft partition refinement
+on (ilabel, olabel, pushed weight) labels; optim skips the subset
+construction when its input is already deterministic per label pair.
 
 Epsilon closures, the potentials minimization pushes weights with, and
 shortest paths are all single-source shortest distances (Mohri 2002), and
@@ -311,55 +313,73 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
 def minimize(a: Wfst) -> Wfst:
     """Merge indistinguishable states of a deterministic machine.
 
-    Weights are pushed toward the start, then classes are refined on the
-    exact signature (ilabel, olabel, weight, successor class) until
-    stable. Requires input that is deterministic at least per label pair.
-    Pushing is skipped when a negative cycle makes shortest suffix costs
-    undefined; exactly-equal suffixes still merge then.
+    Requires input that is deterministic at least per label pair. States
+    off every start-to-final path are dropped. Weights are pushed toward
+    the start, then `_refine` merges the states that agree on pushed final
+    weights and out-arcs. Pushing is skipped when a negative cycle makes
+    shortest suffix costs undefined; exactly-equal suffixes still merge
+    then. The result is numbered breadth first with each state's arcs
+    sorted by (ilabel, olabel), so it does not depend on the input's state
+    numbering or arc order.
     """
-    if a.is_empty():
-        return _empty_like(a)
-    if not a.check_pair_deterministic():
+    if not a.is_empty() and not a.check_pair_deterministic():
         raise NondeterministicInputError(
             "minimize requires a deterministic machine (per (ilabel, olabel) pair)"
         )
-    a = connect(a)
-    if a.is_empty():
-        return a
-    # potentials are the shortest distances to a final, over reversed arcs;
-    # after connect every state reaches a final, so each one is finite
-    rev = [[] for _ in a.states()]
-    for s, arc in a.all_arcs():
-        rev[arc.nextstate].append(Arc(arc.ilabel, arc.olabel, arc.weight, s))
-    try:
-        dist = _shortest_distance(a.num_states(), a.finals, rev.__getitem__)[0]
-    except NegativeCycleError:
-        dist = dict.fromkeys(a.states(), 0.0)
-    pot = [dist[s] for s in a.states()]
-    del rev, dist  # freed before the refinement below, minimize's memory peak
-    pot[a.start] = 0.0  # keep total path weights unchanged
-    arcs = [[(arc.ilabel, arc.olabel, arc.weight + pot[arc.nextstate] - pot[s],
-              arc.nextstate) for arc in a.arcs(s)] for s in a.states()]
-    finals = [a.final(s) - pot[s] for s in a.states()]
+    return _minimize(a)
 
-    # weights are keyed as floats: -0.0 == 0.0, and no weight is NaN
-    ids = {}
-    classes = [ids.setdefault(w, len(ids)) for w in finals]
-    count = len(ids)
-    while True:
-        ids = {}
-        refined = [ids.setdefault((classes[s], tuple(sorted(
-            (i, o, w, classes[t]) for i, o, w, t in arcs[s]))), len(ids))
-            for s in a.states()]
-        if len(ids) == count:
-            break
-        classes, count = refined, len(ids)
+
+def _minimize(a: Wfst) -> Wfst:
+    """minimize() of a machine known to be deterministic per label pair."""
+    if a.is_empty():
+        return _empty_like(a)
+    # only the arcs of states the start reaches are reversed, so a negative
+    # cycle it cannot reach does not stop the pushing
+    n = a.num_states()
+    reached = [False] * n
+    reached[a.start] = True
+    stack = [a.start]
+    while stack:
+        for arc in a.arcs(stack.pop()):
+            if not reached[arc.nextstate]:
+                reached[arc.nextstate] = True
+                stack.append(arc.nextstate)
+    # potentials are the shortest distances to a final over reversed arcs, so
+    # the states they reach are exactly the co-accessible ones
+    rev = [[] for _ in range(n)]
+    for s in range(n):
+        if reached[s]:
+            for arc in a.arcs(s):
+                rev[arc.nextstate].append(Arc(arc.ilabel, arc.olabel, arc.weight, s))
+    finals = {s: w for s, w in a.finals.items() if reached[s]}
+    try:
+        pot = _shortest_distance(n, finals, rev.__getitem__)[0]
+    except NegativeCycleError:
+        pot = dict.fromkeys(finals, 0.0)
+        queue = deque(pot)
+        while queue:
+            for arc in rev[queue.popleft()]:
+                if arc.nextstate not in pot:
+                    pot[arc.nextstate] = 0.0
+                    queue.append(arc.nextstate)
+    del rev, reached  # freed before the pushed arc lists are built
+    if a.start not in pot:
+        return _empty_like(a)
+    pot[a.start] = 0.0  # keep total path weights unchanged
+    arcs = {s: sorted((arc.ilabel, arc.olabel, arc.weight + pot[arc.nextstate] - p,
+                       arc.nextstate) for arc in a.arcs(s) if arc.nextstate in pot)
+            for s, p in pot.items()}
+    finals = {s: a.final(s) - p for s, p in pot.items()}
+    start, out = a.start, Wfst(a.isymbols, a.osymbols)
+    # freed before the refinement below, minimize's memory peak; optim holds
+    # no other reference to a machine that determinize built
+    del pot, a
+    classes = _refine(finals, arcs)
 
     # rebuild from the first state reached in each class, numbered breadth first
-    out = Wfst(a.isymbols, a.osymbols)
-    class_state = {classes[a.start]: out.add_state()}
+    class_state = {classes[start]: out.add_state()}
     out.set_start(0)
-    queue = deque([a.start])
+    queue = deque([start])
     while queue:
         s = queue.popleft()
         src = class_state[classes[s]]
@@ -373,9 +393,76 @@ def minimize(a: Wfst) -> Wfst:
     return out
 
 
+def _refine(finals, arcs):
+    """Hopcroft (1971) refinement: the coarsest partition of the states in
+    `finals` ({state: final weight}) whose classes agree on final weights
+    and, per out-label (ilabel, olabel, weight), on the successor's class.
+    `arcs` maps each state to its (ilabel, olabel, weight, successor) arcs,
+    sorted by label pair, one per pair, all into states of `finals`.
+    Returns {state: class}.
+
+    A class splits the others for every label at once. Initial classes key
+    on the final weight and the out-labels, so a class's states have arcs
+    on the same labels: the partition is stable with respect to all
+    states, which lets partial machines queue every class but the largest,
+    and after a split of an unqueued class only the smaller half. Weights
+    are keyed as floats: -0.0 == 0.0, and none is NaN.
+    """
+    labels = {}  # (ilabel, olabel, weight) -> label id
+    first = {}  # (final weight, out-label ids) -> the states of an initial class
+    preds = {s: [] for s in finals}  # state -> [(label id, source)]
+    for s, fw in finals.items():
+        out = []
+        for i, o, w, t in arcs[s]:
+            label = labels.setdefault((i, o, w), len(labels))
+            out.append(label)
+            preds[t].append((label, s))
+        first.setdefault((fw, tuple(out)), set()).add(s)
+    members = list(first.values())
+    del labels, first
+    classes = {s: c for c, states in enumerate(members) for s in states}
+    largest = max(range(len(members)), key=lambda c: len(members[c]))
+    queue = [c for c in range(len(members)) if c != largest]
+    queued = set(queue)
+    while queue:
+        splitter = queue.pop()
+        queued.discard(splitter)
+        sources = {}  # label id -> the states whose arc on it enters the splitter
+        for t in members[splitter]:
+            for label, s in preds[t]:
+                if len(members[classes[s]]) > 1:  # a class of one cannot split
+                    sources.setdefault(label, []).append(s)
+        for hit in sources.values():
+            parts = {}
+            for s in hit:
+                parts.setdefault(classes[s], []).append(s)
+            for c, part in parts.items():
+                rest = members[c]
+                if len(part) == len(rest):
+                    continue
+                rest.difference_update(part)
+                new = len(members)
+                members.append(set(part))
+                for s in part:
+                    classes[s] = new
+                half = new if c in queued or len(part) <= len(rest) else c
+                queue.append(half)
+                queued.add(half)
+    return classes
+
+
 def optim(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
-    """minimize(determinize(a)); the usual decode-graph optimization step."""
-    return minimize(determinize(a, state_budget))
+    """minimize(determinize(a)); the usual decode-graph optimization step.
+
+    Input that is deterministic per label pair and has at most
+    `state_budget` states skips the subset construction: every subset
+    would be one state with residual 0, so determinize would only renumber
+    the accessible part, and minimize's result does not depend on the
+    numbering. Larger input still goes through determinize and its budget.
+    """
+    if a.num_states() > state_budget or not a.check_pair_deterministic():
+        return _minimize(determinize(a, state_budget))
+    return _minimize(a)
 
 
 # ---------------------------------------------------------------------------

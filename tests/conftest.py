@@ -114,6 +114,34 @@ def join_with_acceptor(pa: dict, b: Wfst) -> dict:
     return {(x, y): w + weight[y] for (x, y), w in pa.items() if weight[y] < ZERO}
 
 
+def moore_classes(finals, arcs):
+    """Moore refinement, the oracle for `ops._refine`: classes start from the
+    final weights and are refined on the signature (class, sorted (ilabel,
+    olabel, weight, successor class)) in full rounds until no class splits.
+    Takes and returns what `_refine` does."""
+    states = list(finals)
+    ids = {}
+    classes = {s: ids.setdefault(finals[s], len(ids)) for s in states}
+    count = len(ids)
+    while True:
+        ids = {}
+        refined = {s: ids.setdefault((classes[s], tuple(sorted(
+            (i, o, w, classes[t]) for i, o, w, t in arcs[s]))), len(ids))
+            for s in states}
+        if len(ids) == count:
+            break
+        classes, count = refined, len(ids)
+    return classes
+
+
+def partition(classes: dict):
+    """{state: class} as a set of frozensets of states, class ids forgotten."""
+    blocks = {}
+    for s, c in classes.items():
+        blocks.setdefault(c, set()).add(s)
+    return {frozenset(b) for b in blocks.values()}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regexbias import ops
 from regexbias.errors import (
     BudgetExceededError,
     NegativeCycleError,
@@ -17,6 +18,7 @@ from regexbias.errors import (
 from regexbias.fst import EPSILON_ID, SymbolTable, Wfst, linear_acceptor
 from regexbias.ops import (
     ReplaceNoOpWarning,
+    _refine,
     _shortest_distance,
     compose,
     connect,
@@ -35,6 +37,8 @@ from conftest import (
     acceptor_weights,
     join_paths,
     make_table,
+    moore_classes,
+    partition,
     paths_equal,
     random_machine,
 )
@@ -423,6 +427,33 @@ class TestMinimize:
         out = minimize(m)
         assert paths_equal(enumerate_paths(out, 5), enumerate_paths(m, 5))
 
+    def test_refinement_matches_moore_on_dense_machines(self, rng):
+        # nearly complete machines over two labels with one weight split in
+        # long chains, where queueing the wrong half of a split class shows
+        for _ in range(1000):
+            n = rng.randint(1, 16)
+            finals = {s: rng.choice([0.0, 0.5, ZERO]) for s in range(n)}
+            arcs = {s: [(i, i, 0.0, rng.randrange(n)) for i in (1, 2) if rng.random() < 0.9]
+                    for s in range(n)}
+            assert partition(_refine(finals, arcs)) == partition(moore_classes(finals, arcs))
+
+    def test_negative_cycle_fallback_trims(self, ab_table):
+        # the same star plus a dead state the start reaches and a final
+        # state nothing reaches: both go although nothing is pushed
+        m = Wfst(ab_table)
+        m.add_states(4)
+        m.set_start(0)
+        m.add_arc(0, 1, 1, -1.0, 1)
+        m.add_arc(1, 2, 2, -1.0, 1)
+        m.set_final(1)
+        m.add_arc(0, 2, 2, 0.0, 2)
+        m.add_arc(2, 1, 1, -1.0, 2)
+        m.add_arc(3, 1, 1, 0.0, 1)
+        m.set_final(3)
+        out = minimize(m)
+        assert (out.num_states(), out.num_arcs()) == (2, 2)
+        assert paths_equal(enumerate_paths(out, 5), enumerate_paths(m, 5))
+
 
 class TestOptim:
     def test_empty_language(self, ab_table):
@@ -438,6 +469,21 @@ class TestOptim:
             out = optim(m)
             assert paths_equal(enumerate_paths(out, 8, max_out_len=8),
                                enumerate_paths(m, 8, max_out_len=8))
+
+    def test_deterministic_input_skips_determinize(self, ab_table, monkeypatch):
+        m = linear_acceptor("abba", ab_table, arc_weight=1.0)
+        want = write_fst_text(optim(m))
+        monkeypatch.setattr(ops, "determinize", None)
+        assert write_fst_text(optim(m)) == want
+
+    def test_budget_holds_on_deterministic_input(self, ab_table):
+        # deterministic input skips the subset construction only when it
+        # fits the budget, so the budget still counts its states
+        m = linear_acceptor("ab" * 5, ab_table)
+        assert optim(m, state_budget=11).num_states() == 11
+        with pytest.raises(BudgetExceededError) as err:
+            optim(m, state_budget=10)
+        assert (err.value.stage, err.value.limit, err.value.used) == ("determinize", 10, 10)
 
 
 LAW_TABLE = make_table(["a", "b"], "ab")
@@ -466,6 +512,73 @@ def test_determinize_and_optim_keep_paths(m):
     want = enumerate_paths(m, 5, max_out_len=5)
     assert paths_equal(enumerate_paths(determinize(m), 5, max_out_len=5), want)
     assert paths_equal(enumerate_paths(optim(m), 5, max_out_len=5), want)
+
+
+PAIRS = [(i, o) for i in range(3) for o in range(3) if (i, o) != (0, 0)]
+
+
+@st.composite
+def pair_deterministic_machines(draw):
+    """Machines over {a, b}, deterministic per label pair, with cycles,
+    negative weights and each state's arcs in drawn order. Weights are
+    multiples of 1/2, so sums are exact. The start may be any state, and
+    two states are always added: a dead one the start reaches on b:b and a
+    final one no state reaches."""
+    n = draw(st.integers(1, 6))
+    m = Wfst(LAW_TABLE, LAW_TABLE)
+    m.add_states(n + 2)
+    dead, unreachable = n, n + 1
+    m.set_start(draw(st.integers(0, n - 1)))
+    arcs = [(m.start, 2, 2, 0.0, dead), (dead, 1, 1, -1.0, dead),
+            (unreachable, 1, 1, 0.0, draw(st.integers(0, n - 1)))]
+    for s in range(n):
+        for i, o in draw(st.sets(st.sampled_from(PAIRS), max_size=3)):
+            if (s, i, o) != (m.start, 2, 2):
+                arcs.append((s, i, o, draw(st.integers(-2, 4)) / 2, draw(st.integers(0, n - 1))))
+    for s, i, o, w, t in draw(st.permutations(arcs)):
+        m.add_arc(s, i, o, w, t)
+    for s in draw(st.sets(st.integers(0, n - 1), max_size=n)) | {unreachable}:
+        m.set_final(s, draw(st.integers(-1, 2)) / 2)
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair_deterministic_machines())
+def test_refinement_matches_moore(m):
+    finals = {s: m.final(s) for s in m.states()}
+    arcs = {s: sorted((a.ilabel, a.olabel, a.weight, a.nextstate) for a in m.arcs(s))
+            for s in m.states()}
+    assert partition(_refine(finals, arcs)) == partition(moore_classes(finals, arcs))
+    out = minimize(m)
+    assert connect(out).num_states() == out.num_states()  # dead and unreachable gone
+    assert paths_equal(enumerate_paths(out, 4, max_out_len=4),
+                       enumerate_paths(m, 4, max_out_len=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair_deterministic_machines(), st.randoms(use_true_random=False))
+def test_minimize_is_canonical(m, rnd):
+    # the same machine with its states renumbered and its arcs reordered
+    order = list(m.states())
+    rnd.shuffle(order)
+    new_id = {s: k for k, s in enumerate(order)}
+    moved = Wfst(m.isymbols, m.osymbols)
+    moved.add_states(m.num_states())
+    moved.set_start(new_id[m.start])
+    for s in order:
+        arcs = list(m.arcs(s))
+        rnd.shuffle(arcs)
+        for a in arcs:
+            moved.add_arc(new_id[s], a.ilabel, a.olabel, a.weight, new_id[a.nextstate])
+    for s, w in m.finals.items():
+        moved.set_final(new_id[s], w)
+    assert write_fst_text(minimize(moved)) == write_fst_text(minimize(m))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair_deterministic_machines())
+def test_optim_skips_determinize_unchanged(m):
+    assert write_fst_text(optim(m)) == write_fst_text(minimize(determinize(m)))
 
 
 class TestReplace:
