@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 from . import grammar as gr
 from .errors import BudgetExceededError, ConfigError, GrammarError, SymbolError
-from .fst import BLANK, DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
+from .fst import EPSILON_ID, RESERVED, SymbolTable, Wfst, character_symbols
 from .ops import DETERMINIZE_STATE_BUDGET, optim
-
-RESERVED = {BLANK, DISAMBIG, REGEX_NT}
 
 
 @dataclass(frozen=True)
@@ -26,11 +24,6 @@ class BiasSpec:
     def __post_init__(self):
         if not (self.alpha == self.alpha and abs(self.alpha) != float("inf")):
             raise ConfigError(f"alpha must be a finite real, got {self.alpha}")
-
-
-def character_symbols(table: SymbolTable):
-    """Symbols the recognizer can actually emit: everything but the reserved ones."""
-    return [s for i, s in enumerate(table) if i != EPSILON_ID and s not in RESERVED]
 
 
 def _copies(node):

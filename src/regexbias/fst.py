@@ -15,6 +15,7 @@ EPSILON = "<eps>"
 BLANK = "<blank>"
 DISAMBIG = "#0"
 REGEX_NT = "$REGEX"
+RESERVED = {BLANK, DISAMBIG, REGEX_NT}
 
 EPSILON_ID = 0
 
@@ -205,6 +206,11 @@ class Wfst:
     def __repr__(self):
         return (f"Wfst({self.num_states()} states, {self.num_arcs()} arcs, "
                 f"{len(self.finals)} finals)")
+
+
+def character_symbols(table: SymbolTable):
+    """Symbols the recognizer can actually emit: everything but the reserved ones."""
+    return [s for i, s in enumerate(table) if i != EPSILON_ID and s not in RESERVED]
 
 
 def linear_acceptor(symbols, table: SymbolTable, arc_weight: float = ONE,

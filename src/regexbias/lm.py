@@ -28,7 +28,6 @@ Layout conventions baked in here and relied on downstream:
 import math
 from dataclasses import dataclass, field
 
-from .compiler import character_symbols
 from .errors import (
     ConfigError,
     LexiconError,
@@ -36,7 +35,7 @@ from .errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from .fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
+from .fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst, character_symbols
 from .ops import compose, optim
 from .semiring import ZERO
 
@@ -106,13 +105,20 @@ class Lexicon:
 
 
 def count_ngrams(lines) -> NgramCounts:
-    """Exact unigram and bigram counts with sentence-boundary markers."""
+    """Exact unigram and bigram counts with sentence-boundary markers.
+
+    A line holding a marker itself as a token raises RegexBiasError.
+    """
     counts = NgramCounts()
     uni, bi = counts.unigram, counts.bigram
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         tokens = line.split()
         if not tokens:
             continue
+        for marker in (SENTENCE_START, SENTENCE_END):
+            if marker in tokens:
+                raise RegexBiasError(
+                    f"line {lineno}: corpus token {marker!r} is reserved for sentence boundaries")
         uni[SENTENCE_START] = uni.get(SENTENCE_START, 0) + 1
         prev = SENTENCE_START
         for tok in tokens:

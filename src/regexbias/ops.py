@@ -10,6 +10,11 @@ trims, pushes weights and merges states by Hopcroft partition refinement
 on (ilabel, olabel, pushed weight) labels; optim skips the subset
 construction when its input is already deterministic per label pair.
 
+Minimization is the one step that trims. compose and replace return the
+machine as built, which may hold states off every accepting path;
+minimize drops those. An arc of weight `inf` is no path: determinize and
+minimize drop it, the other operations keep it.
+
 Epsilon closures, the potentials minimization pushes weights with, and
 shortest paths are all single-source shortest distances (Mohri 2002), and
 one routine, `_shortest_distance`, computes them.
@@ -40,56 +45,6 @@ class ReplaceNoOpWarning(UserWarning):
 
 def _empty_like(a: Wfst) -> Wfst:
     return Wfst(a.isymbols, a.osymbols)
-
-
-# ---------------------------------------------------------------------------
-# connect
-# ---------------------------------------------------------------------------
-
-def connect(a: Wfst) -> Wfst:
-    """Drop states that are not on some start-to-final path."""
-    if a.is_empty():
-        return _empty_like(a)
-    forward = set()
-    queue = deque([a.start])
-    while queue:
-        s = queue.popleft()
-        if s in forward:
-            continue
-        forward.add(s)
-        for arc in a.arcs(s):
-            if arc.nextstate not in forward:
-                queue.append(arc.nextstate)
-    rev = [[] for _ in a.states()]
-    for s, arc in a.all_arcs():
-        rev[arc.nextstate].append(s)
-    backward = set()
-    queue = deque(s for s in a.finals if s in forward)
-    while queue:
-        s = queue.popleft()
-        if s in backward:
-            continue
-        backward.add(s)
-        for p in rev[s]:
-            if p not in backward and p in forward:
-                queue.append(p)
-    keep = forward & backward
-    if a.start not in keep:
-        return _empty_like(a)
-    remap = {}
-    out = Wfst(a.isymbols, a.osymbols)
-    for s in sorted(keep):
-        remap[s] = out.add_state()
-    out.set_start(remap[a.start])
-    for s in sorted(keep):
-        for arc in a.arcs(s):
-            if arc.nextstate in keep:
-                out.add_arc(remap[s], arc.ilabel, arc.olabel, arc.weight,
-                            remap[arc.nextstate])
-    for s, w in a.finals.items():
-        if s in keep:
-            out.set_final(remap[s], w)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +123,11 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     The pairing runs through the standard 3-state epsilon filter: state 0
     allows any move, state 1 commits to advancing only b on its input
     epsilons, state 2 commits to advancing only a on its output epsilons.
+
+    Every product state is reached from the start by construction, but
+    some may reach no final: the product is not trimmed, and may have
+    states but no accepting path, on which `shortest_path` raises
+    NoPathError. optim trims it.
     """
     if a.osymbols != b.isymbols:
         raise SymbolTableMismatchError(
@@ -226,7 +186,7 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
             for arc2 in b_index.get(EPSILON_ID, ()):
                 dst = state_of((s1, arc2.nextstate, 1))
                 out.add_arc(src, EPSILON_ID, arc2.olabel, arc2.weight, dst)
-    return connect(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +204,8 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     extracted onto the new arc. Transducer arcs take part as (ilabel,
     olabel) pairs, so the result is deterministic per label pair, and
     deterministic per ilabel whenever the input is an acceptor. States that
-    cannot reach a final are kept; minimize trims them.
+    cannot reach a final are kept; minimize trims them. Arcs of weight
+    `inf` are dropped.
     """
     if a.is_empty():
         return _empty_like(a)
@@ -290,6 +251,8 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
             out.set_final(src, fw)
         for label in sorted(moves):
             targets = moves[label]
+            if not targets:  # every arc on the label weighs inf
+                continue
             w_min = min(targets.values())
             new_key = tuple(sorted((t, w - w_min) for t, w in targets.items()))
             dst = state_ids.get(new_key)
@@ -314,7 +277,8 @@ def minimize(a: Wfst) -> Wfst:
     """Merge indistinguishable states of a deterministic machine.
 
     Requires input that is deterministic at least per label pair. States
-    off every start-to-final path are dropped. Weights are pushed toward
+    off every start-to-final path are dropped, the only trimming in this
+    module, and so are arcs of weight `inf`. Weights are pushed toward
     the start, then `_refine` merges the states that agree on pushed final
     weights and out-arcs. Pushing is skipped when a negative cycle makes
     shortest suffix costs undefined; exactly-equal suffixes still merge
@@ -341,7 +305,7 @@ def _minimize(a: Wfst) -> Wfst:
     stack = [a.start]
     while stack:
         for arc in a.arcs(stack.pop()):
-            if not reached[arc.nextstate]:
+            if not reached[arc.nextstate] and arc.weight != ZERO:
                 reached[arc.nextstate] = True
                 stack.append(arc.nextstate)
     # potentials are the shortest distances to a final over reversed arcs, so
@@ -350,7 +314,8 @@ def _minimize(a: Wfst) -> Wfst:
     for s in range(n):
         if reached[s]:
             for arc in a.arcs(s):
-                rev[arc.nextstate].append(Arc(arc.ilabel, arc.olabel, arc.weight, s))
+                if arc.weight != ZERO:
+                    rev[arc.nextstate].append(Arc(arc.ilabel, arc.olabel, arc.weight, s))
     finals = {s: w for s, w in a.finals.items() if reached[s]}
     try:
         pot = _shortest_distance(n, finals, rev.__getitem__)[0]
@@ -367,7 +332,8 @@ def _minimize(a: Wfst) -> Wfst:
         return _empty_like(a)
     pot[a.start] = 0.0  # keep total path weights unchanged
     arcs = {s: sorted((arc.ilabel, arc.olabel, arc.weight + pot[arc.nextstate] - p,
-                       arc.nextstate) for arc in a.arcs(s) if arc.nextstate in pot)
+                       arc.nextstate) for arc in a.arcs(s)
+                      if arc.nextstate in pot and arc.weight != ZERO)
             for s, p in pot.items()}
     finals = {s: a.final(s) - p for s, p in pot.items()}
     start, out = a.start, Wfst(a.isymbols, a.osymbols)
@@ -478,6 +444,11 @@ def replace(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
     target so paths cannot leak between different call sites. One level
     only: sub itself must not carry the nonterminal. An empty sub, like one
     without finals, just drops the nonterminal arcs.
+
+    The result is returned as built, not trimmed: a sub state that reaches
+    no final stays in every copy, and a root state whose accepting paths
+    all ran through dropped call sites stays too. A trimmed root and a
+    trimmed sub give a trimmed result.
     """
     for _, arc in sub.all_arcs():
         if arc.ilabel == nonterminal or arc.olabel == nonterminal:
@@ -520,7 +491,7 @@ def replace(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
             out.add_arc(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
 
     copies: dict[int, int] = {}  # return target -> sub copy offset
-    if sub.is_empty():
+    if sub.is_empty() or not sub.finals:
         nt_arcs = []  # sub accepts nothing, so no call site leads anywhere
     for s, arc in nt_arcs:
         target = arc.nextstate
@@ -535,7 +506,7 @@ def replace(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
             for q, fw in sub.finals.items():
                 out.add_arc(offset + q, EPSILON_ID, EPSILON_ID, fw, target)
         out.add_arc(s, EPSILON_ID, EPSILON_ID, arc.weight, offset + sub.start)
-    return connect(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

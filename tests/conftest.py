@@ -1,6 +1,7 @@
 """Shared fixtures and the brute-force machinery the equivalence tests use."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -132,6 +133,54 @@ def moore_classes(finals, arcs):
             break
         classes, count = refined, len(ids)
     return classes
+
+
+def connect(a: Wfst) -> Wfst:
+    """The trimness oracle: `a` without the states that are not on some
+    start-to-final path, numbered in state order. A machine is trimmed when
+    this keeps all of its states. Arcs count whatever their weight."""
+    if a.is_empty():
+        return Wfst(a.isymbols, a.osymbols)
+    forward = set()
+    queue = deque([a.start])
+    while queue:
+        s = queue.popleft()
+        if s in forward:
+            continue
+        forward.add(s)
+        for arc in a.arcs(s):
+            if arc.nextstate not in forward:
+                queue.append(arc.nextstate)
+    rev = [[] for _ in a.states()]
+    for s, arc in a.all_arcs():
+        rev[arc.nextstate].append(s)
+    backward = set()
+    queue = deque(s for s in a.finals if s in forward)
+    while queue:
+        s = queue.popleft()
+        if s in backward:
+            continue
+        backward.add(s)
+        for p in rev[s]:
+            if p not in backward and p in forward:
+                queue.append(p)
+    keep = forward & backward
+    if a.start not in keep:
+        return Wfst(a.isymbols, a.osymbols)
+    remap = {}
+    out = Wfst(a.isymbols, a.osymbols)
+    for s in sorted(keep):
+        remap[s] = out.add_state()
+    out.set_start(remap[a.start])
+    for s in sorted(keep):
+        for arc in a.arcs(s):
+            if arc.nextstate in keep:
+                out.add_arc(remap[s], arc.ilabel, arc.olabel, arc.weight,
+                            remap[arc.nextstate])
+    for s, w in a.finals.items():
+        if s in keep:
+            out.set_final(remap[s], w)
+    return out
 
 
 def partition(classes: dict):

@@ -26,10 +26,10 @@ from regexbias.errors import (
     SymbolError,
 )
 from regexbias.fst import SymbolTable
-from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose, connect, enumerate_paths
+from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose, enumerate_paths
 from regexbias.textio import write_fst_text
 
-from conftest import make_table
+from conftest import connect, make_table
 
 
 def accepts(machine, text):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from regexbias.errors import RegexBiasError, SymbolError
 from regexbias.fst import EPSILON, EPSILON_ID, SymbolTable, Wfst, linear_acceptor
-from regexbias.ops import connect, shortest_path
+from regexbias.ops import shortest_path
 from regexbias.textio import read_fst_text, write_fst_text
 
-from conftest import make_table
+from conftest import connect, make_table
 
 
 class TestSymbolTable:
@@ -164,7 +164,7 @@ WEIGHTS = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def trimmed_machines(draw):
-    """Transducers over {a, b} trimmed by connect, with epsilon labels,
+    """Transducers over {a, b} trimmed by the connect oracle, with epsilon labels,
     negative and `inf` arc weights, any start state, arcless ones included."""
     n = draw(st.integers(1, 6))
     m = Wfst(TEXT_TABLE, TEXT_TABLE)

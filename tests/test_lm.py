@@ -25,14 +25,13 @@ from regexbias.lm import (
 from regexbias.ops import (
     _shortest_distance,
     compose,
-    connect,
     enumerate_paths,
     optim,
     shortest_path,
 )
 from regexbias.textio import read_fst_text, write_fst_text
 
-from conftest import join_paths, join_with_acceptor, make_table, paths_equal
+from conftest import connect, join_paths, join_with_acceptor, make_table, paths_equal
 
 
 def charset_for(words, extra=" "):
@@ -166,6 +165,15 @@ class TestCountNgrams:
         counts = count_ngrams(["", "  ", "a"])
         assert counts.unigram["<s>"] == 1
 
+    @pytest.mark.parametrize("marker", ["<s>", "</s>"])
+    def test_boundary_marker_token_rejected(self, marker):
+        # corpus text is outside input: a marker token would otherwise
+        # reach build_grammar as a word and fail there untyped
+        with pytest.raises(RegexBiasError, match=f"line 3: corpus token '{marker}'"):
+            count_ngrams(["a b", "", f"a {marker} b"])
+        for line in (f"a{marker}", f"<{marker}>"):
+            assert count_ngrams([line]).unigram[line] == 1
+
     def test_against_independent_counter(self):
         rng = random.Random(11)
         vocab = ["red", "green", "blue", "dot"]
@@ -216,8 +224,6 @@ class TestGrammar:
         ins, _, w = shortest_path(g)
         assert w < math.inf and ins
         # every state lies on an accepting path (connect is a no-op)
-        from regexbias.ops import connect
-
         assert connect(g).num_states() == g.num_states()
 
     def test_stochasticity(self):

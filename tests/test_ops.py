@@ -21,7 +21,6 @@ from regexbias.ops import (
     _refine,
     _shortest_distance,
     compose,
-    connect,
     determinize,
     enumerate_paths,
     minimize,
@@ -30,11 +29,12 @@ from regexbias.ops import (
     shortest_path,
 )
 from regexbias.semiring import ZERO
-from regexbias.textio import write_fst_text
+from regexbias.textio import read_fst_text, write_fst_text
 
 from conftest import (
     _eps_closure,
     acceptor_weights,
+    connect,
     join_paths,
     make_table,
     moore_classes,
@@ -145,6 +145,17 @@ class TestShortestPath:
         assert shortest_path(m)[2] == pytest.approx(-6.0)
 
 
+def dead_end_machine(table):
+    """0 -a:a-> 1, final, and 0 -b:b-> 2, which reaches no final."""
+    m = Wfst(table)
+    m.add_states(3)
+    m.set_start(0)
+    m.add_arc(0, 1, 1, 1.0, 1)
+    m.add_arc(0, 2, 2, 0.0, 2)
+    m.set_final(1)
+    return m
+
+
 class TestCompose:
     def test_symbol_table_mismatch(self, ab_table, abcd_table):
         a = linear_acceptor("a", ab_table)
@@ -179,6 +190,12 @@ class TestCompose:
         c = compose(a, b)
         expected = join_paths(enumerate_paths(a, 6), enumerate_paths(b, 6))
         assert paths_equal(enumerate_paths(c, 6), expected)
+
+    def test_keeps_states_off_accepting_paths(self, ab_table):
+        # the product is returned as built: the state b:b leads to stays
+        c = compose(dead_end_machine(ab_table), identity_scorer(ab_table, 0.0))
+        assert c.num_states() == 3
+        assert connect(c).num_states() == 2
 
     def test_join_oracle_random_acyclic(self, rng, abcd_table):
         checked = 0
@@ -260,6 +277,8 @@ class TestShortestDistance:
 
 
 class TestConnect:
+    """The conftest trimness oracle the trim-contract tests lean on."""
+
     def test_removes_dead_state(self, ab_table):
         m = Wfst(ab_table)
         m.add_states(3)
@@ -312,6 +331,23 @@ class TestDeterminize:
         unreached.add_arc(1, EPSILON_ID, EPSILON_ID, -1.0, 2)
         unreached.add_arc(2, EPSILON_ID, EPSILON_ID, -1.0, 1)
         assert enumerate_paths(determinize(unreached), 2) == enumerate_paths(unreached, 2)
+
+    @pytest.mark.parametrize("text", [
+        "0\t1\t1\t1\tinf\n0\t1\t2\t2\n1\t0\t0\t0\n1\n",
+        "0\t1\t1\t1\tinf\n0\t1\t2\t2\n1\n",
+    ], ids=["eps-return", "no-eps"])
+    def test_inf_arcs_are_no_path(self, text, ab_table):
+        # an arc of weight inf is no path: determinize and both of optim's
+        # routes drop it instead of keeping it or failing on an empty label
+        m = read_fst_text(text, ab_table)
+        want = enumerate_paths(m, 4)
+        outs = [determinize(m), optim(m)]
+        if m.check_pair_deterministic():
+            outs += [minimize(m), minimize(determinize(m))]
+            assert write_fst_text(optim(m)) == write_fst_text(minimize(determinize(m)))
+        for out in outs:
+            assert paths_equal(enumerate_paths(out, 4), want)
+            assert all(arc.weight != ZERO for _, arc in out.all_arcs())
 
     def test_min_over_duplicate_strings(self, ab_table):
         m = Wfst(ab_table)
@@ -462,6 +498,12 @@ class TestOptim:
         m.set_start(0)
         out = optim(m)
         assert out.is_empty()
+
+    def test_trims_compose_product(self, ab_table):
+        product = compose(dead_end_machine(ab_table), identity_scorer(ab_table, 0.0))
+        out = optim(product)
+        assert write_fst_text(connect(out)) == write_fst_text(out)
+        assert paths_equal(enumerate_paths(out, 4), enumerate_paths(product, 4))
 
     def test_language_preserved_random(self, rng, abcd_table):
         for _ in range(20):
@@ -659,6 +701,22 @@ class TestReplace:
         out = replace(root, nt, Wfst(table, table))
         assert write_fst_text(out) == write_fst_text(replace(root, nt, no_final))
         assert enumerate_paths(out, 2) == {(("x",), ("x",)): 1.5}
+
+    def test_trimmed_inputs_give_trimmed_result(self, rng):
+        table = make_table(["a", "b", "$REGEX"], "syms")
+        sub_table = make_table(["a", "b"], "sub")
+        nt = table.id("$REGEX")
+        checked = 0
+        for _ in range(200):
+            root = connect(random_machine(rng, table))
+            sub = connect(random_machine(rng, sub_table, max_states=4))
+            if sub.is_empty() or not any(arc.ilabel == nt or arc.olabel == nt
+                                         for _, arc in root.all_arcs()):
+                continue
+            out = replace(root, nt, sub)
+            assert write_fst_text(connect(out)) == write_fst_text(out)
+            checked += 1
+        assert checked >= 50
 
     def test_recursion_rejected(self):
         table = make_table(["x", "$REGEX"], "syms")
