@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import grammar as gr
 from .errors import BudgetExceededError, ConfigError, GrammarError, SymbolError
-from .fst import EPSILON_ID, RESERVED, SymbolTable, Wfst, character_symbols
+from .fst import EPSILON_ID, RESERVED, Arc, SymbolTable, Wfst, character_symbols
 from .ops import DETERMINIZE_STATE_BUDGET, optim
 
 
@@ -176,11 +176,14 @@ def apply_bias(r: Wfst, bias: BiasSpec) -> Wfst:
 
     For an epsilon-free, trimmed R over character symbols, as
     compile_grammar builds it, this is S_alpha o R (see `scorer`), state
-    for state and arc for arc.
+    for state and arc for arc. R is left unchanged: T_r is a copy of it
+    whose arc lists hold new arcs.
     """
     t_r = r.copy()
-    for _, arc in t_r.all_arcs():
-        arc.weight += bias.alpha
+    for s in t_r.states():
+        arcs = t_r.arcs(s)
+        arcs[:] = [Arc(arc.ilabel, arc.olabel, arc.weight + bias.alpha, arc.nextstate)
+                   for arc in arcs]
     return t_r
 
 

@@ -4,6 +4,11 @@ A Wfst is mutable while it is being built (add_state / add_arc / set_final)
 and treated as immutable once handed to any algorithm in ops.py: every
 operation returns a fresh machine and never mutates its inputs, so finished
 machines are safe to share across threads.
+
+Copies of a machine share its Arc objects and own only the lists that hold
+them, so an arc is never changed once its machine may have been copied:
+code that needs different arcs builds new ones and puts them in its own
+machine's lists.
 """
 
 from dataclasses import dataclass
@@ -113,8 +118,9 @@ class Wfst:
         self.start = state
 
     def add_arc(self, src: int, ilabel: int, olabel: int, weight: float, dst: int):
-        self._check_state(src)
-        self._check_state(dst)
+        if not 0 <= src < len(self._arcs) > dst >= 0:
+            self._check_state(src)
+            self._check_state(dst)
         if weight == 0.0:
             weight = 0.0  # normalize -0.0
         self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
@@ -164,19 +170,6 @@ class Wfst:
 
     # -- property predicates --------------------------------------------
 
-    def check_acceptor(self) -> bool:
-        return all(arc.ilabel == arc.olabel for _, arc in self.all_arcs())
-
-    def check_deterministic(self) -> bool:
-        """No input-epsilon arcs and at most one arc per (state, ilabel)."""
-        for s in self.states():
-            seen = set()
-            for arc in self._arcs[s]:
-                if arc.ilabel == EPSILON_ID or arc.ilabel in seen:
-                    return False
-                seen.add(arc.ilabel)
-        return True
-
     def check_pair_deterministic(self) -> bool:
         """At most one arc per (state, ilabel, olabel) and no eps:eps arcs."""
         for s in self.states():
@@ -188,17 +181,13 @@ class Wfst:
                 seen.add(key)
         return True
 
-    def check_eps_free(self) -> bool:
-        return not any(
-            arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID for _, arc in self.all_arcs()
-        )
-
     # -- misc -----------------------------------------------------------
 
     def copy(self) -> "Wfst":
+        """A machine with its own arc lists and finals that shares the Arc
+        objects with this one: change an arc list, never an arc."""
         out = Wfst(self.isymbols, self.osymbols)
-        out._arcs = [[Arc(a.ilabel, a.olabel, a.weight, a.nextstate) for a in arcs]
-                     for arcs in self._arcs]
+        out._arcs = [list(arcs) for arcs in self._arcs]
         out.start = self.start
         out.finals = dict(self.finals)
         return out

@@ -35,7 +35,15 @@ from .errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from .fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst, character_symbols
+from .fst import (
+    DISAMBIG,
+    EPSILON_ID,
+    REGEX_NT,
+    Arc,
+    SymbolTable,
+    Wfst,
+    character_symbols,
+)
 from .ops import compose, optim
 from .semiring import ZERO
 
@@ -233,22 +241,6 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig,
     return g
 
 
-def grammar_from_probs(uni_probs: dict, bi_probs: dict | None = None,
-                       word_table: SymbolTable | None = None) -> Wfst:
-    """G from hand-set probabilities, shaped like the two-word figure model:
-    unigram arcs from the start at -log p(w), bigram arcs between word
-    states at -log p(w2|w1), every word state final with weight 0. The start
-    state is the unigram state."""
-    g, word_state = _unigram_layout(uni_probs, word_table)
-    g.set_start(UNIGRAM_STATE)
-    for s in word_state.values():
-        g.set_final(s, 0.0)
-    for (w1, w2), p in sorted((bi_probs or {}).items()):
-        tok = g.isymbols.id(w2)
-        g.add_arc(word_state[w1], tok, tok, _neglog(p), word_state[w2])
-    return g
-
-
 def disambiguated_spellings(lex: Lexicon):
     """Append `#0` (repeated per extra collision) to spellings that equal or
     prefix another word's spelling, so the lexicon determinizes cleanly."""
@@ -386,59 +378,17 @@ def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
     char_disambig = l_prime.isymbols.add(DISAMBIG)
     word_disambig = l_prime.osymbols.add(DISAMBIG)
     g_prime.isymbols.add(DISAMBIG)
-    g = g_prime.copy()
-    for _, arc in g.all_arcs():
-        if arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID:
-            arc.ilabel = word_disambig
+    g = g_prime.copy()  # shares g_prime's arcs, so relabeling builds new ones
+    for s in g.states():
+        arcs = g.arcs(s)
+        for k, arc in enumerate(arcs):
+            if arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID:
+                arcs[k] = Arc(word_disambig, EPSILON_ID, arc.weight, arc.nextstate)
     l = l_prime.copy()
     for s in l.finals:
         l.add_arc(s, char_disambig, word_disambig, 0.0, s)
     root = optim(compose(l, g))
-    for _, arc in root.all_arcs():
+    for _, arc in root.all_arcs():  # optim built root: no copy shares its arcs
         if arc.ilabel == char_disambig:
             arc.ilabel = EPSILON_ID
     return root
-
-
-def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:
-    """Max deviation of per-state outgoing word mass + backoff mass from 1.
-
-    Char-fallback and nonterminal arcs are biasing machinery outside the
-    probability budget and are excluded: they are the non-epsilon arcs into
-    the unigram state, since word arcs always lead to word states. A backoff
-    state's unseen mass is the vocabulary's mass minus its seen words' mass.
-    """
-    vocab = set(counts.vocabulary())
-    total = sum(c for w, c in counts.unigram.items() if w != SENTENCE_START)
-    p_uni = {w: counts.unigram[w] / total
-             for w in counts.unigram if w != SENTENCE_START}
-    vocab_mass = math.fsum(p_uni[w] for w in vocab)
-    worst = 0.0
-    for s in g.states():
-        word_arcs = []
-        backoff_weight = None
-        for arc in g.arcs(s):
-            if arc.ilabel == EPSILON_ID:
-                if arc.nextstate == UNIGRAM_STATE:
-                    backoff_weight = arc.weight
-                continue
-            if arc.nextstate == UNIGRAM_STATE:
-                continue  # char-fallback or `$REGEX` arc, outside the budget
-            symbol = g.isymbols.sym(arc.ilabel)
-            if symbol in vocab:
-                word_arcs.append((symbol, arc.weight))
-        if not word_arcs and backoff_weight is None and not g.is_final(s):
-            continue
-        mass = sum(math.exp(-w) for _, w in word_arcs)
-        if g.is_final(s):
-            mass += math.exp(-g.final(s))
-        if backoff_weight is not None:
-            seen = {symbol for symbol, _ in word_arcs}
-            unseen = vocab_mass - math.fsum(p_uni[w] for w in seen)
-            if not g.is_final(s):
-                unseen += p_uni.get(SENTENCE_END, 0.0)
-            mass += math.exp(-backoff_weight) * unseen
-        worst = max(worst, abs(mass - 1.0))
-    if worst > tol:
-        raise RegexBiasError(f"grammar mass deviates from 1 by {worst}")
-    return worst

@@ -2,7 +2,8 @@
 
 Every function returns a fresh machine and leaves its inputs untouched.
 Composition uses the 3-state epsilon filter so epsilon paths are neither
-duplicated nor dropped. Determinization is a weighted subset construction
+duplicated nor dropped, and matches labels from the side with fewer arcs
+at each product state. Determinization is a weighted subset construction
 carrying residual weights; it follows eps:eps arcs itself, through each
 state's epsilon closure. Transducers are handled by treating the
 (ilabel, olabel) pair as the subset-construction label. Minimization
@@ -36,7 +37,6 @@ from .fst import EPSILON_ID, Arc, Wfst
 from .semiring import ZERO
 
 DETERMINIZE_STATE_BUDGET = 1_000_000
-ENUMERATE_PATH_BUDGET = 1_000_000
 
 
 class ReplaceNoOpWarning(UserWarning):
@@ -124,6 +124,12 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     allows any move, state 1 commits to advancing only b on its input
     epsilons, state 2 commits to advancing only a on its output epsilons.
 
+    Matching scans the side with fewer arcs at each product state and
+    looks the other side up in its per-state label index: a's arcs by
+    olabel, b's by ilabel (Allauzen et al. 2007). The product's state
+    numbering and arc order follow that choice; `optim`'s output does not
+    depend on either.
+
     Every product state is reached from the start by construction, but
     some may reach no final: the product is not trimmed, and may have
     states but no accepting path, on which `shortest_path` raises
@@ -138,13 +144,8 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     if a.is_empty() or b.is_empty():
         return out
 
-    b_by_ilabel: list[dict[int, list[Arc]]] = []
-    for s in b.states():
-        index: dict[int, list[Arc]] = {}
-        for arc in b.arcs(s):
-            index.setdefault(arc.ilabel, []).append(arc)
-        b_by_ilabel.append(index)
-
+    a_by_olabel = _label_index(a, "olabel")
+    b_by_ilabel = _label_index(b, "ilabel")
     state_ids = {}
     queue = deque()
 
@@ -164,29 +165,51 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
         fw = a.final(s1) + b.final(s2)
         if fw != ZERO:
             out.set_final(src, fw)
-        b_index = b_by_ilabel[s2]
-        for arc1 in a.arcs(s1):
-            if arc1.olabel != EPSILON_ID:
-                for arc2 in b_index.get(arc1.olabel, ()):
-                    dst = state_of((arc1.nextstate, arc2.nextstate, 0))
-                    out.add_arc(src, arc1.ilabel, arc2.olabel,
-                                arc1.weight + arc2.weight, dst)
-            else:
-                # a moves alone on its output epsilon
-                if filt in (0, 2):
-                    dst = state_of((arc1.nextstate, s2, 2))
-                    out.add_arc(src, arc1.ilabel, EPSILON_ID, arc1.weight, dst)
-                # both sides take their epsilon arcs together
-                if filt == 0:
-                    for arc2 in b_index.get(EPSILON_ID, ()):
+        a_index, b_index = a_by_olabel[s1], b_by_ilabel[s2]
+        a_arcs, b_arcs = a.arcs(s1), b.arcs(s2)
+        if len(a_arcs) <= len(b_arcs):
+            for arc1 in a_arcs:
+                if arc1.olabel != EPSILON_ID:
+                    for arc2 in b_index.get(arc1.olabel, ()):
                         dst = state_of((arc1.nextstate, arc2.nextstate, 0))
                         out.add_arc(src, arc1.ilabel, arc2.olabel,
                                     arc1.weight + arc2.weight, dst)
+        else:
+            for arc2 in b_arcs:
+                if arc2.ilabel != EPSILON_ID:
+                    for arc1 in a_index.get(arc2.ilabel, ()):
+                        dst = state_of((arc1.nextstate, arc2.nextstate, 0))
+                        out.add_arc(src, arc1.ilabel, arc2.olabel,
+                                    arc1.weight + arc2.weight, dst)
+        b_eps = b_index.get(EPSILON_ID, ())
+        for arc1 in a_index.get(EPSILON_ID, ()):
+            # a moves alone on its output epsilon
+            if filt in (0, 2):
+                dst = state_of((arc1.nextstate, s2, 2))
+                out.add_arc(src, arc1.ilabel, EPSILON_ID, arc1.weight, dst)
+            # both sides take their epsilon arcs together
+            if filt == 0:
+                for arc2 in b_eps:
+                    dst = state_of((arc1.nextstate, arc2.nextstate, 0))
+                    out.add_arc(src, arc1.ilabel, arc2.olabel,
+                                arc1.weight + arc2.weight, dst)
+        # b moves alone on its input epsilon
         if filt in (0, 1):
-            for arc2 in b_index.get(EPSILON_ID, ()):
+            for arc2 in b_eps:
                 dst = state_of((s1, arc2.nextstate, 1))
                 out.add_arc(src, EPSILON_ID, arc2.olabel, arc2.weight, dst)
     return out
+
+
+def _label_index(m: Wfst, side: str) -> list[dict[int, list[Arc]]]:
+    """Per state of m, {label: arcs} keyed on each arc's `side` label."""
+    index = []
+    for s in m.states():
+        by_label: dict[int, list[Arc]] = {}
+        for arc in m.arcs(s):
+            by_label.setdefault(getattr(arc, side), []).append(arc)
+        index.append(by_label)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -510,65 +533,8 @@ def replace(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
 
 
 # ---------------------------------------------------------------------------
-# path enumeration and shortest path
+# shortest path
 # ---------------------------------------------------------------------------
-
-def enumerate_paths(a: Wfst, max_len: int, max_out_len: int | None = None,
-                    path_budget: int = ENUMERATE_PATH_BUDGET) -> dict:
-    """All accepting paths with input length <= max_len, as a dict
-    {(input symbols, output symbols): weight} min-aggregated per pair.
-
-    Output length is bounded too (default: same as max_len) so machines
-    that emit on epsilon input stay enumerable. The brute-force oracle the
-    equivalence tests lean on.
-
-    `path_budget` bounds the number of times a (state, input, output) key
-    is reached or improved, not the number of paths: a machine with fewer
-    paths than the budget can still exceed it.
-    """
-    if max_out_len is None:
-        max_out_len = max_len
-    accepted: dict[tuple, float] = {}
-    if a.is_empty():
-        return accepted
-    best = {(a.start, (), ()): 0.0}
-    queue = deque([(a.start, (), ())])
-    expansions = 0
-    while queue:
-        state, ins, outs = key = queue.popleft()
-        w = best[key]
-        fw = a.final(state)
-        if fw != ZERO:
-            pair = (ins, outs)
-            total = w + fw
-            if total < accepted.get(pair, ZERO):
-                accepted[pair] = total
-        for arc in a.arcs(state):
-            nins = ins if arc.ilabel == EPSILON_ID else ins + (arc.ilabel,)
-            nouts = outs if arc.olabel == EPSILON_ID else outs + (arc.olabel,)
-            if len(nins) > max_len or len(nouts) > max_out_len:
-                continue
-            nkey = (arc.nextstate, nins, nouts)
-            nw = w + arc.weight
-            if nw < best.get(nkey, ZERO) - 1e-15:
-                best[nkey] = nw
-                queue.append(nkey)
-                expansions += 1
-                if expansions > path_budget:
-                    raise BudgetExceededError(
-                        "enumerate_paths", path_budget, expansions,
-                        f"enumerate_paths exceeded its budget of {path_budget} "
-                        f"(state, input, output) key improvements after "
-                        f"{len(best)} keys and {len(accepted)} accepted pairs, "
-                        f"expanding inputs of length {len(ins)} of {max_len}"
-                    )
-    isym = a.isymbols.sym
-    osym = a.osymbols.sym
-    return {
-        (tuple(isym(i) for i in ins), tuple(osym(o) for o in outs)): w
-        for (ins, outs), w in accepted.items()
-    }
-
 
 def shortest_path(a: Wfst):
     """Min-cost accepting path as (input symbols, output symbols, weight).

@@ -1,12 +1,26 @@
-"""Shared fixtures and the brute-force machinery the equivalence tests use."""
+"""Shared fixtures and the brute-force machinery the equivalence tests use:
+path enumeration, property predicates, a hand-set grammar and the
+stochasticity check, kept here as oracles because only the tests read them."""
 
+import math
 import random
 from collections import deque
 
 import pytest
 
+from regexbias.errors import BudgetExceededError, RegexBiasError
 from regexbias.fst import EPSILON_ID, SymbolTable, Wfst
+from regexbias.lm import (
+    SENTENCE_END,
+    SENTENCE_START,
+    UNIGRAM_STATE,
+    NgramCounts,
+    _neglog,
+    _unigram_layout,
+)
 from regexbias.semiring import ZERO
+
+ENUMERATE_PATH_BUDGET = 1_000_000
 
 
 def make_table(symbols, name="t"):
@@ -47,6 +61,89 @@ def random_machine(rng: random.Random, table: SymbolTable, max_states=6,
     for s in rng.sample(range(n), n_finals):
         m.set_final(s, round(rng.uniform(0.0, 2.0), 3))
     return m
+
+
+def check_acceptor(m: Wfst) -> bool:
+    return all(arc.ilabel == arc.olabel for _, arc in m.all_arcs())
+
+
+def check_deterministic(m: Wfst) -> bool:
+    """No input-epsilon arcs and at most one arc per (state, ilabel)."""
+    for s in m.states():
+        seen = set()
+        for arc in m.arcs(s):
+            if arc.ilabel == EPSILON_ID or arc.ilabel in seen:
+                return False
+            seen.add(arc.ilabel)
+    return True
+
+
+def check_eps_free(m: Wfst) -> bool:
+    return not any(
+        arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID for _, arc in m.all_arcs()
+    )
+
+
+def enumerate_paths(a: Wfst, max_len: int, max_out_len: int | None = None,
+                    path_budget: int = ENUMERATE_PATH_BUDGET) -> dict:
+    """All accepting paths with input length <= max_len, as a dict
+    {(input symbols, output symbols): weight} min-aggregated per pair.
+
+    Output length is bounded too (default: same as max_len) so machines
+    that emit on epsilon input stay enumerable. The brute-force oracle the
+    equivalence tests lean on.
+
+    `path_budget` bounds the number of times a (state, input, output) key
+    is reached or improved, not the number of paths: a machine with fewer
+    paths than the budget can still exceed it.
+    """
+    if max_out_len is None:
+        max_out_len = max_len
+    accepted: dict[tuple, float] = {}
+    if a.is_empty():
+        return accepted
+    best = {(a.start, (), ()): 0.0}
+    queue = deque([(a.start, (), ())])
+    expansions = 0
+    while queue:
+        state, ins, outs = key = queue.popleft()
+        w = best[key]
+        fw = a.final(state)
+        if fw != ZERO:
+            pair = (ins, outs)
+            total = w + fw
+            if total < accepted.get(pair, ZERO):
+                accepted[pair] = total
+        for arc in a.arcs(state):
+            nins = ins if arc.ilabel == EPSILON_ID else ins + (arc.ilabel,)
+            nouts = outs if arc.olabel == EPSILON_ID else outs + (arc.olabel,)
+            if len(nins) > max_len or len(nouts) > max_out_len:
+                continue
+            nkey = (arc.nextstate, nins, nouts)
+            nw = w + arc.weight
+            if nw < best.get(nkey, ZERO) - 1e-15:
+                best[nkey] = nw
+                queue.append(nkey)
+                expansions += 1
+                if expansions > path_budget:
+                    raise BudgetExceededError(
+                        "enumerate_paths", path_budget, expansions,
+                        f"enumerate_paths exceeded its budget of {path_budget} "
+                        f"(state, input, output) key improvements after "
+                        f"{len(best)} keys and {len(accepted)} accepted pairs, "
+                        f"expanding inputs of length {len(ins)} of {max_len}"
+                    )
+    isym = a.isymbols.sym
+    osym = a.osymbols.sym
+    return {
+        (tuple(isym(i) for i in ins), tuple(osym(o) for o in outs)): w
+        for (ins, outs), w in accepted.items()
+    }
+
+
+def arc_snapshot(m: Wfst) -> list:
+    """Every arc of m as a (src, ilabel, olabel, weight, nextstate) tuple."""
+    return [(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate) for s, arc in m.all_arcs()]
 
 
 def paths_equal(lhs: dict, rhs: dict, tol=1e-9):
@@ -189,6 +286,66 @@ def partition(classes: dict):
     for s, c in classes.items():
         blocks.setdefault(c, set()).add(s)
     return {frozenset(b) for b in blocks.values()}
+
+
+def grammar_from_probs(uni_probs: dict, bi_probs: dict | None = None,
+                       word_table: SymbolTable | None = None) -> Wfst:
+    """G from hand-set probabilities, shaped like the two-word figure model:
+    unigram arcs from the start at -log p(w), bigram arcs between word
+    states at -log p(w2|w1), every word state final with weight 0. The start
+    state is the unigram state."""
+    g, word_state = _unigram_layout(uni_probs, word_table)
+    g.set_start(UNIGRAM_STATE)
+    for s in word_state.values():
+        g.set_final(s, 0.0)
+    for (w1, w2), p in sorted((bi_probs or {}).items()):
+        tok = g.isymbols.id(w2)
+        g.add_arc(word_state[w1], tok, tok, _neglog(p), word_state[w2])
+    return g
+
+
+def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:
+    """Max deviation of per-state outgoing word mass + backoff mass from 1.
+
+    Char-fallback and nonterminal arcs are biasing machinery outside the
+    probability budget and are excluded: they are the non-epsilon arcs into
+    the unigram state, since word arcs always lead to word states. A backoff
+    state's unseen mass is the vocabulary's mass minus its seen words' mass.
+    """
+    vocab = set(counts.vocabulary())
+    total = sum(c for w, c in counts.unigram.items() if w != SENTENCE_START)
+    p_uni = {w: counts.unigram[w] / total
+             for w in counts.unigram if w != SENTENCE_START}
+    vocab_mass = math.fsum(p_uni[w] for w in vocab)
+    worst = 0.0
+    for s in g.states():
+        word_arcs = []
+        backoff_weight = None
+        for arc in g.arcs(s):
+            if arc.ilabel == EPSILON_ID:
+                if arc.nextstate == UNIGRAM_STATE:
+                    backoff_weight = arc.weight
+                continue
+            if arc.nextstate == UNIGRAM_STATE:
+                continue  # char-fallback or `$REGEX` arc, outside the budget
+            symbol = g.isymbols.sym(arc.ilabel)
+            if symbol in vocab:
+                word_arcs.append((symbol, arc.weight))
+        if not word_arcs and backoff_weight is None and not g.is_final(s):
+            continue
+        mass = sum(math.exp(-w) for _, w in word_arcs)
+        if g.is_final(s):
+            mass += math.exp(-g.final(s))
+        if backoff_weight is not None:
+            seen = {symbol for symbol, _ in word_arcs}
+            unseen = vocab_mass - math.fsum(p_uni[w] for w in seen)
+            if not g.is_final(s):
+                unseen += p_uni.get(SENTENCE_END, 0.0)
+            mass += math.exp(-backoff_weight) * unseen
+        worst = max(worst, abs(mass - 1.0))
+    if worst > tol:
+        raise RegexBiasError(f"grammar mass deviates from 1 by {worst}")
+    return worst
 
 
 @pytest.fixture

@@ -26,10 +26,17 @@ from regexbias.errors import (
     SymbolError,
 )
 from regexbias.fst import SymbolTable
-from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose, enumerate_paths
+from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose
 from regexbias.textio import write_fst_text
 
-from conftest import connect, make_table
+from conftest import (
+    arc_snapshot,
+    check_deterministic,
+    check_eps_free,
+    connect,
+    enumerate_paths,
+    make_table,
+)
 
 
 def accepts(machine, text):
@@ -152,7 +159,7 @@ class TestNfaToDfa:
         ast = gr.parse_grammar('export = ("a" "b")* | "a"+;').export_ast()
         nfa = ast_to_nfa(ast, ab_table)
         dfa = nfa_to_dfa(nfa)
-        assert dfa.check_deterministic()
+        assert check_deterministic(dfa)
         assert language(dfa, 6) == language(nfa, 6)
 
     def test_ab_star_two_live_states(self, ab_table):
@@ -163,7 +170,7 @@ class TestNfaToDfa:
     def test_deterministic_property_set(self, ab_table):
         ast = gr.parse_grammar('export = "a"* "b"?;').export_ast()
         dfa = nfa_to_dfa(ast_to_nfa(ast, ab_table))
-        assert dfa.check_deterministic() and dfa.check_eps_free()
+        assert check_deterministic(dfa) and check_eps_free(dfa)
 
 
 class TestCompileGrammar:
@@ -205,6 +212,15 @@ class TestApplyBias:
         paths = {"".join(k[0]): w for k, w in enumerate_paths(t_r, 4).items()}
         assert paths["abb"] == pytest.approx(-3.0)
         assert paths == pytest.approx({"a": -1.0, "ab": -2.0, "abb": -3.0, "abbb": -4.0})
+
+    def test_leaves_r_unchanged(self, ab_table):
+        # T_r starts as a copy of R, which shares R's arcs
+        ast = gr.parse_grammar('export = "a" "b"*;').export_ast()
+        r = dfa_to_acceptor(nfa_to_dfa(ast_to_nfa(ast, ab_table)))
+        before = arc_snapshot(r)
+        t_r = apply_bias(r, BiasSpec(-1.5))
+        assert arc_snapshot(r) == before
+        assert arc_snapshot(t_r) == [(s, i, o, w - 1.5, t) for s, i, o, w, t in before]
 
     def test_alpha_zero_language_unchanged(self, ab_table):
         ast = gr.parse_grammar('export = "a" | "b"{2};').export_ast()

@@ -9,7 +9,14 @@ from regexbias.fst import EPSILON, EPSILON_ID, SymbolTable, Wfst, linear_accepto
 from regexbias.ops import shortest_path
 from regexbias.textio import read_fst_text, write_fst_text
 
-from conftest import connect, make_table
+from conftest import (
+    arc_snapshot,
+    check_acceptor,
+    check_deterministic,
+    check_eps_free,
+    connect,
+    make_table,
+)
 
 
 class TestSymbolTable:
@@ -53,10 +60,10 @@ class TestWfst:
         m.add_arc(s0, 1, 1, 0.5, s1)
         m.set_final(s1)
         assert m.num_states() == 2 and m.num_arcs() == 1
-        assert m.check_acceptor() and m.check_deterministic()
+        assert check_acceptor(m) and check_deterministic(m)
         m.add_arc(s0, 1, 2, 1.0, s1)
-        assert not m.check_deterministic()
-        assert not m.check_acceptor()
+        assert not check_deterministic(m)
+        assert not check_acceptor(m)
 
     def test_invalid_state_rejected(self, ab_table):
         m = Wfst(ab_table)
@@ -64,10 +71,28 @@ class TestWfst:
         with pytest.raises(IndexError):
             m.add_arc(0, 1, 1, 0.0, 5)
 
+    @pytest.mark.parametrize("src, dst, bad", [(0, 5, 5), (-1, 0, -1), (3, 0, 3), (0, -2, -2)])
+    def test_invalid_state_named(self, ab_table, src, dst, bad):
+        m = Wfst(ab_table)
+        m.add_states(2)
+        with pytest.raises(IndexError, match=rf"^state {bad} out of range \(machine has 2 states\)$"):
+            m.add_arc(src, 1, 1, 0.0, dst)
+        assert m.num_arcs() == 0
+
+    def test_copy_owns_its_arc_lists(self, ab_table):
+        m = linear_acceptor("ab", ab_table, arc_weight=1.0)
+        before = arc_snapshot(m)
+        c = m.copy()
+        c.add_arc(0, 2, 2, 0.5, 2)
+        c.add_arc(c.add_state(), 1, 1, 0.0, 0)
+        assert m.num_states() == 3 and m.num_arcs() == 2
+        assert arc_snapshot(m) == before
+        assert c.num_arcs() == 4
+
     def test_linear_acceptor(self, ab_table):
         m = linear_acceptor("ab", ab_table)
         assert m.num_states() == 3
-        assert m.check_deterministic() and m.check_acceptor() and m.check_eps_free()
+        assert check_deterministic(m) and check_acceptor(m) and check_eps_free(m)
 
     def test_final_inf_clears(self, ab_table):
         m = Wfst(ab_table)

@@ -15,23 +15,31 @@ from regexbias.lm import (
     build_grammar,
     build_lexicon,
     build_root,
-    check_stochastic,
     count_ngrams,
     disambiguated_spellings,
-    grammar_from_probs,
     insert_nonterminal,
     make_word_table,
 )
 from regexbias.ops import (
     _shortest_distance,
     compose,
-    enumerate_paths,
     optim,
     shortest_path,
 )
 from regexbias.textio import read_fst_text, write_fst_text
 
-from conftest import connect, join_paths, join_with_acceptor, make_table, paths_equal
+from conftest import (
+    arc_snapshot,
+    check_eps_free,
+    check_stochastic,
+    connect,
+    enumerate_paths,
+    grammar_from_probs,
+    join_paths,
+    join_with_acceptor,
+    make_table,
+    paths_equal,
+)
 
 
 def charset_for(words, extra=" "):
@@ -466,6 +474,30 @@ class TestNonterminal:
                        lambda g: insert_nonterminal(g, l, cfg)):
             assert write_fst_text(splice(back)[0]) == write_fst_text(splice(g)[0])
 
+    def test_steps_leave_their_inputs_unchanged(self):
+        # copies share Arc objects, so a step that changed an arc it was
+        # given would change every machine built from the same one
+        cfg = LmConfig(nonterminal_weight=-1.0)
+        counts = count_ngrams(["foo bar", "bar foo", "foo"])
+        words = counts.vocabulary()
+        charset = charset_for(words)
+        word_table = make_word_table(words)
+        g = build_grammar(counts, cfg, word_table)
+        l = build_lexicon(Lexicon.from_words(words), charset, word_table)
+        word_table.add(REGEX_NT)
+        assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in g.all_arcs())
+        machines = [g, l]
+        snapshots = [arc_snapshot(g), arc_snapshot(l)]
+        for step in (lambda g, l: add_char_fallback(g, l, charset, cfg),
+                     lambda g, l: insert_nonterminal(g, l, cfg)):
+            g, l = step(g, l)
+            assert [arc_snapshot(m) for m in machines] == snapshots
+            machines += [g, l]
+            snapshots += [arc_snapshot(g), arc_snapshot(l)]
+        root = build_root(l, g)
+        assert [arc_snapshot(m) for m in machines] == snapshots
+        assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in root.all_arcs())
+
     def test_requires_registered_symbol(self):
         charset, word_table, g, l, cfg = self.setup_model()
         bad_table = make_word_table(["foo", "bar"])
@@ -530,7 +562,7 @@ class TestNonterminal:
         charset, word_table, g, l, cfg = self.setup_model()
         g2, l2 = insert_nonterminal(g, l, cfg)
         root = build_root(l2, g2)
-        assert not root.check_eps_free()
+        assert not check_eps_free(root)
         # from every state at once: a negative eps:eps cycle anywhere raises
         _shortest_distance(root.num_states(), dict.fromkeys(root.states(), 0.0),
                            lambda s: [arc for arc in root.arcs(s)

@@ -22,7 +22,6 @@ from regexbias.ops import (
     _shortest_distance,
     compose,
     determinize,
-    enumerate_paths,
     minimize,
     optim,
     replace,
@@ -34,7 +33,10 @@ from regexbias.textio import read_fst_text, write_fst_text
 from conftest import (
     _eps_closure,
     acceptor_weights,
+    check_deterministic,
+    check_eps_free,
     connect,
+    enumerate_paths,
     join_paths,
     make_table,
     moore_classes,
@@ -211,6 +213,25 @@ class TestCompose:
             checked += 1
         assert checked == 60
 
+    def test_join_oracle_skewed_fan_out(self, rng, abcd_table):
+        # a wide start on one side and a narrow one on the other, so matching
+        # scans b's arcs at the start pair when a is wide and a's when b is;
+        # both starts have epsilon arcs on the matched side, so the start pair
+        # moves a alone, b alone and both, into all three filter states
+        joined = 0
+        for wide_a in (True, False) * 30:
+            a = skewed_machine(rng, abcd_table, wide_a, "olabel")
+            b = skewed_machine(rng, abcd_table, not wide_a, "ilabel")
+            assert (len(a.arcs(a.start)) > len(b.arcs(b.start))) == wide_a
+            assert any(arc.olabel == EPSILON_ID for arc in a.arcs(a.start))
+            assert any(arc.ilabel == EPSILON_ID for arc in b.arcs(b.start))
+            c = compose(a, b)
+            expected = join_paths(enumerate_paths(a, 10, max_out_len=10),
+                                  enumerate_paths(b, 10, max_out_len=10))
+            joined += bool(expected)
+            assert paths_equal(enumerate_paths(c, 10, max_out_len=10), expected)
+        assert joined >= 40
+
     def test_join_oracle_cyclic_acceptors(self, rng, abcd_table):
         for _ in range(30):
             a = random_machine(rng, abcd_table, max_states=4, acceptor=True)
@@ -218,6 +239,42 @@ class TestCompose:
             c = compose(a, b)
             expected = join_paths(enumerate_paths(a, 6), enumerate_paths(b, 6))
             assert paths_equal(enumerate_paths(c, 6), expected)
+
+
+def skewed_machine(rng, table, wide, side):
+    """Acyclic transducer of 3-4 states whose start's fan-out is skewed.
+
+    `side` names the label compose matches on ("olabel" for the left
+    operand, "ilabel" for the right). A wide start has an arc on every
+    label of that side, epsilon included, to each of two targets; a narrow
+    one has an epsilon arc on that side and at most one other. The states
+    between the start and the last have one or two arcs each."""
+    n = rng.randint(3, 4)
+    m = Wfst(table, table)
+    m.add_states(n)
+    m.set_start(0)
+    labels = list(range(len(table)))
+
+    def arc(src, label, dst):
+        other = rng.choice(labels)
+        i, o = (label, other) if side == "ilabel" else (other, label)
+        m.add_arc(src, i, o, round(rng.uniform(-1.0, 3.0), 3), dst)
+
+    if wide:
+        for label in labels:
+            for dst in rng.sample(range(1, n), 2):
+                arc(0, label, dst)
+    else:
+        arc(0, EPSILON_ID, rng.randrange(1, n))
+        if rng.random() < 0.5:
+            arc(0, rng.choice(labels[1:]), rng.randrange(1, n))
+    for s in range(1, n - 1):
+        for _ in range(rng.randint(1, 2)):
+            arc(s, rng.choice(labels), rng.randrange(s + 1, n))
+    m.set_final(n - 1, round(rng.uniform(0.0, 2.0), 3))
+    for s in rng.sample(range(n - 1), rng.randint(0, 1)):
+        m.set_final(s, round(rng.uniform(0.0, 2.0), 3))
+    return m
 
 
 def eps_arcs_of(m):
@@ -358,7 +415,7 @@ class TestDeterminize:
         m.set_final(1)
         m.set_final(2)
         out = determinize(m)
-        assert out.check_deterministic()
+        assert check_deterministic(out)
         assert enumerate_paths(out, 2) == {(("a",), ("a",)): 1.0}
 
     def test_idempotent_on_deterministic_input(self, ab_table):
@@ -370,7 +427,7 @@ class TestDeterminize:
         for _ in range(25):
             m = random_machine(rng, abcd_table, acyclic=True, acceptor=True)
             out = determinize(m)
-            assert out.check_deterministic() and out.check_eps_free()
+            assert check_deterministic(out) and check_eps_free(out)
 
     def test_language_preserved_random(self, rng, abcd_table):
         for _ in range(40):
@@ -554,6 +611,14 @@ def test_determinize_and_optim_keep_paths(m):
     want = enumerate_paths(m, 5, max_out_len=5)
     assert paths_equal(enumerate_paths(determinize(m), 5, max_out_len=5), want)
     assert paths_equal(enumerate_paths(optim(m), 5, max_out_len=5), want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(acyclic_eps_machines(), acyclic_eps_machines(), acyclic_eps_machines())
+def test_compose_is_associative(a, b, c):
+    left = enumerate_paths(compose(compose(a, b), c), 5, max_out_len=5)
+    right = enumerate_paths(compose(a, compose(b, c)), 5, max_out_len=5)
+    assert paths_equal(left, right)
 
 
 PAIRS = [(i, o) for i in range(3) for o in range(3) if (i, o) != (0, 0)]
