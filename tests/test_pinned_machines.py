@@ -23,6 +23,8 @@ PINS = {
     "root one-letter words": "b2af5af084128f17458bb898c0da0b6cd1256c4f703c1b62bc5333839c792770",
     "R": "fdc211c72236788de114a4c7033eae5fbb9e3c1d5020b77f5a9641adee18c42c",
     "T_r": "e924e2d16bee88c5adbe144bc9319e86d12ba7d578e99d902ce2be0f67baab26",
+    "R wide": "b94aacc52871a10c88b7cbacd2ef738dcdeb7f0d5a35bd36ab0cdfbc911da967",
+    "T_r wide": "f65ec32707415da4c432168bb481e5c468a6a30c3b4de32fdbd29f337b21144f",
 }
 
 
@@ -35,7 +37,8 @@ def digest(machines):
 
 def built_digests(workloads, measure):
     """G', L' and the root of the V~200 seed-1 root graph, R and T_r of
-    ladder rungs n = 2..10 and the first seed-1 entity regexes, the V~500
+    ladder rungs n = 2..10 and the first seed-1 entity regexes, R and T_r
+    of the ladder pass's 19 wide-class templates apart, the V~500
     seed-1 root, and the root of a corpus with one-letter words: its L' o G'
     is not deterministic per label pair, so optim runs the subset
     construction that it skips for the other roots."""
@@ -47,6 +50,8 @@ def built_digests(workloads, measure):
     regexes = [rx for rx in ladder.regexes if rx.family in LADDER_FAMILIES]
     regexes += [requests.item(i) for i in range(ENTITY_REGEXES)]
     compiled = [compile_biased(rx.text, ladder.alphabet, rx.alpha) for rx in regexes]
+    wide = [compile_biased(rx.text, ladder.alphabet, rx.alpha)
+            for rx in ladder.regexes if rx.family.startswith("wide-")]
     lm = requests.lm
     root_v500 = workloads.build_lm_root(
         workloads.inputs.lm_inputs(random.Random(1), 500).corpus, off).root
@@ -59,6 +64,8 @@ def built_digests(workloads, measure):
         "root": digest([lm.root]),
         "R": digest(r for _, r, _ in compiled),
         "T_r": digest(t_r for _, _, t_r in compiled),
+        "R wide": digest(r for _, r, _ in wide),
+        "T_r wide": digest(t_r for _, _, t_r in wide),
         "root V500": digest([root_v500]),
         "root one-letter words": digest([one_letter]),
     }
