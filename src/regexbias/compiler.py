@@ -1,6 +1,12 @@
 """Regex AST -> NFA -> minimal DFA, the unweighted acceptor R -> biased
 machine T_r.
 
+The NFA is Glushkov's position automaton: eps-free, one state per symbol
+position plus the start. Most entity-style regexes give one that is already
+deterministic per label pair, and `optim` then skips the subset
+construction. Its start is final exactly when the regex accepts the empty
+string, so such a regex is rejected before any DFA is built.
+
 The bias step adds alpha to every arc of R, so a matching string of length
 n costs exactly n*alpha. That is R composed with the one-state scorer
 S_alpha, whose self-loops cost alpha per symbol; the tests keep that
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 
 from . import grammar as gr
 from .errors import BudgetExceededError, ConfigError, GrammarError, SymbolError
-from .fst import EPSILON_ID, RESERVED, Arc, SymbolTable, Wfst, character_symbols
+from .fst import RESERVED, Arc, SymbolTable, Wfst, character_symbols
 from .ops import DETERMINIZE_STATE_BUDGET, optim
 
 
@@ -32,28 +38,35 @@ def _copies(node):
 
 
 def _nfa_states(ast):
-    """States ast_to_nfa builds for `ast`, memoised by node identity:
-    hashing a frozen node would walk its shared subtrees again."""
+    """States ast_to_nfa builds for `ast`: its symbol positions plus the
+    start. Memoised by node identity, since references share subtrees."""
     memo = {}
 
-    def count(node):
+    def positions(node):
         key = id(node)
         if key not in memo:
-            if isinstance(node, gr.Concat) and node.children:
-                memo[key] = sum(count(c) for c in node.children)
-            elif isinstance(node, gr.Union):
-                memo[key] = 2 + sum(count(c) for c in node.children)
+            if isinstance(node, (gr.Concat, gr.Union)):
+                memo[key] = sum(positions(c) for c in node.children)
             elif isinstance(node, gr.Repeat):
-                memo[key] = 2 + _copies(node) * count(node.child)
+                memo[key] = _copies(node) * positions(node.child)
             else:
-                memo[key] = 2
+                memo[key] = 1
         return memo[key]
 
-    return count(ast)
+    return positions(ast) + 1
 
 
 def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
-    """Thompson construction: an eps-NFA acceptor with the regex's language.
+    """Glushkov construction (Berry & Sethi 1986): the position automaton,
+    an eps-free NFA acceptor with the regex's language.
+
+    State 0 is the start. Every other state is one symbol position, an
+    occurrence of a Literal or Class once repeats are expanded, and every
+    arc into a position carries that position's labels, so no arc enters
+    the start. The finals are the positions that can end a match, plus the
+    start exactly when the regex accepts the empty string. A bounded repeat
+    x{m,M} expands as x^m (x (x ...)?)?: each optional copy follows only the
+    copy before it. The arcs into a position are shared Arc objects.
 
     Literals must exist in the alphabet; character classes narrow to the
     alphabet's subset of their range and must stay non-empty. More than
@@ -67,24 +80,38 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
             f"{DETERMINIZE_STATE_BUDGET} state budget"
         )
     m = Wfst(alphabet)
+    m.set_start(m.add_state())
+    into = [None]  # position -> the arcs that enter it
+    linked = set()  # (p, q) pairs whose arcs are in
 
-    def lookup(symbol):
-        label = alphabet.find(symbol)
-        if label is None:
-            raise SymbolError(
-                f"regex symbol {symbol!r} is not in the decoder alphabet {alphabet.name!r}"
-            )
-        return label
+    def position(labels):
+        q = m.add_state()
+        into.append([Arc(label, label, 0.0, q) for label in labels])
+        return [q], [q], False
 
-    def eps(src, dst):
-        m.add_arc(src, EPSILON_ID, EPSILON_ID, 0.0, dst)
+    def link(lasts, firsts):
+        for p in lasts:
+            arcs = m.arcs(p)
+            for q in firsts:
+                if (p, q) not in linked:
+                    linked.add((p, q))
+                    arcs.extend(into[q])
+
+    def then(left, right):
+        """(first, last, nullable) of `left` followed by `right`."""
+        f1, l1, n1 = left
+        f2, l2, n2 = right
+        link(l1, f2)
+        return f1 + f2 if n1 else f1, l1 + l2 if n2 else l2, n1 and n2
 
     def build(node):
+        """Positions for `node`; returns its (first, last, nullable)."""
         if isinstance(node, gr.Literal):
-            s, f = m.add_state(), m.add_state()
-            label = lookup(node.symbol)
-            m.add_arc(s, label, label, 0.0, f)
-            return s, f
+            label = alphabet.find(node.symbol)
+            if label is None:
+                raise SymbolError(f"regex symbol {node.symbol!r} is not in the "
+                                  f"decoder alphabet {alphabet.name!r}")
+            return position([label])
         if isinstance(node, gr.Class):
             members = [c for c in node.symbols if alphabet.find(c) is not None
                        and c not in RESERVED]
@@ -93,49 +120,34 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
                     f"character class {node.symbols!r} has no symbols in the "
                     f"decoder alphabet {alphabet.name!r}"
                 )
-            s, f = m.add_state(), m.add_state()
-            for c in members:
-                label = alphabet.id(c)
-                m.add_arc(s, label, label, 0.0, f)
-            return s, f
+            return position([alphabet.id(c) for c in members])
         if isinstance(node, gr.Concat):
-            if not node.children:
-                s, f = m.add_state(), m.add_state()
-                eps(s, f)
-                return s, f
-            s, cur = build(node.children[0])
-            for child in node.children[1:]:
-                ns, nf = build(child)
-                eps(cur, ns)
-                cur = nf
-            return s, cur
-        if isinstance(node, gr.Union):
-            s, f = m.add_state(), m.add_state()
+            run = [], [], True
             for child in node.children:
-                cs, cf = build(child)
-                eps(s, cs)
-                eps(cf, f)
-            return s, f
+                run = then(run, build(child))
+            return run
+        if isinstance(node, gr.Union):
+            parts = [build(child) for child in node.children]
+            return ([q for f, _, _ in parts for q in f], [q for _, l, _ in parts for q in l],
+                    any(n for _, _, n in parts))
         if isinstance(node, gr.Repeat):
-            # a chain of copies; the last loops back to itself when unbounded
-            s, f = m.add_state(), m.add_state()
-            if node.min == 0:
-                eps(s, f)
-            cur = s
+            # a chain of copies; a match may end after any copy from the
+            # min-th on, and the last loops back to itself when unbounded
+            run, lasts = ([], [], True), {}
             for done in range(1, _copies(node) + 1):
-                cs, cf = build(node.child)
-                eps(cur, cs)
+                copy = build(node.child)
+                run = then(run, copy)
                 if done >= node.min:
-                    eps(cf, f)
-                cur = cf
+                    lasts.update(dict.fromkeys(run[1]))
             if node.max is None:
-                eps(cur, cs)
-            return s, f
+                link(run[1], copy[0])
+            return run[0], list(lasts), node.min == 0 or run[2]
         raise TypeError(f"not a regex AST node: {node!r}")
 
-    start, final = build(ast)
-    m.set_start(start)
-    m.set_final(final, 0.0)
+    firsts, lasts, nullable = build(ast)
+    link([0], firsts)
+    for q in lasts + [0] * nullable:
+        m.set_final(q, 0.0)
     return m
 
 
@@ -194,11 +206,13 @@ def compile_grammar(text: str, alphabet: SymbolTable):
     read nothing, a free or negative epsilon loop when nonterminal_weight <= 0.
     """
     source = gr.parse_grammar(text)
-    # the minimal DFA of a zero-weight acceptor is already R
-    r = nfa_to_dfa(ast_to_nfa(source.export_ast(), alphabet))
-    if r.is_final(r.start):
+    nfa = ast_to_nfa(source.export_ast(), alphabet)
+    # the position automaton's start is final exactly when the regex is
+    # nullable, so this runs before the subset construction
+    if nfa.is_final(nfa.start):
         raise GrammarError("the export must not accept the empty string")
-    return source, r
+    # the minimal DFA of a zero-weight acceptor is already R
+    return source, nfa_to_dfa(nfa)
 
 
 def compile_biased(text: str, alphabet: SymbolTable, alpha: float):

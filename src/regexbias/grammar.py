@@ -16,8 +16,11 @@ The AST has five node types: `Literal`, `Class`, `Concat`, `Union` and
 `Repeat(child, min, max)`, which spells every postfix operator (`*` is
 `{0,}`, `+` is `{1,}`, `?` is `{0,1}`; `max=None` is unbounded). The parser
 resolves a reference to the referenced definition's AST as it reads it, so
-references are shared subtrees, not copies; walk an AST memoised by node
-identity, since hashing or comparing shared subtrees repeats the work.
+references are shared subtrees, not copies. Nodes hash and compare by
+identity, so `hash`, `==` and set membership take constant time however
+often an AST shares a subtree; compare two trees' structure to compare them
+by value. Walk an AST memoised by node identity, since a pass that follows
+every reference repeats the work for each one.
 Expressions nest at most MAX_DEPTH levels: each operator and group adds one
 and a reference counts its definition's depth, so no recursive pass over an
 AST comes near Python's recursion limit.
@@ -39,12 +42,12 @@ UPPER = tuple(string.ascii_uppercase)
 
 # --- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal:
     symbol: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Class:
     """Candidate characters; narrowed to the decoder alphabet at compile time."""
 
@@ -55,17 +58,17 @@ class Class:
             raise GrammarError("empty character class")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concat:
     children: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Union:
     children: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Repeat:
     """`child` repeated min..max times; `max=None` is unbounded."""
 

@@ -8,6 +8,7 @@ from collections import deque
 
 import pytest
 
+from regexbias import grammar as gr
 from regexbias.errors import BudgetExceededError, RegexBiasError
 from regexbias.fst import EPSILON_ID, SymbolTable, Wfst
 from regexbias.lm import (
@@ -139,6 +140,20 @@ def enumerate_paths(a: Wfst, max_len: int, max_out_len: int | None = None,
         (tuple(isym(i) for i in ins), tuple(osym(o) for o in outs)): w
         for (ins, outs), w in accepted.items()
     }
+
+
+def ast_shape(node):
+    """A grammar AST as nested (node type, fields...) tuples, to compare two
+    trees by value: the nodes themselves compare by identity."""
+    if isinstance(node, (gr.Concat, gr.Union)):
+        return type(node).__name__, tuple(ast_shape(c) for c in node.children)
+    if isinstance(node, gr.Repeat):
+        return "Repeat", ast_shape(node.child), node.min, node.max
+    if isinstance(node, gr.Literal):
+        return "Literal", node.symbol
+    if isinstance(node, gr.Class):
+        return "Class", node.symbols
+    raise TypeError(f"not a regex AST node: {node!r}")
 
 
 def arc_snapshot(m: Wfst) -> list:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regexbias import compiler, ops
 from regexbias import grammar as gr
 from regexbias.compiler import (
     BiasSpec,
@@ -66,6 +67,38 @@ def alnum_table():
     return make_table(list(string.ascii_uppercase) + list(string.digits) + [" "], "chars")
 
 
+def fail_if_called(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return fail
+
+
+def random_walk(machine, rng):
+    """The labels along a random path from the start that ends in a final."""
+    state, labels = machine.start, []
+    while not (machine.is_final(state) and (rng.random() < 0.3 or not machine.arcs(state))):
+        arc = rng.choice(machine.arcs(state))
+        labels.append(machine.isymbols.sym(arc.ilabel))
+        state = arc.nextstate
+    return "".join(labels)
+
+
+WIDE_TABLE = make_table(list(string.ascii_letters + string.digits + "/-"), "wide")
+
+# (regex, states, arcs, deterministic per label pair) of the position automaton
+POSITION_AUTOMATA = [
+    ('"AB" [A-Z0-9]{6,10} [a-z]{1,2}?', 15, 518, True),  # a wide-code template
+    ('[0-9]{2} "/" [0-9]{2} "/" [0-9]{4}', 11, 82, True),  # date
+    ('"KM" [A-Z]{0,1} ("-")? [0-9]{2,4} ([A-Z]{2})?', 11, 194, True),  # plate
+    ('("XCE" | "YTV") ("-")? [0-9]{1,4}', 12, 68, True),  # amount
+    ('"Rqj" "-" [0-9]{3} [A-Z0-9]{7}', 15, 286, True),  # id
+    # a digit span that overlaps the alphanumeric span after it
+    ('"Qf" "-" [0-9]{1,3} [A-Z0-9]{7}', 14, 357, False),
+    # currency codes that share a first letter
+    ('("DEK" | "DSC") ("-")? [0-9]{3}', 11, 58, False),
+]
+
+
 class TestAstToNfa:
     def test_single_symbol_two_states(self, ab_table):
         nfa = ast_to_nfa(gr.Literal("a"), ab_table)
@@ -106,12 +139,32 @@ class TestAstToNfa:
         assert hits >= 90  # the generator really does produce matches
 
     def test_doubling_grammar_over_budget(self, ab_table):
-        # 60 doublings parse to 61 shared nodes but would unfold to 2**61 states
+        # 60 doublings parse to 61 shared nodes but would unfold to 2**60 positions
         lines = ['d0 = "a";'] + [f"d{i} = d{i - 1} d{i - 1};" for i in range(1, 61)]
         with pytest.raises(BudgetExceededError, match="ast_to_nfa would build") as err:
             compile_grammar("\n".join(lines + ["export = d60;"]), ab_table)
         assert (err.value.stage, err.value.limit) == ("ast_to_nfa", DETERMINIZE_STATE_BUDGET)
-        assert err.value.used == 2 * 2 ** 60  # two states for each of 2**60 "a"s
+        assert err.value.used == 2 ** 60 + 1  # one state per "a", plus the start
+
+    @pytest.mark.parametrize("text, states, arcs, deterministic", POSITION_AUTOMATA)
+    def test_position_automaton(self, text, states, arcs, deterministic, monkeypatch, rng):
+        # one state per symbol position plus the start; an optional repeat
+        # copy follows only the copy before it, so most entities come out
+        # deterministic and optim skips the subset construction on them
+        ast = gr.parse_grammar(f"export = {text};").export_ast()
+        nfa = ast_to_nfa(ast, WIDE_TABLE)
+        assert (nfa.num_states(), nfa.num_arcs()) == (states, arcs)
+        assert nfa.check_pair_deterministic() == deterministic
+        if deterministic:
+            monkeypatch.setattr(ops, "determinize", fail_if_called("determinize"))
+        dfa = nfa_to_dfa(nfa)
+        pattern = re.compile(gr.ast_to_pattern(ast))
+        for _ in range(100):
+            s = random_walk(nfa, rng)
+            assert pattern.fullmatch(s) and accepts(dfa, s), s
+            k = rng.randrange(len(s))
+            mutant = s[:k] + rng.choice(string.ascii_letters + string.digits + "/-") + s[k + 1:]
+            assert accepts(dfa, mutant) == bool(pattern.fullmatch(mutant)), mutant
 
     def test_nested_repeats_over_budget(self, ab_table):
         with pytest.raises(BudgetExceededError, match="ast_to_nfa") as err:
@@ -149,6 +202,25 @@ def test_random_ast_matches_reference_engine(ast):
             assert accepts(dfa, s) == bool(pattern.fullmatch(s)), (ast, s)
 
 
+# Apart from the reference-engine test, whose derandomized examples follow
+# its source: Python `re` backtracks exponentially on some nested nullable
+# repeats, such as (?:(?:a||){3,}){1,} on "aaab", that a re-seed can draw.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.recursive(LEAVES, _branches, max_leaves=8))
+def test_random_ast_gives_position_automaton(ast):
+    # no eps arcs, none into the start, and every arc into a state carries
+    # the same labels as the others into it
+    nfa = ast_to_nfa(ast, AB_TABLE)
+    assert _nfa_states(ast) == nfa.num_states()
+    assert check_eps_free(nfa)
+    into = {}
+    for src, arc in nfa.all_arcs():
+        into.setdefault(arc.nextstate, {}).setdefault(src, set()).add(arc.ilabel)
+    assert 0 not in into
+    for by_source in into.values():
+        assert len({frozenset(labels) for labels in by_source.values()}) == 1
+
+
 class TestNfaToDfa:
     def test_a_or_a_single_arc(self, ab_table):
         nfa = ast_to_nfa(gr.Union((gr.Literal("a"), gr.Literal("a"))), ab_table)
@@ -178,6 +250,13 @@ class TestCompileGrammar:
         for text in ['export = "a"*;', 'export = "a"?;', 'export = "";', 'export = "a" | "";']:
             with pytest.raises(GrammarError, match="empty string"):
                 compile_biased(text, ab_table, -1.0)
+
+    def test_empty_string_rejected_before_subset_construction(self, ab_table, monkeypatch):
+        # the start is final exactly when the regex is nullable, so a regex
+        # whose DFA has 2**17 states fails without building it
+        monkeypatch.setattr(compiler, "nfa_to_dfa", fail_if_called("nfa_to_dfa"))
+        with pytest.raises(GrammarError, match="empty string"):
+            compile_grammar('export = (("a" | "b")* "a" ("a" | "b"){16})?;', ab_table)
 
 
 class TestDfaToAcceptor:

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from regexbias import grammar as gr
 from regexbias.errors import GrammarError
+
+from conftest import ast_shape
 
 
 class TestParse:
@@ -15,12 +18,12 @@ class TestParse:
         assert [name for name, _ in source.definitions] == ["DIGIT", "export"]
         digit = source.ast("DIGIT")
         assert isinstance(digit, gr.Union) and len(digit.children) == 10
-        assert source.export_ast() == digit
+        assert source.export_ast() is digit
 
     def test_reference_resolution(self):
         source = gr.parse_grammar('A = "x"; B = A A; export = B;')
         exported = source.export_ast()
-        assert exported == gr.Concat((gr.Literal("x"), gr.Literal("x")))
+        assert ast_shape(exported) == ast_shape(gr.Concat((gr.Literal("x"), gr.Literal("x"))))
         # a reference is the referenced definition's AST, shared, not copied
         assert exported.children[0] is exported.children[1] is source.ast("A")
 
@@ -54,13 +57,13 @@ class TestParse:
         source = gr.parse_grammar(text)
         exported = source.export_ast()
         assert isinstance(exported, gr.Concat)
-        assert exported.children[0] == gr.Class(("A", "B", "C"))
-        assert exported.children[1] == gr.Class(gr.DIGITS)
+        assert ast_shape(exported.children[0]) == ast_shape(gr.Class(("A", "B", "C")))
+        assert ast_shape(exported.children[1]) == ast_shape(gr.Class(gr.DIGITS))
 
     def test_repeat_bounds(self):
         source = gr.parse_grammar('export = "a"{2,3};')
         node = source.export_ast()
-        assert node == gr.Repeat(gr.Literal("a"), 2, 3)
+        assert ast_shape(node) == ast_shape(gr.Repeat(gr.Literal("a"), 2, 3))
         with pytest.raises(GrammarError):
             gr.parse_grammar('export = "a"{3,2};')
         with pytest.raises(GrammarError):
@@ -72,22 +75,23 @@ class TestParse:
             gr.parse_grammar('export = "a"{' + "9" * 5000 + "};")
         assert (err.value.line, err.value.column) == (1, 14)
         node = gr.parse_grammar('export = "a"{' + "0" * 5000 + "2};").export_ast()
-        assert node == gr.Repeat(gr.Literal("a"), 2, 2)
+        assert ast_shape(node) == ast_shape(gr.Repeat(gr.Literal("a"), 2, 2))
 
     def test_postfix_operators_are_repeats(self):
         for op, lo, hi in [("*", 0, None), ("+", 1, None), ("?", 0, 1)]:
             node = gr.parse_grammar(f'export = "a"{op};').export_ast()
-            assert node == gr.Repeat(gr.Literal("a"), lo, hi)
+            assert ast_shape(node) == ast_shape(gr.Repeat(gr.Literal("a"), lo, hi))
 
     def test_space_is_ordinary_symbol(self):
         source = gr.parse_grammar('export = "a b";')
         node = source.export_ast()
-        assert node == gr.Concat((gr.Literal("a"), gr.Literal(" "), gr.Literal("b")))
+        assert ast_shape(node) == ast_shape(
+            gr.Concat((gr.Literal("a"), gr.Literal(" "), gr.Literal("b"))))
 
     def test_quoted_escapes(self):
         source = gr.parse_grammar('export = "\\"\\\\";')
         node = source.export_ast()
-        assert node == gr.Concat((gr.Literal('"'), gr.Literal("\\")))
+        assert ast_shape(node) == ast_shape(gr.Concat((gr.Literal('"'), gr.Literal("\\"))))
 
     def test_unterminated_string(self):
         with pytest.raises(GrammarError, match="unterminated"):
@@ -108,15 +112,17 @@ class TestParse:
         assert (err.value.line, err.value.column) == (1, 20)
 
     def test_escaped_bracket_in_class(self):
-        assert gr.parse_grammar('export = [\\]];').export_ast() == gr.Class(("]",))
-        assert gr.parse_grammar('export = [a\\]b];').export_ast() == gr.Class(("a", "]", "b"))
+        node = gr.parse_grammar('export = [\\]];').export_ast()
+        assert ast_shape(node) == ast_shape(gr.Class(("]",)))
+        node = gr.parse_grammar('export = [a\\]b];').export_ast()
+        assert ast_shape(node) == ast_shape(gr.Class(("a", "]", "b")))
 
     def test_class_range_ending_in_escape(self):
         # a backslash escapes a range's upper end: X to ], not X to backslash
         node = gr.parse_grammar('export = [X-\\]];').export_ast()
-        assert node == gr.Class(tuple("XYZ[\\]"))
+        assert ast_shape(node) == ast_shape(gr.Class(tuple("XYZ[\\]")))
         node = gr.parse_grammar('export = [+-\\-];').export_ast()
-        assert node == gr.Class(("+", ",", "-"))
+        assert ast_shape(node) == ast_shape(gr.Class(("+", ",", "-")))
         with pytest.raises(GrammarError, match="backwards class range z-a"):
             gr.parse_grammar('export = [z-\\a];')
 
@@ -129,7 +135,7 @@ class TestDepthBound:
 
     def test_nested_parentheses(self):
         ok = "export = " + "(" * (gr.MAX_DEPTH - 1) + '"a"' + ")" * (gr.MAX_DEPTH - 1) + ";"
-        assert gr.parse_grammar(ok).export_ast() == gr.Literal("a")
+        assert ast_shape(gr.parse_grammar(ok).export_ast()) == ast_shape(gr.Literal("a"))
         err = self.depth_error("export = " + "(" * 300 + '"a"' + ")" * 300 + ";")
         assert (err.line, err.column) == (1, 10 + gr.MAX_DEPTH)
 
@@ -147,6 +153,25 @@ class TestDepthBound:
         assert err.line == gr.MAX_DEPTH // 2 + 1
         short = "\n".join(lines[:gr.MAX_DEPTH // 2] + [f"export = d{gr.MAX_DEPTH // 2 - 1};"])
         assert gr.parse_grammar(short).export_ast() is not None
+
+
+class TestAstIdentity:
+    def test_shared_subtrees_hash_and_compare_at_once(self):
+        # 60 doublings share 61 nodes; a value hash or == would walk 2**60 leaves
+        lines = ['d0 = "a";'] + [f"d{i} = d{i - 1} d{i - 1};" for i in range(1, 61)]
+        source = gr.parse_grammar("\n".join(lines + ["export = d60;"]))
+        ast = source.export_ast()
+        twin = gr.Concat(ast.children)
+        t0 = time.perf_counter()
+        assert hash(ast) == hash(ast) and ast == ast and ast != twin
+        assert ast in {ast} and twin not in {ast}
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_equal_shapes_are_distinct_nodes(self):
+        a, b = gr.Literal("a"), gr.Literal("a")
+        assert a != b and len({a, b}) == 2
+        assert ast_shape(a) == ast_shape(b)
+        assert ast_shape(gr.Repeat(a, 0, 1)) != ast_shape(gr.Repeat(a, 0, None))
 
 
 GRAMMAR_TOKENS = ['"a"', '"ab"', '""', '"', "[a-c]", "[", "]", "-", "\\d", "\\u", "\\",
