@@ -202,9 +202,9 @@ def test_random_ast_matches_reference_engine(ast):
             assert accepts(dfa, s) == bool(pattern.fullmatch(s)), (ast, s)
 
 
-# Apart from the reference-engine test, whose derandomized examples follow
-# its source: Python `re` backtracks exponentially on some nested nullable
-# repeats, such as (?:(?:a||){3,}){1,} on "aaab", that a re-seed can draw.
+# Kept apart from the reference-engine test: its derandomized examples follow
+# its source, and a redraw can hit a nested nullable repeat such as
+# (?:(?:a||){3,}){1,}, on which Python `re` backtracks exponentially.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.recursive(LEAVES, _branches, max_leaves=8))
 def test_random_ast_gives_position_automaton(ast):
