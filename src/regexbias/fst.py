@@ -1,9 +1,11 @@
 """Weighted finite-state transducers over the tropical semiring.
 
 A Wfst is mutable while it is being built (add_state / add_arc / set_final)
-and treated as immutable once handed to any algorithm in ops.py: every
-operation returns a fresh machine and never mutates its inputs, so finished
-machines are safe to share across threads.
+and treated as immutable once handed to any algorithm in ops.py: no
+operation mutates its inputs, and each returns a fresh machine or, for
+`ops.replace`, a read-only view over its inputs, so finished machines are
+safe to share across threads. `ops.replace` relies on this: it indexes a
+root's call sites once and reuses the index for as long as the root lives.
 
 Copies of a machine share its Arc objects and own only the lists that hold
 them, so an arc is never changed once its machine may have been copied:

@@ -1,6 +1,8 @@
 """Algorithm suite over tropical-semiring machines.
 
-Every function returns a fresh machine and leaves its inputs untouched.
+Every function leaves its inputs untouched. All but `replace` return a
+fresh machine; replace returns a read-only view, a `ReplaceView`, that
+shares the root's arc lists and builds the spliced states' lists on use.
 Composition uses the 3-state epsilon filter so epsilon paths are neither
 duplicated nor dropped, and matches labels from the side with fewer arcs
 at each product state. Determinization is a weighted subset construction
@@ -22,6 +24,7 @@ one routine, `_shortest_distance`, computes them.
 """
 
 import warnings
+import weakref
 from collections import deque
 
 from .errors import (
@@ -458,7 +461,12 @@ def optim(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
 # replacement
 # ---------------------------------------------------------------------------
 
-def replace(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
+# root -> {nonterminal: its call index}; valid because a machine handed to
+# ops is never changed afterwards
+_CALL_INDEXES = weakref.WeakKeyDictionary()
+
+
+def replace(root: Wfst, nonterminal: int, sub: Wfst) -> "ReplaceView":
     """Splice `sub` in place of every root arc labeled with the nonterminal.
 
     Each labeled arc s->t becomes an epsilon entry (carrying the arc
@@ -466,70 +474,168 @@ def replace(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
     finals to t carrying the final weights. Copies are shared per return
     target so paths cannot leak between different call sites. One level
     only: sub itself must not carry the nonterminal. An empty sub, like one
-    without finals, just drops the nonterminal arcs.
+    without finals, just drops the nonterminal arcs. sub's labels are mapped
+    into root's tables by symbol, only those its arcs use; a missing one
+    raises SymbolError, one that maps to the nonterminal
+    ReplaceRecursionError.
 
-    The result is returned as built, not trimmed: a sub state that reaches
-    no final stays in every copy, and a root state whose accepting paths
-    all ran through dropped call sites stays too. A trimmed root and a
-    trimmed sub give a trimmed result.
+    The result is a read-only `ReplaceView`, built lazily. Its states are
+    numbered as a copy would be: root's states first, then one block of
+    sub.num_states() states per distinct return target, in the order the
+    root's arcs first reach them. A state's arcs are root's own, then its
+    entries in root's arc order; a copy's are sub's, then its return.
+
+    Where root calls the nonterminal is indexed once per (root,
+    nonterminal) and kept while root lives, so a request costs O(|sub|):
+    root must not change after its first replace, as nothing handed to
+    `ops` may. The result is returned as built, not trimmed: a sub state
+    that reaches no final stays in every copy, and a root state whose
+    accepting paths all ran through dropped call sites stays too. A trimmed
+    root and a trimmed sub give a trimmed result.
     """
-    for _, arc in sub.all_arcs():
-        if arc.ilabel == nonterminal or arc.olabel == nonterminal:
-            raise ReplaceRecursionError(
-                "replacement sub-machine carries the nonterminal label itself"
-            )
-    nt_arcs = [(s, arc) for s, arc in root.all_arcs()
-               if arc.ilabel == nonterminal or arc.olabel == nonterminal]
-    if not nt_arcs:
+    by_nonterminal = _CALL_INDEXES.get(root)
+    if by_nonterminal is None:
+        by_nonterminal = _CALL_INDEXES[root] = {}
+    index = by_nonterminal.get(nonterminal)
+    if index is None:
+        index = by_nonterminal[nonterminal] = _index_calls(root, nonterminal)
+    view = ReplaceView(root, index, sub, _remap_arcs(sub, root, nonterminal))
+    if not index[0]:
         warnings.warn("nonterminal label absent from root; replace is a no-op",
                       ReplaceNoOpWarning, stacklevel=2)
-        return root.copy()
+    return view
 
-    # remap sub labels into root's tables by symbol string
-    def label_map(sub_table, root_table):
-        mapping = {EPSILON_ID: EPSILON_ID}
-        for i, symbol in enumerate(sub_table):
-            if i == EPSILON_ID:
-                continue
-            target = root_table.find(symbol)
-            if target is None:
-                raise SymbolError(
-                    f"replacement symbol {symbol!r} missing from table {root_table.name!r}"
-                )
-            mapping[i] = target
-        return mapping
 
-    isym_map = label_map(sub.isymbols, root.isymbols)
-    osym_map = label_map(sub.osymbols, root.osymbols)
-
-    out = Wfst(root.isymbols, root.osymbols)
-    out.add_states(root.num_states())
-    out.set_start(root.start)
-    for s, w in root.finals.items():
-        out.set_final(s, w)
+def _index_calls(root: Wfst, nonterminal: int):
+    """(calls, targets, number of calls, number of root arcs). calls maps
+    each state with a call site to (its other arcs, its [(weight, return
+    target)]); targets maps each return target to its block, in first-seen
+    order."""
+    calls, targets, n_calls, n_arcs = {}, {}, 0, 0
     for s in root.states():
-        for arc in root.arcs(s):
-            if arc.ilabel == nonterminal or arc.olabel == nonterminal:
-                continue
-            out.add_arc(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
+        arcs = root.arcs(s)
+        n_arcs += len(arcs)
+        sites = [(arc.weight, arc.nextstate) for arc in arcs
+                 if arc.ilabel == nonterminal or arc.olabel == nonterminal]
+        if sites:
+            calls[s] = ([arc for arc in arcs
+                         if arc.ilabel != nonterminal and arc.olabel != nonterminal], sites)
+            n_calls += len(sites)
+            for _, t in sites:
+                targets.setdefault(t, len(targets))
+    return calls, targets, n_calls, n_arcs
 
-    copies: dict[int, int] = {}  # return target -> sub copy offset
-    if sub.is_empty() or not sub.finals:
-        nt_arcs = []  # sub accepts nothing, so no call site leads anywhere
-    for s, arc in nt_arcs:
-        target = arc.nextstate
-        offset = copies.get(target)
-        if offset is None:
-            offset = out.add_states(sub.num_states())
-            copies[target] = offset
-            for q in sub.states():
-                for sarc in sub.arcs(q):
-                    out.add_arc(offset + q, isym_map[sarc.ilabel], osym_map[sarc.olabel],
-                                sarc.weight, offset + sarc.nextstate)
-            for q, fw in sub.finals.items():
-                out.add_arc(offset + q, EPSILON_ID, EPSILON_ID, fw, target)
-        out.add_arc(s, EPSILON_ID, EPSILON_ID, arc.weight, offset + sub.start)
-    return out
+
+def _remap_arcs(sub: Wfst, root: Wfst, nonterminal: int):
+    """sub's arcs per state as (ilabel, olabel, weight, nextstate) tuples,
+    each label mapped by symbol into root's table on its side."""
+    imap, omap = {EPSILON_ID: EPSILON_ID}, {EPSILON_ID: EPSILON_ID}
+    remapped = []
+    for q in sub.states():
+        arcs = []
+        for arc in sub.arcs(q):
+            i = imap.get(arc.ilabel)
+            if i is None:
+                i = imap[arc.ilabel] = _map_label(arc.ilabel, sub.isymbols, root.isymbols,
+                                                  nonterminal)
+            o = omap.get(arc.olabel)
+            if o is None:
+                o = omap[arc.olabel] = _map_label(arc.olabel, sub.osymbols, root.osymbols,
+                                                  nonterminal)
+            arcs.append((i, o, arc.weight, arc.nextstate))
+        remapped.append(arcs)
+    return remapped
+
+
+def _map_label(label, sub_table, root_table, nonterminal):
+    symbol = sub_table.sym(label)
+    mapped = root_table.find(symbol)
+    if mapped is None:
+        raise SymbolError(f"replacement symbol {symbol!r} missing from table {root_table.name!r}")
+    if mapped == nonterminal:
+        raise ReplaceRecursionError(
+            "replacement sub-machine carries the nonterminal label itself"
+        )
+    return mapped
+
+
+class ReplaceView:
+    """The machine `replace` returns: root with sub spliced in, read-only.
+
+    It answers what compose, shortest_path and write_fst_text read. A state
+    without call sites returns root's own arc list; any other state's list
+    is built on first use and kept. The lists are shared: never change one.
+    """
+
+    def __init__(self, root: Wfst, index, sub: Wfst, sub_arcs):
+        calls, targets, n_calls, n_arcs = index
+        self.isymbols, self.osymbols = root.isymbols, root.osymbols
+        self.start, self.finals = root.start, root.finals
+        self._root_arcs = root.arcs
+        self._calls = calls
+        self._n = root.num_states()
+        self._sub_arcs, self._sub_finals = sub_arcs, sub.finals
+        self._block = sub.num_states()
+        live = not sub.is_empty() and bool(sub.finals)   # else every call site is dropped
+        self._returns = list(targets) if live else []    # each block's return target
+        self._entries = {t: self._n + k * self._block + sub.start
+                         for k, t in enumerate(self._returns)}
+        self._num_states = self._n + len(self._returns) * self._block
+        self._num_arcs = n_arcs - n_calls
+        if live:
+            block_arcs = sum(map(len, sub_arcs)) + len(sub.finals)
+            self._num_arcs += n_calls + len(self._returns) * block_arcs
+        self._built = {}
+
+    def arcs(self, state: int) -> list[Arc]:
+        arcs = self._built.get(state)
+        if arcs is not None:
+            return arcs
+        if not 0 <= state < self._num_states:
+            raise IndexError(f"state {state} out of range "
+                             f"(machine has {self._num_states} states)")
+        if state < self._n:
+            call = self._calls.get(state)
+            if call is None:
+                return self._root_arcs(state)
+            kept, sites = call
+            arcs = kept
+            if self._returns:
+                arcs = kept + [Arc(EPSILON_ID, EPSILON_ID, w, self._entries[t])
+                               for w, t in sites]
+        else:
+            k, q = divmod(state - self._n, self._block)
+            offset = state - q
+            arcs = [Arc(i, o, w, offset + t) for i, o, w, t in self._sub_arcs[q]]
+            fw = self._sub_finals.get(q)
+            if fw is not None:
+                arcs.append(Arc(EPSILON_ID, EPSILON_ID, fw, self._returns[k]))
+        self._built[state] = arcs
+        return arcs
+
+    def num_states(self) -> int:
+        return self._num_states
+
+    def num_arcs(self) -> int:
+        return self._num_arcs
+
+    def states(self):
+        return range(self._num_states)
+
+    def all_arcs(self):
+        """Iterate (src, arc) over every transition."""
+        for s in self.states():
+            for arc in self.arcs(s):
+                yield s, arc
+
+    def final(self, state: int) -> float:
+        return self.finals.get(state, ZERO)
+
+    def is_final(self, state: int) -> bool:
+        return state in self.finals
+
+    def is_empty(self) -> bool:
+        return self.start is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ from collections import deque
 import pytest
 
 from regexbias import grammar as gr
-from regexbias.errors import BudgetExceededError, RegexBiasError
+from regexbias.errors import (
+    BudgetExceededError,
+    RegexBiasError,
+    ReplaceRecursionError,
+    SymbolError,
+)
 from regexbias.fst import EPSILON_ID, SymbolTable, Wfst
 from regexbias.lm import (
     SENTENCE_END,
@@ -156,6 +161,49 @@ def ast_shape(node):
     raise TypeError(f"not a regex AST node: {node!r}")
 
 
+def ast_fullmatch(ast, s: str) -> bool:
+    """Whether the regex AST matches all of `s`: the reference engine for
+    the compiled machines. Python `re` backtracks exponentially on nested
+    nullable repeats; this cannot. ends(node, i), the positions j at which
+    node can finish matching s from i, is memoised per (node, i), so the
+    cost is polynomial in len(s), the AST's size and its repeat bounds."""
+    memo = {}
+
+    def step(node, starts):
+        return set().union(*(ends(node, i) for i in starts))
+
+    def ends(node, i):
+        key = (node, i)  # nodes hash by identity
+        if key in memo:
+            return memo[key]
+        if isinstance(node, gr.Literal):
+            got = {i + len(node.symbol)} if s.startswith(node.symbol, i) else set()
+        elif isinstance(node, gr.Class):
+            got = {i + 1} if i < len(s) and s[i] in node.symbols else set()
+        elif isinstance(node, gr.Concat):
+            got = {i}
+            for child in node.children:
+                got = step(child, got)
+        elif isinstance(node, gr.Union):
+            got = set().union(*(ends(child, i) for child in node.children))
+        elif isinstance(node, gr.Repeat):
+            reached = {i}
+            for _ in range(node.min):
+                reached = step(node.child, reached)
+            # a position reached again adds nothing: its successors are in
+            got, frontier, extra = set(reached), reached, 0
+            while frontier and (node.max is None or extra < node.max - node.min):
+                frontier = step(node.child, frontier) - got
+                got |= frontier
+                extra += 1
+        else:
+            raise TypeError(f"not a regex AST node: {node!r}")
+        memo[key] = frozenset(got)
+        return memo[key]
+
+    return len(s) in ends(ast, 0)
+
+
 def arc_snapshot(m: Wfst) -> list:
     """Every arc of m as a (src, ilabel, olabel, weight, nextstate) tuple."""
     return [(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate) for s, arc in m.all_arcs()]
@@ -292,6 +340,53 @@ def connect(a: Wfst) -> Wfst:
     for s, w in a.finals.items():
         if s in keep:
             out.set_final(remap[s], w)
+    return out
+
+
+def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
+    """The splice oracle for `ops.replace`: a fresh machine holding a copy
+    of root with one copy of sub per distinct return target, numbered and
+    ordered as `replace` documents. Only the labels sub's arcs use are
+    mapped into root's tables, by symbol."""
+    def mapped(label, sub_table, root_table):
+        if label == EPSILON_ID:
+            return EPSILON_ID
+        symbol = sub_table.sym(label)
+        target = root_table.find(symbol)
+        if target is None:
+            raise SymbolError(f"replacement symbol {symbol!r} missing from table "
+                              f"{root_table.name!r}")
+        if target == nonterminal:
+            raise ReplaceRecursionError("replacement sub-machine carries the nonterminal")
+        return target
+
+    sub_arcs = [(q, mapped(arc.ilabel, sub.isymbols, root.isymbols),
+                 mapped(arc.olabel, sub.osymbols, root.osymbols), arc.weight, arc.nextstate)
+                for q, arc in sub.all_arcs()]
+    out = Wfst(root.isymbols, root.osymbols)
+    out.add_states(root.num_states())
+    if not root.is_empty():
+        out.set_start(root.start)
+    for s, w in root.finals.items():
+        out.set_final(s, w)
+    calls = []
+    for s, arc in root.all_arcs():
+        if arc.ilabel == nonterminal or arc.olabel == nonterminal:
+            calls.append((s, arc))
+        else:
+            out.add_arc(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
+    if sub.is_empty() or not sub.finals:
+        return out  # sub accepts nothing, so no call site leads anywhere
+    copies = {}  # return target -> sub copy offset
+    for s, arc in calls:
+        offset = copies.get(arc.nextstate)
+        if offset is None:
+            offset = copies[arc.nextstate] = out.add_states(sub.num_states())
+            for q, i, o, w, t in sub_arcs:
+                out.add_arc(offset + q, i, o, w, offset + t)
+            for q, fw in sub.finals.items():
+                out.add_arc(offset + q, EPSILON_ID, EPSILON_ID, fw, arc.nextstate)
+        out.add_arc(s, EPSILON_ID, EPSILON_ID, arc.weight, offset + sub.start)
     return out
 
 

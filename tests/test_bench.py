@@ -8,10 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from regexbias.textio import write_fst_text
+
+from conftest import replace_eager
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_MODULES = ("inputs", "measure", "workloads")
 SLOW_RUNGS = ("ladder11", "ladder12")   # 2**12 and 2**13 DFA states
 ENTITY_REQUESTS = 100
+SPLICE_REQUESTS = 20
 
 
 @pytest.fixture
@@ -44,9 +49,29 @@ def test_benchmark_checks_pass_on_seed_1(bench):
         t_r = workloads.compile_regex(rx, ladder.alphabet, off).t_r
         problems += workloads.check_regex(rx, t_r, ladder.alphabet)
 
+    # whole requests, so the splice check runs on the spliced roots
+    for i in range(requests.splice_checks):
+        item, out = requests.item(i), {}
+        requests.request(item, off, out)
+        problems += requests.check(i, item, out)
+    assert requests.splices_checked == requests.splice_checks
+
     root_build = workloads.RootBuild(1)
     root_build.setup(off)
     item, out = root_build.item(0), {}
     root_build.request(item, off, out)
     problems += root_build.check(0, item, out)
     assert problems == []
+
+
+def test_request_splices_equal_eager_splice(bench):
+    workloads, measure = bench
+    off = measure.NullTracer()
+    requests = workloads.RegexRequests(1)
+    requests.setup(off)
+    root = requests.lm.root
+    for i in range(SPLICE_REQUESTS):
+        item, out = requests.item(i), {}
+        requests.request(item, off, out)
+        oracle = replace_eager(root, requests.nonterminal, out["compiled"].t_r)
+        assert write_fst_text(out["spliced"]) == write_fst_text(oracle), item.text

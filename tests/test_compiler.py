@@ -32,6 +32,7 @@ from regexbias.textio import write_fst_text
 
 from conftest import (
     arc_snapshot,
+    ast_fullmatch,
     check_deterministic,
     check_eps_free,
     connect,
@@ -173,6 +174,50 @@ class TestAstToNfa:
         assert err.value.used > err.value.limit
 
 
+AB_PATTERNS = ['("a" "b")* | "a"+', '("a" "b")*', '"a"* "b"?', '"a" "b"?', '"a" "b"*',
+               '"a"{1,3} "b"?', '"a" | "b"{2}', '("a" | "b")* "a" ("a" | "b"){3}']
+WIDE_PATTERNS = [text for text, *_ in POSITION_AUTOMATA] + [
+    '\\d [A-Z]{3} \\d{3}', '[A-Z]{1,3} ("-" | \\d)+', '\\d{2} "X" \\d{2} | [A-C]+']
+
+
+class TestAstFullmatch:
+    """The reference engine `ast_fullmatch` agrees with Python `re` on the
+    hand-written patterns, and finishes where `re` backtracks."""
+
+    @pytest.mark.parametrize("text", AB_PATTERNS)
+    def test_agrees_with_re_on_every_short_string(self, text):
+        ast = gr.parse_grammar(f"export = {text};").export_ast()
+        pattern = re.compile(gr.ast_to_pattern(ast))
+        for n in range(8):
+            for chars in itertools.product("ab", repeat=n):
+                s = "".join(chars)
+                assert ast_fullmatch(ast, s) == bool(pattern.fullmatch(s)), s
+
+    @pytest.mark.parametrize("text", WIDE_PATTERNS)
+    def test_agrees_with_re_on_walks_and_mutants(self, text, rng):
+        ast = gr.parse_grammar(f"export = {text};").export_ast()
+        nfa = ast_to_nfa(ast, WIDE_TABLE)
+        pattern = re.compile(gr.ast_to_pattern(ast))
+        symbols = string.ascii_letters + string.digits + "/-"
+        hits = 0
+        for _ in range(100):
+            s = random_walk(nfa, rng)
+            k = rng.randrange(len(s))
+            for t in (s, s[:k] + rng.choice(symbols) + s[k + 1:], s[:k], s + s[k]):
+                expected = bool(pattern.fullmatch(t))
+                assert ast_fullmatch(ast, t) == expected, t
+                hits += expected
+        assert hits >= 100  # every walk matches
+
+    def test_nested_nullable_repeat_finishes(self):
+        # (?:(?:a||){3,}){1,} matches any run of a's; `re` takes seconds on a
+        # five-letter miss and longer than any test budget on longer ones
+        nullable = gr.Union((gr.Literal("a"), gr.Concat(()), gr.Concat(())))
+        ast = gr.Repeat(gr.Repeat(nullable, 3, None), 1, None)
+        assert ast_fullmatch(ast, "a" * 40)
+        assert not ast_fullmatch(ast, "a" * 40 + "b")
+
+
 AB_TABLE = make_table(["a", "b"], "ab")
 LEAVES = st.sampled_from([gr.Literal("a"), gr.Literal("b"), gr.Class(("a", "b")),
                           gr.Concat(())])
@@ -195,16 +240,12 @@ def test_random_ast_matches_reference_engine(ast):
     nfa = ast_to_nfa(ast, AB_TABLE)
     assert _nfa_states(ast) == nfa.num_states()
     dfa = nfa_to_dfa(nfa)
-    pattern = re.compile(gr.ast_to_pattern(ast))
     for n in range(6):
         for chars in itertools.product("ab", repeat=n):
             s = "".join(chars)
-            assert accepts(dfa, s) == bool(pattern.fullmatch(s)), (ast, s)
+            assert accepts(dfa, s) == ast_fullmatch(ast, s), (ast, s)
 
 
-# Kept apart from the reference-engine test: its derandomized examples follow
-# its source, and a redraw can hit a nested nullable repeat such as
-# (?:(?:a||){3,}){1,}, on which Python `re` backtracks exponentially.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.recursive(LEAVES, _branches, max_leaves=8))
 def test_random_ast_gives_position_automaton(ast):

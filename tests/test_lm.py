@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
+from regexbias.compiler import compile_biased
 from regexbias.errors import ConfigError, LexiconError, RegexBiasError, SymbolError
-from regexbias.fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst
+from regexbias.fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst, linear_acceptor
 from regexbias.lm import (
     UNIGRAM_STATE,
     Lexicon,
@@ -24,6 +25,7 @@ from regexbias.ops import (
     _shortest_distance,
     compose,
     optim,
+    replace,
     shortest_path,
 )
 from regexbias.textio import read_fst_text, write_fst_text
@@ -39,6 +41,7 @@ from conftest import (
     join_with_acceptor,
     make_table,
     paths_equal,
+    replace_eager,
 )
 
 
@@ -615,3 +618,34 @@ class TestNonterminal:
         # outputs up in G instead of enumerating both sides and joining
         expected = join_with_acceptor(enumerate_paths(l, 7, max_out_len=7), g)
         assert paths_equal(paths_plain, expected, tol=1e-6)
+
+
+def test_date_regex_splices_into_root():
+    # corpus -> root -> splice a compiled date regex at `$REGEX`: an entity
+    # in a sentence decodes to its characters at alpha each, where the plain
+    # root spells it with char tokens at the fallback penalty each
+    rng = random.Random(13)
+    cfg = LmConfig()
+    counts = count_ngrams(zipf_corpus(rng, 30, 90, min_len=2))
+    vocab = counts.vocabulary()
+    charset = charset_for(vocab, extra=" /0123456789")
+    words = make_word_table(vocab)
+    g = build_grammar(counts, cfg, words)
+    l = build_lexicon(Lexicon.from_words(vocab), charset, words)
+    g, l = add_char_fallback(g, l, charset, cfg)
+    words.add(REGEX_NT)
+    g, l = insert_nonterminal(g, l, cfg)
+    root = build_root(l, g)
+    alpha = -2.0
+    _, _, t_r = compile_biased('export = \\d{2} "/" \\d{2} "/" \\d{4};', charset, alpha)
+    spliced = replace(root, words.id(REGEX_NT), t_r)
+    assert write_fst_text(spliced) == write_fst_text(replace_eager(root, words.id(REGEX_NT), t_r))
+
+    w1, w2, w3 = rng.sample(vocab, 3)
+    entity = "12/05/2021"
+    sentence = linear_acceptor(f"{w1} {w2} {entity} {w3}", charset)
+    _, outs, cost = shortest_path(compose(sentence, spliced))
+    _, base_outs, base = shortest_path(compose(sentence, root))
+    assert outs == base_outs == (w1, w2, *entity, w3)
+    assert cost == pytest.approx(base + len(entity) * (alpha - cfg.char_fallback_penalty),
+                                 abs=1e-6)

@@ -13,6 +13,7 @@ from regexbias.errors import (
     NondeterministicInputError,
     NoPathError,
     ReplaceRecursionError,
+    SymbolError,
     SymbolTableMismatchError,
 )
 from regexbias.fst import EPSILON_ID, SymbolTable, Wfst, linear_acceptor
@@ -43,6 +44,7 @@ from conftest import (
     partition,
     paths_equal,
     random_machine,
+    replace_eager,
 )
 
 
@@ -790,3 +792,88 @@ class TestReplace:
         sub = self.make_root(table, nt)
         with pytest.raises(ReplaceRecursionError):
             replace(root, nt, sub)
+
+    def test_recursion_checked_on_mapped_labels(self):
+        # sub's table holds $REGEX under another id than root's: its arc still
+        # carries the nonterminal once mapped
+        table = make_table(["a", "$REGEX"], "syms")
+        nt = table.id("$REGEX")
+        sub_table = make_table(["$REGEX", "a"], "sub")
+        sub = linear_acceptor(["$REGEX"], sub_table)
+        assert sub_table.id("$REGEX") != nt
+        with pytest.raises(ReplaceRecursionError):
+            replace(self.make_root(table, nt), nt, sub)
+
+    def test_sub_label_sharing_the_nonterminal_id_is_not_recursion(self):
+        # "a" in sub's table has the id $REGEX has in root's
+        table = make_table(["a", "$REGEX", "b"], "syms")
+        nt = table.id("$REGEX")
+        sub_table = make_table(["b", "a"], "sub")
+        assert sub_table.id("a") == nt
+        out = replace(self.make_root(table, nt), nt, linear_acceptor("a", sub_table))
+        assert enumerate_paths(out, 2) == {(("a",), ("a",)): 0.0}
+
+    def test_only_used_labels_mapped(self):
+        # sub's table has " ", root's has not, and no arc of sub reads it
+        table = make_table(["a", "$REGEX"], "syms")
+        nt = table.id("$REGEX")
+        sub_table = make_table(["a", " "], "sub")
+        out = replace(self.make_root(table, nt), nt, linear_acceptor("a", sub_table))
+        assert enumerate_paths(out, 2) == {(("a",), ("a",)): 0.0}
+        with pytest.raises(SymbolError, match="' ' missing from table 'syms'"):
+            replace(self.make_root(table, nt), nt, linear_acceptor(" ", sub_table))
+
+    def test_view_equals_eager_splice(self, rng):
+        # the view, materialised, is the eager splice byte for byte, and
+        # counts its states and arcs before any of its arc lists is built
+        table = make_table(["a", "b", "$REGEX"], "syms")
+        sub_table = make_table(["b", "a"], "sub")  # ids differ from root's
+        nt = table.id("$REGEX")
+        seen = dict.fromkeys(("targets", "empty", "no finals", "dead"), 0)
+        for i in range(200):
+            root = random_machine(rng, table)
+            for _ in range(rng.randint(1, 3)):
+                root.add_arc(rng.randrange(root.num_states()), nt, nt,
+                             round(rng.uniform(-1.0, 1.0), 3), rng.randrange(root.num_states()))
+            sub = random_machine(rng, sub_table, max_states=4)
+            if i % 4 == 1:
+                sub = Wfst(sub_table, sub_table)
+            elif i % 4 == 2:
+                sub.finals.clear()
+            elif i % 4 == 3:
+                dead = sub.add_state()
+                sub.add_arc(sub.start, 1, 2, 0.5, dead)
+            out, oracle = replace(root, nt, sub), replace_eager(root, nt, sub)
+            assert (out.num_states(), out.num_arcs()) == (oracle.num_states(), oracle.num_arcs())
+            assert write_fst_text(out) == write_fst_text(oracle)
+            assert sum(len(out.arcs(s)) for s in out.states()) == out.num_arcs()
+            blocks = (oracle.num_states() - root.num_states()) // max(sub.num_states(), 1)
+            seen["targets"] += blocks >= 2
+            seen["empty"] += sub.is_empty()
+            seen["no finals"] += not sub.is_empty() and not sub.finals
+            seen["dead"] += i % 4 == 3 and oracle.num_states() > root.num_states()
+        assert min(seen.values()) >= 20, seen
+
+    def test_second_replace_reads_no_root_arc(self, monkeypatch):
+        table = make_table(["a", "b", "$REGEX"], "syms")
+        nt = table.id("$REGEX")
+        root = self.make_root(table, nt)
+        root.add_arc(1, nt, nt, 0.0, 0)
+        replace(root, nt, linear_acceptor("a", table))
+        reads = []
+
+        class CountingList(list):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+            def __iter__(self):
+                reads.append("iter")
+                return super().__iter__()
+
+        monkeypatch.setattr(root, "_arcs", CountingList(root._arcs))
+        monkeypatch.setattr(root, "arcs", lambda s: reads.append(("arcs", s)))
+        monkeypatch.setattr(root, "all_arcs", lambda: reads.append("all_arcs"))
+        out = replace(root, nt, linear_acceptor("ab", table))
+        assert (out.num_states(), out.num_arcs()) == (8, 8)
+        assert reads == []
