@@ -173,12 +173,13 @@ class Wfst:
     # -- property predicates --------------------------------------------
 
     def check_pair_deterministic(self) -> bool:
-        """At most one arc per (state, ilabel, olabel) and no eps:eps arcs."""
+        """At most one arc per (state, ilabel, olabel); eps:eps is one more
+        label pair, as it is to `ops.determinize`."""
         for s in self.states():
             seen = set()
             for arc in self._arcs[s]:
                 key = (arc.ilabel, arc.olabel)
-                if key == (EPSILON_ID, EPSILON_ID) or key in seen:
+                if key in seen:
                     return False
                 seen.add(key)
         return True

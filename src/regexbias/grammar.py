@@ -24,6 +24,10 @@ every reference repeats the work for each one.
 Expressions nest at most MAX_DEPTH levels: each operator and group adds one
 and a reference counts its definition's depth, so no recursive pass over an
 AST comes near Python's recursion limit.
+
+The module only parses: an AST is compiled into machines by `compiler`,
+and rendered back into a Python `re` pattern only by the tests'
+reference-engine oracle, `ast_to_pattern` in `tests/conftest.py`.
 """
 
 import re as _stdlib_re
@@ -302,34 +306,3 @@ def parse_grammar(text: str) -> GrammarSource:
     if "export" not in parser.definitions:
         raise GrammarError("grammar must end with an `export = expr ;` rule")
     return source
-
-
-# --- Python-regex rendering (the reference-engine oracle hook) ---------------
-
-def ast_to_pattern(node, alphabet=None) -> str:
-    """Render an AST as an equivalent Python `re` pattern.
-
-    When `alphabet` (an iterable of symbols) is given, character classes
-    are narrowed to it, mirroring how compilation expands classes against
-    the decoder's symbol table.
-    """
-    allowed = set(alphabet) if alphabet is not None else None
-
-    def render(n):
-        if isinstance(n, Literal):
-            return _stdlib_re.escape(n.symbol)
-        if isinstance(n, Class):
-            members = [c for c in n.symbols if allowed is None or c in allowed]
-            if not members:
-                raise GrammarError("character class is empty after alphabet narrowing")
-            return "(?:" + "|".join(_stdlib_re.escape(c) for c in members) + ")"
-        if isinstance(n, Concat):
-            return "".join(render(c) for c in n.children)
-        if isinstance(n, Union):
-            return "(?:" + "|".join(render(c) for c in n.children) + ")"
-        if isinstance(n, Repeat):
-            top = "" if n.max is None else n.max
-            return "(?:" + render(n.child) + ")" + f"{{{n.min},{top}}}"
-        raise TypeError(f"not a regex AST node: {n!r}")
-
-    return render(node)

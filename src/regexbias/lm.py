@@ -17,12 +17,16 @@ Layout conventions baked in here and relied on downstream:
 * L emits a word on the first character of its spelling and a space
   separator between words; `#0` is appended to spellings that collide
   with or prefix another word's spelling.
-* G backs off on epsilon arcs. Inside `build_root` those arcs read `#0`
-  too, which L passes through on its final states, so determinization
-  keeps the backoff instead of copying the unigram fan-out into every
-  history state. Every `#0` is relabeled to epsilon after the root graph
-  is optimized, so the root keeps eps:eps arcs: it is neither
-  epsilon-free nor deterministic.
+* G backs off on eps:eps arcs. Inside `build_root` those arcs read `#0`
+  too, which L passes through on its final states, so the backoff is
+  taken only where a word has just ended; on the benchmark's corpora
+  L' o G' is then deterministic per label pair and optim skips the subset
+  construction. Without `#0` the product optimizes to the same paths, since
+  determinize takes eps:eps as one more label pair, but the unigram
+  fan-out is copied into every history state: 9,806 root arcs against
+  278,406 on the benchmark's V~500 seed-1 corpus. Every `#0` is relabeled to
+  epsilon after the root graph is optimized, so the root keeps eps:eps
+  arcs: it is neither epsilon-free nor deterministic.
 """
 
 import math

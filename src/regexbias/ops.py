@@ -6,9 +6,9 @@ shares the root's arc lists and builds the spliced states' lists on use.
 Composition uses the 3-state epsilon filter so epsilon paths are neither
 duplicated nor dropped, and matches labels from the side with fewer arcs
 at each product state. Determinization is a weighted subset construction
-carrying residual weights; it follows eps:eps arcs itself, through each
-state's epsilon closure. Transducers are handled by treating the
-(ilabel, olabel) pair as the subset-construction label. Minimization
+carrying residual weights whose label is each arc's (ilabel, olabel)
+pair, eps:eps included: it removes no epsilons, as OpenFst's does not,
+and so handles transducers and acceptors alike. Minimization
 trims, pushes weights and merges states by Hopcroft partition refinement
 on (ilabel, olabel, pushed weight) labels; optim skips the subset
 construction when its input is already deterministic per label pair.
@@ -18,9 +18,9 @@ machine as built, which may hold states off every accepting path;
 minimize drops those. An arc of weight `inf` is no path: determinize and
 minimize drop it, the other operations keep it.
 
-Epsilon closures, the potentials minimization pushes weights with, and
-shortest paths are all single-source shortest distances (Mohri 2002), and
-one routine, `_shortest_distance`, computes them.
+The potentials minimization pushes weights with and shortest paths are
+both single-source shortest distances (Mohri 2002), and one routine,
+`_shortest_distance`, computes them.
 """
 
 import warnings
@@ -223,34 +223,23 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """Weighted subset construction with residual weights pushed to the start.
 
     Subset elements are (state, residual) pairs ordered by ascending state
-    id: the start and targets of arcs that are not eps:eps. Each element is
-    expanded through its eps:eps closure, found with `_shortest_distance`
-    when the state is first expanded; a negative eps:eps cycle reached that
-    way raises NegativeCycleError. The minimum over each expansion step is
-    extracted onto the new arc. Transducer arcs take part as (ilabel,
-    olabel) pairs, so the result is deterministic per label pair, and
-    deterministic per ilabel whenever the input is an acceptor. States that
-    cannot reach a final are kept; minimize trims them. Arcs of weight
-    `inf` are dropped.
+    id. Every arc takes part with its (ilabel, olabel) pair as the label,
+    eps:eps included: as in OpenFst's Determinize, epsilons are ordinary
+    symbols and nothing is removed. The minimum over each label's targets
+    is extracted onto the new arc, so the result is deterministic per
+    label pair, and deterministic per ilabel whenever the input is an
+    eps-free acceptor. States that cannot reach a final are kept; minimize
+    trims them. Arcs of weight `inf` are dropped.
+
+    Like any label, eps:eps needs the twins property (Mohri 1997): where
+    cycles on the same label pairs but of different weight meet in one
+    subset, residuals grow without end until `state_budget` raises
+    BudgetExceededError. At the default budget that takes seconds and
+    hundreds of MB even for a 3-state machine with two eps:eps loops. No
+    machine built in this package has such eps:eps cycles.
     """
     if a.is_empty():
         return _empty_like(a)
-    eps_arcs: dict[int, list[Arc]] = {}
-    for s, arc in a.all_arcs():
-        if arc.ilabel == EPSILON_ID == arc.olabel:
-            eps_arcs.setdefault(s, []).append(arc)
-    closures = {}  # state -> [(state, cost)] of its eps:eps closure, by state id
-
-    def closure(s):
-        if s not in closures:
-            if s in eps_arcs:
-                dist = _shortest_distance(a.num_states(), {s: 0.0},
-                                          lambda q: eps_arcs.get(q, ()))[0]
-                closures[s] = sorted(dist.items())
-            else:
-                closures[s] = [(s, 0.0)]
-        return closures[s]
-
     out = Wfst(a.isymbols, a.osymbols)
     start_key = ((a.start, 0.0),)
     state_ids = {start_key: out.add_state()}
@@ -262,17 +251,14 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
         fw = ZERO
         moves: dict[tuple[int, int], dict[int, float]] = {}
         for s, residual in key:
-            for t, wc in closure(s):
-                tf = a.final(t)
-                if tf != ZERO:
-                    fw = min(fw, residual + (wc + tf))
-                for arc in a.arcs(t):
-                    if arc.ilabel == EPSILON_ID == arc.olabel:
-                        continue
-                    targets = moves.setdefault((arc.ilabel, arc.olabel), {})
-                    w = residual + (wc + arc.weight)
-                    if w < targets.get(arc.nextstate, ZERO):
-                        targets[arc.nextstate] = w
+            sf = a.final(s)
+            if sf != ZERO:
+                fw = min(fw, residual + sf)
+            for arc in a.arcs(s):
+                targets = moves.setdefault((arc.ilabel, arc.olabel), {})
+                w = residual + arc.weight
+                if w < targets.get(arc.nextstate, ZERO):
+                    targets[arc.nextstate] = w
         if fw != ZERO:
             out.set_final(src, fw)
         for label in sorted(moves):
@@ -446,11 +432,12 @@ def _refine(finals, arcs):
 def optim(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """minimize(determinize(a)); the usual decode-graph optimization step.
 
-    Input that is deterministic per label pair and has at most
-    `state_budget` states skips the subset construction: every subset
-    would be one state with residual 0, so determinize would only renumber
-    the accessible part, and minimize's result does not depend on the
-    numbering. Larger input still goes through determinize and its budget.
+    Input that is deterministic per label pair, with eps:eps counted as
+    one more pair, and has at most `state_budget` states skips the subset
+    construction: every subset would be one state with residual 0, so
+    determinize would only renumber the accessible part, and minimize's
+    result does not depend on the numbering. Larger input still goes
+    through determinize and its budget.
     """
     if a.num_states() > state_budget or not a.check_pair_deterministic():
         return _minimize(determinize(a, state_budget))

@@ -1,9 +1,11 @@
 """Shared fixtures and the brute-force machinery the equivalence tests use:
-path enumeration, property predicates, a hand-set grammar and the
-stochasticity check, kept here as oracles because only the tests read them."""
+path enumeration, property predicates, grammar ASTs rendered as Python `re`
+patterns, a hand-set grammar and the stochasticity check, kept here as
+oracles because only the tests read them."""
 
 import math
 import random
+import re
 from collections import deque
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from regexbias import grammar as gr
 from regexbias.errors import (
     BudgetExceededError,
+    GrammarError,
     RegexBiasError,
     ReplaceRecursionError,
     SymbolError,
@@ -202,6 +205,36 @@ def ast_fullmatch(ast, s: str) -> bool:
         return memo[key]
 
     return len(s) in ends(ast, 0)
+
+
+def ast_to_pattern(node, alphabet=None) -> str:
+    """Render a grammar AST as an equivalent Python `re` pattern, the
+    reference engine the hand-written patterns are checked against.
+
+    When `alphabet` (an iterable of symbols) is given, character classes
+    are narrowed to it, mirroring how compilation expands classes against
+    the decoder's symbol table.
+    """
+    allowed = set(alphabet) if alphabet is not None else None
+
+    def render(n):
+        if isinstance(n, gr.Literal):
+            return re.escape(n.symbol)
+        if isinstance(n, gr.Class):
+            members = [c for c in n.symbols if allowed is None or c in allowed]
+            if not members:
+                raise GrammarError("character class is empty after alphabet narrowing")
+            return "(?:" + "|".join(re.escape(c) for c in members) + ")"
+        if isinstance(n, gr.Concat):
+            return "".join(render(c) for c in n.children)
+        if isinstance(n, gr.Union):
+            return "(?:" + "|".join(render(c) for c in n.children) + ")"
+        if isinstance(n, gr.Repeat):
+            top = "" if n.max is None else n.max
+            return "(?:" + render(n.child) + ")" + f"{{{n.min},{top}}}"
+        raise TypeError(f"not a regex AST node: {n!r}")
+
+    return render(node)
 
 
 def arc_snapshot(m: Wfst) -> list:

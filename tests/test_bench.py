@@ -3,6 +3,7 @@
 correctness checks run here too, on a seeded slice of its inputs."""
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ BENCH_MODULES = ("inputs", "measure", "workloads")
 SLOW_RUNGS = ("ladder11", "ladder12")   # 2**12 and 2**13 DFA states
 ENTITY_REQUESTS = 100
 SPLICE_REQUESTS = 20
+PROBE_VOCAB = 100
 
 
 @pytest.fixture
@@ -75,3 +77,16 @@ def test_request_splices_equal_eager_splice(bench):
         requests.request(item, off, out)
         oracle = replace_eager(root, requests.nonterminal, out["compiled"].t_r)
         assert write_fst_text(out["spliced"]) == write_fst_text(oracle), item.text
+
+
+def test_traced_root_probe_completes(bench):
+    # root-build's traced probe determinizes L' o G' without `#0`, so G's
+    # eps:eps backoff arcs reach determinize as a label pair of their own
+    workloads, measure = bench
+    inputs = importlib.import_module("inputs")
+    corpus = inputs.lm_inputs(random.Random(1), PROBE_VOCAB).corpus
+    lm = workloads.build_lm_root(corpus, measure.NullTracer())
+    tracer = measure.Tracer()
+    workloads.probe_ops(tracer, ("probe", 0), (lm.l_prime, lm.g_prime))
+    counts = {rec["name"]: rec["counts"] for rec in tracer.spans}
+    assert counts["ops.determinize"]["states_out"] >= counts["ops.minimize"]["states_out"] > 0

@@ -33,6 +33,7 @@ from regexbias.textio import write_fst_text
 from conftest import (
     arc_snapshot,
     ast_fullmatch,
+    ast_to_pattern,
     check_deterministic,
     check_eps_free,
     connect,
@@ -124,7 +125,7 @@ class TestAstToNfa:
         ast = source.export_ast()
         nfa = ast_to_nfa(ast, alnum_table)
         dfa = nfa_to_dfa(nfa)
-        pattern = re.compile(gr.ast_to_pattern(ast))
+        pattern = re.compile(ast_to_pattern(ast))
         pool = string.ascii_uppercase + string.digits
         hits = 0
         for _ in range(200):
@@ -159,7 +160,7 @@ class TestAstToNfa:
         if deterministic:
             monkeypatch.setattr(ops, "determinize", fail_if_called("determinize"))
         dfa = nfa_to_dfa(nfa)
-        pattern = re.compile(gr.ast_to_pattern(ast))
+        pattern = re.compile(ast_to_pattern(ast))
         for _ in range(100):
             s = random_walk(nfa, rng)
             assert pattern.fullmatch(s) and accepts(dfa, s), s
@@ -187,7 +188,7 @@ class TestAstFullmatch:
     @pytest.mark.parametrize("text", AB_PATTERNS)
     def test_agrees_with_re_on_every_short_string(self, text):
         ast = gr.parse_grammar(f"export = {text};").export_ast()
-        pattern = re.compile(gr.ast_to_pattern(ast))
+        pattern = re.compile(ast_to_pattern(ast))
         for n in range(8):
             for chars in itertools.product("ab", repeat=n):
                 s = "".join(chars)
@@ -197,7 +198,7 @@ class TestAstFullmatch:
     def test_agrees_with_re_on_walks_and_mutants(self, text, rng):
         ast = gr.parse_grammar(f"export = {text};").export_ast()
         nfa = ast_to_nfa(ast, WIDE_TABLE)
-        pattern = re.compile(gr.ast_to_pattern(ast))
+        pattern = re.compile(ast_to_pattern(ast))
         symbols = string.ascii_letters + string.digits + "/-"
         hits = 0
         for _ in range(100):

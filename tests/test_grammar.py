@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from regexbias import grammar as gr
 from regexbias.errors import GrammarError
 
-from conftest import ast_shape
+from conftest import ast_shape, ast_to_pattern
 
 
 class TestParse:
@@ -257,13 +257,13 @@ def test_tokens_and_positions_from_offsets(pieces, tail, last_comment):
 class TestAstToPattern:
     def test_license_plate_pattern(self):
         source = gr.parse_grammar('export = \\d [A-Z]{3} \\d{3};')
-        pattern = gr.ast_to_pattern(source.export_ast())
+        pattern = ast_to_pattern(source.export_ast())
         assert re.fullmatch(pattern, "1ABC234")
         assert not re.fullmatch(pattern, "AABC234")
         assert not re.fullmatch(pattern, "1ABC23")
 
     def test_alphabet_narrowing(self):
         source = gr.parse_grammar('export = [A-Z];')
-        pattern = gr.ast_to_pattern(source.export_ast(), alphabet=["A", "B"])
+        pattern = ast_to_pattern(source.export_ast(), alphabet=["A", "B"])
         assert re.fullmatch(pattern, "A") and re.fullmatch(pattern, "B")
         assert not re.fullmatch(pattern, "C")

@@ -24,6 +24,8 @@ from regexbias.lm import (
 from regexbias.ops import (
     _shortest_distance,
     compose,
+    determinize,
+    minimize,
     optim,
     replace,
     shortest_path,
@@ -402,8 +404,6 @@ class TestLexicon:
         charset = charset_for(words)
         word_table = make_word_table(words)
         l = build_lexicon(lex, charset, word_table)
-        from regexbias.ops import determinize
-
         out = determinize(l)
         assert out.check_pair_deterministic()
 
@@ -560,6 +560,17 @@ class TestNonterminal:
         d = cfg.backoff_discount
         want = cfg.char_fallback_penalty - math.log(3 / 8) - math.log((2 - d) / 3)
         assert paths[(("b", " ", "f", "o", "o"), ("b", "foo"))] == pytest.approx(want, abs=1e-6)
+
+    def test_disambig_changes_only_the_size(self):
+        # determinize takes G's eps:eps backoff arcs as one more label pair,
+        # so L' o G' optimized without `#0` keeps the root's paths; `#0`
+        # only keeps the backoff at word ends, which keeps the root small
+        charset, word_table, g, l, cfg = self.setup_model()
+        g, l = insert_nonterminal(g, l, cfg)
+        plain = minimize(determinize(compose(l, g)))
+        root = build_root(l, g)
+        assert paths_equal(enumerate_paths(plain, 5, max_out_len=5),
+                           enumerate_paths(root, 5, max_out_len=5), tol=1e-6)
 
     def test_no_negative_epsilon_cycles_in_root(self):
         charset, word_table, g, l, cfg = self.setup_model()

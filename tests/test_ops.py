@@ -35,7 +35,6 @@ from conftest import (
     _eps_closure,
     acceptor_weights,
     check_deterministic,
-    check_eps_free,
     connect,
     enumerate_paths,
     join_paths,
@@ -359,7 +358,8 @@ class TestConnect:
 
 
 class TestDeterminize:
-    def test_eps_chain_collapses_into_final(self, ab_table):
+    def test_eps_chain_keeps_its_weight(self, ab_table):
+        # eps:eps is an ordinary label pair: the chain stays, at its weight
         m = Wfst(ab_table)
         m.add_states(3)
         m.set_start(0)
@@ -367,10 +367,12 @@ class TestDeterminize:
         m.add_arc(1, EPSILON_ID, EPSILON_ID, 2.0, 2)
         m.set_final(2)
         out = determinize(m)
-        assert out.final(out.start) == pytest.approx(3.0)
-        assert out.num_arcs() == 0
+        assert out.check_pair_deterministic()
+        assert enumerate_paths(out, 2) == {((), ()): 3.0}
 
     def test_negative_eps_cycle_raises(self, ab_table):
+        # determinize keeps the negative eps:eps cycle as labels; the
+        # shortest path through the result is the one that raises
         m = Wfst(ab_table)
         m.add_states(3)
         m.set_start(0)
@@ -378,8 +380,10 @@ class TestDeterminize:
         m.add_arc(1, EPSILON_ID, EPSILON_ID, 0.5, 2)
         m.add_arc(2, EPSILON_ID, EPSILON_ID, -1.0, 1)
         m.set_final(2)
+        out = determinize(m)
+        assert write_fst_text(out) == write_fst_text(m)
         with pytest.raises(NegativeCycleError) as err:
-            determinize(m)
+            shortest_path(out)
         assert set(err.value.states) <= {1, 2} and err.value.states
         # a negative eps:eps cycle the start cannot reach is never expanded
         unreached = Wfst(ab_table)
@@ -429,7 +433,7 @@ class TestDeterminize:
         for _ in range(25):
             m = random_machine(rng, abcd_table, acyclic=True, acceptor=True)
             out = determinize(m)
-            assert check_deterministic(out) and check_eps_free(out)
+            assert out.check_pair_deterministic()
 
     def test_language_preserved_random(self, rng, abcd_table):
         for _ in range(40):
@@ -439,16 +443,17 @@ class TestDeterminize:
             assert paths_equal(enumerate_paths(out, 8, max_out_len=8),
                                enumerate_paths(m, 8, max_out_len=8))
 
-    def test_budget_error(self, ab_table):
+    @pytest.mark.parametrize("loop", [1, EPSILON_ID], ids=["labelled", "eps"])
+    def test_budget_error(self, loop, ab_table):
         # the classic non-determinizable weighted machine: two cycles over
-        # the same label with different weights
+        # the same label pair with different weights, eps:eps like any other
         m = Wfst(ab_table)
         m.add_states(3)
         m.set_start(0)
         m.add_arc(0, 1, 1, 0.0, 1)
         m.add_arc(0, 1, 1, 1.0, 2)
-        m.add_arc(1, 1, 1, 1.0, 1)
-        m.add_arc(2, 1, 1, 2.0, 2)
+        m.add_arc(1, loop, loop, 1.0, 1)
+        m.add_arc(2, loop, loop, 2.0, 2)
         m.set_final(1)
         m.set_final(2)
         with pytest.raises(BudgetExceededError) as err:
@@ -623,16 +628,18 @@ def test_compose_is_associative(a, b, c):
     assert paths_equal(left, right)
 
 
-PAIRS = [(i, o) for i in range(3) for o in range(3) if (i, o) != (0, 0)]
+PAIRS = [(i, o) for i in range(3) for o in range(3)]
 
 
 @st.composite
 def pair_deterministic_machines(draw):
-    """Machines over {a, b}, deterministic per label pair, with cycles,
-    negative weights and each state's arcs in drawn order. Weights are
-    multiples of 1/2, so sums are exact. The start may be any state, and
-    two states are always added: a dead one the start reaches on b:b and a
-    final one no state reaches."""
+    """Machines over {a, b}, deterministic per label pair with eps:eps one
+    more pair, with cycles, negative weights and each state's arcs in drawn
+    order. Weights are multiples of 1/2, so sums are exact; eps:eps arcs
+    weigh at least 0, since a negative eps:eps cycle runs enumerate_paths
+    into its budget. The start may be any state, and two states are always
+    added: a dead one the start reaches on b:b and a final one no state
+    reaches."""
     n = draw(st.integers(1, 6))
     m = Wfst(LAW_TABLE, LAW_TABLE)
     m.add_states(n + 2)
@@ -643,7 +650,8 @@ def pair_deterministic_machines(draw):
     for s in range(n):
         for i, o in draw(st.sets(st.sampled_from(PAIRS), max_size=3)):
             if (s, i, o) != (m.start, 2, 2):
-                arcs.append((s, i, o, draw(st.integers(-2, 4)) / 2, draw(st.integers(0, n - 1))))
+                low = 0 if (i, o) == (EPSILON_ID, EPSILON_ID) else -2
+                arcs.append((s, i, o, draw(st.integers(low, 4)) / 2, draw(st.integers(0, n - 1))))
     for s, i, o, w, t in draw(st.permutations(arcs)):
         m.add_arc(s, i, o, w, t)
     for s in draw(st.sets(st.integers(0, n - 1), max_size=n)) | {unreachable}:
