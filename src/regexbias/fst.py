@@ -1,11 +1,15 @@
 """Weighted finite-state transducers over the tropical semiring.
 
-A Wfst is mutable while it is being built (add_state / add_arc / set_final)
-and treated as immutable once handed to any algorithm in ops.py: no
-operation mutates its inputs, and each returns a fresh machine or, for
-`ops.replace`, a read-only view over its inputs, so finished machines are
-safe to share across threads. `ops.replace` relies on this: it indexes a
-root's call sites once and reuses the index for as long as the root lives.
+Every machine is read through one interface, `Fst`: a subclass supplies
+the storage and `Fst` derives the rest, so an algorithm reads each kind of
+machine the same way. A `Wfst` stores its arcs in lists and is mutable
+while it is being built (add_state / add_arc / set_final); a view such as
+`ops.ReplaceView` is read-only. A Wfst is treated as immutable once handed
+to any algorithm in ops.py: no operation mutates its inputs, and each
+returns a fresh machine or, for `ops.replace`, a view over its inputs, so
+finished machines are safe to share across threads. `ops.replace` relies
+on this: it indexes a root's call sites once and reuses the index for as
+long as the root lives.
 
 Copies of a machine share its Arc objects and own only the lists that hold
 them, so an arc is never changed once its machine may have been copied:
@@ -92,7 +96,55 @@ class Arc:
     nextstate: int
 
 
-class Wfst:
+class Fst:
+    """Read interface of a machine. A subclass supplies the storage: the
+    attributes isymbols, osymbols, start (None when the machine is empty)
+    and finals ({state: weight}), and the methods arcs(state),
+    num_states() and num_arcs(). Everything else is derived here."""
+
+    def states(self):
+        return range(self.num_states())
+
+    def all_arcs(self):
+        """Iterate (src, arc) over every transition."""
+        for s in self.states():
+            for arc in self.arcs(s):
+                yield s, arc
+
+    def final(self, state: int) -> float:
+        return self.finals.get(state, ZERO)
+
+    def is_final(self, state: int) -> bool:
+        return state in self.finals
+
+    def is_empty(self) -> bool:
+        """True when the machine has no start state at all."""
+        return self.start is None
+
+    def check_pair_deterministic(self) -> bool:
+        """At most one arc per (state, ilabel, olabel); eps:eps is one more
+        label pair, as it is to `ops.determinize`."""
+        arcs = self.arcs
+        for s in self.states():
+            seen = set()
+            for arc in arcs(s):
+                key = (arc.ilabel, arc.olabel)
+                if key in seen:
+                    return False
+                seen.add(key)
+        return True
+
+    def _check_state(self, state: int):
+        n = self.num_states()
+        if not 0 <= state < n:
+            raise IndexError(f"state {state} out of range (machine has {n} states)")
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.num_states()} states, "
+                f"{self.num_arcs()} arcs, {len(self.finals)} finals)")
+
+
+class Wfst(Fst):
     """Transducer: list of per-state arc lists, a start state, final weights."""
 
     def __init__(self, isymbols: SymbolTable, osymbols: SymbolTable | None = None):
@@ -136,11 +188,7 @@ class Wfst:
                 weight = 0.0
             self.finals[state] = weight
 
-    def _check_state(self, state: int):
-        if not 0 <= state < len(self._arcs):
-            raise IndexError(f"state {state} out of range (machine has {len(self._arcs)} states)")
-
-    # -- inspection ---------------------------------------------------
+    # -- storage --------------------------------------------------------
 
     def num_states(self) -> int:
         return len(self._arcs)
@@ -148,43 +196,8 @@ class Wfst:
     def num_arcs(self) -> int:
         return sum(len(a) for a in self._arcs)
 
-    def states(self):
-        return range(len(self._arcs))
-
     def arcs(self, state: int) -> list[Arc]:
         return self._arcs[state]
-
-    def all_arcs(self):
-        """Iterate (src, arc) over every transition."""
-        for s, arcs in enumerate(self._arcs):
-            for arc in arcs:
-                yield s, arc
-
-    def final(self, state: int) -> float:
-        return self.finals.get(state, ZERO)
-
-    def is_final(self, state: int) -> bool:
-        return state in self.finals
-
-    def is_empty(self) -> bool:
-        """True when the machine has no start state at all."""
-        return self.start is None
-
-    # -- property predicates --------------------------------------------
-
-    def check_pair_deterministic(self) -> bool:
-        """At most one arc per (state, ilabel, olabel); eps:eps is one more
-        label pair, as it is to `ops.determinize`."""
-        for s in self.states():
-            seen = set()
-            for arc in self._arcs[s]:
-                key = (arc.ilabel, arc.olabel)
-                if key in seen:
-                    return False
-                seen.add(key)
-        return True
-
-    # -- misc -----------------------------------------------------------
 
     def copy(self) -> "Wfst":
         """A machine with its own arc lists and finals that shares the Arc
@@ -194,10 +207,6 @@ class Wfst:
         out.start = self.start
         out.finals = dict(self.finals)
         return out
-
-    def __repr__(self):
-        return (f"Wfst({self.num_states()} states, {self.num_arcs()} arcs, "
-                f"{len(self.finals)} finals)")
 
 
 def character_symbols(table: SymbolTable):

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .fst import (
     DISAMBIG,
+    EPSILON,
     EPSILON_ID,
     REGEX_NT,
     Arc,
@@ -119,7 +120,8 @@ class Lexicon:
 def count_ngrams(lines) -> NgramCounts:
     """Exact unigram and bigram counts with sentence-boundary markers.
 
-    A line holding a marker itself as a token raises RegexBiasError.
+    A line holding a marker, `<eps>`, `#0` or `$REGEX` as a token raises
+    RegexBiasError: each would be taken for the symbol it names.
     """
     counts = NgramCounts()
     uni, bi = counts.unigram, counts.bigram
@@ -127,10 +129,9 @@ def count_ngrams(lines) -> NgramCounts:
         tokens = line.split()
         if not tokens:
             continue
-        for marker in (SENTENCE_START, SENTENCE_END):
+        for marker in (SENTENCE_START, SENTENCE_END, EPSILON, DISAMBIG, REGEX_NT):
             if marker in tokens:
-                raise RegexBiasError(
-                    f"line {lineno}: corpus token {marker!r} is reserved for sentence boundaries")
+                raise RegexBiasError(f"line {lineno}: corpus token {marker!r} is reserved")
         uni[SENTENCE_START] = uni.get(SENTENCE_START, 0) + 1
         prev = SENTENCE_START
         for tok in tokens:

@@ -1,8 +1,9 @@
 """Algorithm suite over tropical-semiring machines.
 
-Every function leaves its inputs untouched. All but `replace` return a
-fresh machine; replace returns a read-only view, a `ReplaceView`, that
-shares the root's arc lists and builds the spliced states' lists on use.
+Every function leaves its inputs untouched and reads them through the
+`Fst` interface. All but `replace` return a fresh machine; replace returns
+a read-only view, a `ReplaceView`, that shares the root's arc lists and
+builds the spliced states' lists on use.
 Composition uses the 3-state epsilon filter so epsilon paths are neither
 duplicated nor dropped, and matches labels from the side with fewer arcs
 at each product state. Determinization is a weighted subset construction
@@ -36,7 +37,7 @@ from .errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from .fst import EPSILON_ID, Arc, Wfst
+from .fst import EPSILON_ID, Arc, Fst, Wfst
 from .semiring import ZERO
 
 DETERMINIZE_STATE_BUDGET = 1_000_000
@@ -46,7 +47,7 @@ class ReplaceNoOpWarning(UserWarning):
     """replace() found no arcs carrying the nonterminal."""
 
 
-def _empty_like(a: Wfst) -> Wfst:
+def _empty_like(a: Fst) -> Wfst:
     return Wfst(a.isymbols, a.osymbols)
 
 
@@ -120,7 +121,7 @@ def _pred_cycle(pred):
 # composition
 # ---------------------------------------------------------------------------
 
-def compose(a: Wfst, b: Wfst) -> Wfst:
+def compose(a: Fst, b: Fst) -> Wfst:
     """Compose two machines; a's output space must be b's input space.
 
     The pairing runs through the standard 3-state epsilon filter: state 0
@@ -204,7 +205,7 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     return out
 
 
-def _label_index(m: Wfst, side: str) -> list[dict[int, list[Arc]]]:
+def _label_index(m: Fst, side: str) -> list[dict[int, list[Arc]]]:
     """Per state of m, {label: arcs} keyed on each arc's `side` label."""
     index = []
     for s in m.states():
@@ -219,7 +220,7 @@ def _label_index(m: Wfst, side: str) -> list[dict[int, list[Arc]]]:
 # determinization
 # ---------------------------------------------------------------------------
 
-def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
+def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """Weighted subset construction with residual weights pushed to the start.
 
     Subset elements are (state, residual) pairs ordered by ascending state
@@ -285,7 +286,7 @@ def determinize(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
 # minimization
 # ---------------------------------------------------------------------------
 
-def minimize(a: Wfst) -> Wfst:
+def minimize(a: Fst) -> Wfst:
     """Merge indistinguishable states of a deterministic machine.
 
     Requires input that is deterministic at least per label pair. States
@@ -305,7 +306,7 @@ def minimize(a: Wfst) -> Wfst:
     return _minimize(a)
 
 
-def _minimize(a: Wfst) -> Wfst:
+def _minimize(a: Fst) -> Wfst:
     """minimize() of a machine known to be deterministic per label pair."""
     if a.is_empty():
         return _empty_like(a)
@@ -429,7 +430,7 @@ def _refine(finals, arcs):
     return classes
 
 
-def optim(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
+def optim(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """minimize(determinize(a)); the usual decode-graph optimization step.
 
     Input that is deterministic per label pair, with eps:eps counted as
@@ -453,7 +454,7 @@ def optim(a: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
 _CALL_INDEXES = weakref.WeakKeyDictionary()
 
 
-def replace(root: Wfst, nonterminal: int, sub: Wfst) -> "ReplaceView":
+def replace(root: Fst, nonterminal: int, sub: Fst) -> "ReplaceView":
     """Splice `sub` in place of every root arc labeled with the nonterminal.
 
     Each labeled arc s->t becomes an epsilon entry (carrying the arc
@@ -493,7 +494,7 @@ def replace(root: Wfst, nonterminal: int, sub: Wfst) -> "ReplaceView":
     return view
 
 
-def _index_calls(root: Wfst, nonterminal: int):
+def _index_calls(root: Fst, nonterminal: int):
     """(calls, targets, number of calls, number of root arcs). calls maps
     each state with a call site to (its other arcs, its [(weight, return
     target)]); targets maps each return target to its block, in first-seen
@@ -513,7 +514,7 @@ def _index_calls(root: Wfst, nonterminal: int):
     return calls, targets, n_calls, n_arcs
 
 
-def _remap_arcs(sub: Wfst, root: Wfst, nonterminal: int):
+def _remap_arcs(sub: Fst, root: Fst, nonterminal: int):
     """sub's arcs per state as (ilabel, olabel, weight, nextstate) tuples,
     each label mapped by symbol into root's table on its side."""
     imap, omap = {EPSILON_ID: EPSILON_ID}, {EPSILON_ID: EPSILON_ID}
@@ -546,15 +547,15 @@ def _map_label(label, sub_table, root_table, nonterminal):
     return mapped
 
 
-class ReplaceView:
+class ReplaceView(Fst):
     """The machine `replace` returns: root with sub spliced in, read-only.
 
-    It answers what compose, shortest_path and write_fst_text read. A state
-    without call sites returns root's own arc list; any other state's list
-    is built on first use and kept. The lists are shared: never change one.
+    A state without call sites returns root's own arc list; any other
+    state's list is built on first use and kept. The lists are shared:
+    never change one.
     """
 
-    def __init__(self, root: Wfst, index, sub: Wfst, sub_arcs):
+    def __init__(self, root: Fst, index, sub: Fst, sub_arcs):
         calls, targets, n_calls, n_arcs = index
         self.isymbols, self.osymbols = root.isymbols, root.osymbols
         self.start, self.finals = root.start, root.finals
@@ -578,9 +579,7 @@ class ReplaceView:
         arcs = self._built.get(state)
         if arcs is not None:
             return arcs
-        if not 0 <= state < self._num_states:
-            raise IndexError(f"state {state} out of range "
-                             f"(machine has {self._num_states} states)")
+        self._check_state(state)
         if state < self._n:
             call = self._calls.get(state)
             if call is None:
@@ -606,30 +605,12 @@ class ReplaceView:
     def num_arcs(self) -> int:
         return self._num_arcs
 
-    def states(self):
-        return range(self._num_states)
-
-    def all_arcs(self):
-        """Iterate (src, arc) over every transition."""
-        for s in self.states():
-            for arc in self.arcs(s):
-                yield s, arc
-
-    def final(self, state: int) -> float:
-        return self.finals.get(state, ZERO)
-
-    def is_final(self, state: int) -> bool:
-        return state in self.finals
-
-    def is_empty(self) -> bool:
-        return self.start is None
-
 
 # ---------------------------------------------------------------------------
 # shortest path
 # ---------------------------------------------------------------------------
 
-def shortest_path(a: Wfst):
+def shortest_path(a: Fst):
     """Min-cost accepting path as (input symbols, output symbols, weight).
 
     Bias-weighted machines with negative arcs are fine as long as no

@@ -9,7 +9,7 @@ the zero element.
 """
 
 from .errors import RegexBiasError
-from .fst import SymbolTable, Wfst
+from .fst import Fst, SymbolTable, Wfst
 from .semiring import ZERO
 
 
@@ -27,7 +27,7 @@ def parse_weight(text: str) -> float:
     return w
 
 
-def write_fst_text(m: Wfst) -> str:
+def write_fst_text(m: Fst) -> str:
     if m.is_empty():
         return ""
 

@@ -1,12 +1,21 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from regexbias.compiler import compile_biased
 from regexbias.errors import ConfigError, LexiconError, RegexBiasError, SymbolError
-from regexbias.fst import DISAMBIG, EPSILON_ID, REGEX_NT, SymbolTable, Wfst, linear_acceptor
+from regexbias.fst import (
+    DISAMBIG,
+    EPSILON,
+    EPSILON_ID,
+    REGEX_NT,
+    SymbolTable,
+    Wfst,
+    linear_acceptor,
+)
 from regexbias.lm import (
     UNIGRAM_STATE,
     Lexicon,
@@ -178,11 +187,13 @@ class TestCountNgrams:
         counts = count_ngrams(["", "  ", "a"])
         assert counts.unigram["<s>"] == 1
 
-    @pytest.mark.parametrize("marker", ["<s>", "</s>"])
+    @pytest.mark.parametrize("marker", ["<s>", "</s>", EPSILON, DISAMBIG, REGEX_NT])
     def test_boundary_marker_token_rejected(self, marker):
-        # corpus text is outside input: a marker token would otherwise
-        # reach build_grammar as a word and fail there untyped
-        with pytest.raises(RegexBiasError, match=f"line 3: corpus token '{marker}'"):
+        # corpus text is outside input: a boundary marker would otherwise
+        # reach build_grammar as a word and fail there untyped, and a
+        # reserved symbol would silently become epsilon, the backoff
+        # marker or the nonterminal
+        with pytest.raises(RegexBiasError, match=re.escape(f"line 3: corpus token '{marker}'")):
             count_ngrams(["a b", "", f"a {marker} b"])
         for line in (f"a{marker}", f"<{marker}>"):
             assert count_ngrams([line]).unigram[line] == 1

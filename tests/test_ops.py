@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regexbias import ops
+from regexbias.compiler import compile_biased
 from regexbias.errors import (
     BudgetExceededError,
     NegativeCycleError,
@@ -837,7 +838,7 @@ class TestReplace:
         table = make_table(["a", "b", "$REGEX"], "syms")
         sub_table = make_table(["b", "a"], "sub")  # ids differ from root's
         nt = table.id("$REGEX")
-        seen = dict.fromkeys(("targets", "empty", "no finals", "dead"), 0)
+        seen = dict.fromkeys(("targets", "empty", "no finals", "dead", "deterministic"), 0)
         for i in range(200):
             root = random_machine(rng, table)
             for _ in range(rng.randint(1, 3)):
@@ -855,6 +856,9 @@ class TestReplace:
             assert (out.num_states(), out.num_arcs()) == (oracle.num_states(), oracle.num_arcs())
             assert write_fst_text(out) == write_fst_text(oracle)
             assert sum(len(out.arcs(s)) for s in out.states()) == out.num_arcs()
+            deterministic = out.check_pair_deterministic()
+            assert deterministic == oracle.check_pair_deterministic()
+            seen["deterministic"] += deterministic
             blocks = (oracle.num_states() - root.num_states()) // max(sub.num_states(), 1)
             seen["targets"] += blocks >= 2
             seen["empty"] += sub.is_empty()
@@ -884,4 +888,19 @@ class TestReplace:
         monkeypatch.setattr(root, "all_arcs", lambda: reads.append("all_arcs"))
         out = replace(root, nt, linear_acceptor("ab", table))
         assert (out.num_states(), out.num_arcs()) == (8, 8)
+        assert repr(out) == "ReplaceView(8 states, 8 arcs, 1 finals)"
         assert reads == []
+
+    def test_view_is_a_whole_machine(self):
+        # every algorithm reads a view as it reads the eager splice
+        chars = make_table(["a", "b"], "chars")
+        table = make_table(["x", "y", "a", "b", "$REGEX"], "syms")
+        nt = table.id("$REGEX")
+        root = linear_acceptor(["x", "$REGEX", "y"], table)
+        t_r = compile_biased('export = ("a" | "b")* "a" ("a" | "b");', chars, -1.0)[2]
+        view, oracle = replace(root, nt, t_r), replace_eager(root, nt, t_r)
+        assert view.check_pair_deterministic() is oracle.check_pair_deterministic() is True
+        for op in (optim, minimize):
+            assert write_fst_text(op(view)) == write_fst_text(op(oracle))
+        assert repr(view) == (f"ReplaceView({oracle.num_states()} states, "
+                              f"{oracle.num_arcs()} arcs, {len(oracle.finals)} finals)")
