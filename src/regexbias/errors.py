@@ -1,5 +1,7 @@
 """Exception types raised across the toolkit."""
 
+from itertools import zip_longest
+
 
 class RegexBiasError(Exception):
     """Base class for all toolkit errors."""
@@ -10,12 +12,18 @@ class SymbolError(RegexBiasError):
 
 
 class SymbolTableMismatchError(RegexBiasError):
-    """Two machines were combined over incompatible symbol tables."""
+    """Two machines were combined over incompatible symbol tables; the
+    message gives their sizes and the first id whose symbols differ."""
 
-    def __init__(self, left_name, right_name, detail=""):
-        self.left_name = left_name
-        self.right_name = right_name
-        msg = f"symbol tables do not match: {left_name!r} vs {right_name!r}"
+    def __init__(self, left, right, detail=""):
+        self.left_name = left.name
+        self.right_name = right.name
+        diff = next(((i, a, b) for i, (a, b) in enumerate(zip_longest(left, right)) if a != b),
+                    None)
+        msg = (f"symbol tables do not match: {left.name!r} ({len(left)} symbols) "
+               f"vs {right.name!r} ({len(right)} symbols), ")
+        msg += ("equal but separate tables" if diff is None
+                else "first differing at id {}: {!r} vs {!r}".format(*diff))
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

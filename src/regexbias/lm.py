@@ -11,9 +11,10 @@ Layout conventions baked in here and relied on downstream:
   `<s>` backs off exactly, with one arc per unseen word, instead of an
   epsilon arc into the unigram state; the char-fallback and `$REGEX`
   arcs therefore leave the start state too, into the unigram state.
-* The word table is shared by G and L's output side and also carries one
-  token per recognizer character, so out-of-vocabulary spans can surface
-  verbatim in the decoded token stream (the char-loop fallback).
+* The caller makes one word table for G and L's output side, and
+  `add_char_fallback`, `insert_nonterminal` and `build_root` register in it
+  what they write, among them one token per recognizer character, so
+  out-of-vocabulary spans can surface verbatim in the decoded token stream.
 * L emits a word on the first character of its spelling and a space
   separator between words; `#0` is appended to spellings that collide
   with or prefix another word's spelling.
@@ -153,14 +154,12 @@ def _neglog(p: float) -> float:
     return -math.log(p)
 
 
-def _unigram_layout(p_uni: dict, word_table: SymbolTable | None):
+def _unigram_layout(p_uni: dict, word_table: SymbolTable):
     """G's shared layout: the unigram state UNIGRAM_STATE, then one state per
     word of `p_uni` in sorted order, reached from it at -log p(w). Returns
     the machine, with no start state yet, and {word: state}."""
     if not p_uni:
         raise RegexBiasError("cannot build a grammar from an empty vocabulary")
-    if word_table is None:
-        word_table = make_word_table(p_uni)
     g = Wfst(word_table, word_table)
     g.add_state()
     word_state = {}
@@ -171,20 +170,9 @@ def _unigram_layout(p_uni: dict, word_table: SymbolTable | None):
     return g, word_state
 
 
-def _add_unigram_loops(g: Wfst, labels, weight: float) -> Wfst:
-    """A copy of G with, per label, a loop on the unigram state and an arc
-    into it from the start state, both at `weight`."""
-    g2 = g.copy()
-    for tok in labels:
-        g2.add_arc(UNIGRAM_STATE, tok, tok, weight, UNIGRAM_STATE)
-        if g2.start != UNIGRAM_STATE:
-            g2.add_arc(g2.start, tok, tok, weight, UNIGRAM_STATE)
-    return g2
-
-
-def build_grammar(counts: NgramCounts, cfg: LmConfig,
-                  word_table: SymbolTable | None = None) -> Wfst:
-    """Bigram backoff acceptor over words.
+def build_grammar(counts: NgramCounts, cfg: LmConfig, word_table: SymbolTable) -> Wfst:
+    """Bigram backoff acceptor over the words of `word_table`, the table
+    object the caller also passes to `build_lexicon`.
 
     Unigram arcs leave the backoff state at -log p(w); bigram arcs cost
     -log p(w2|w1) with absolute discounting (discount = backoff_discount);
@@ -200,7 +188,6 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig,
     total = sum(c for w, c in counts.unigram.items() if w != SENTENCE_START)
     p_uni = {w: counts.unigram[w] / total for w in vocab}
     g, word_state = _unigram_layout(p_uni, word_table)
-    word_table = g.isymbols
 
     p_uni[SENTENCE_END] = counts.unigram.get(SENTENCE_END, 0) / total
     if p_uni[SENTENCE_END] > 0.0:
@@ -268,14 +255,12 @@ def disambiguated_spellings(lex: Lexicon):
     return out
 
 
-def build_lexicon(lex: Lexicon, charset: SymbolTable,
-                  word_table: SymbolTable | None = None) -> Wfst:
+def build_lexicon(lex: Lexicon, charset: SymbolTable, word_table: SymbolTable) -> Wfst:
     """Characters -> words transducer, closed over word sequences with a
-    space separator; the word label rides on the first character."""
+    space separator; the word label rides on the first character. Its
+    output side is `word_table`, the table object G was built over."""
     if not len(lex):
         raise RegexBiasError("cannot build a lexicon machine from no entries")
-    if word_table is None:
-        word_table = make_word_table(lex.words())
     spellings = disambiguated_spellings(lex)
     if any(DISAMBIG in sp for sp in spellings.values()):
         charset.add(DISAMBIG)
@@ -307,6 +292,35 @@ def build_lexicon(lex: Lexicon, charset: SymbolTable,
     return l
 
 
+def _add_unigram_tokens(g: Wfst, l: Wfst, tokens, weight: float):
+    """Copies of G and L with unigram tokens, (character id, word symbol)
+    pairs whose symbols are registered in the word table G and L share. G
+    gains per token a loop on the unigram state and an arc into it from the
+    start state at `weight`, or none at +inf. L gains one final state,
+    entered from the start on each pair, looping on each pair that reads a
+    character, and left for the start on the separator."""
+    word_table = g.isymbols
+    if word_table is not l.osymbols:
+        raise SymbolTableMismatchError(word_table, l.osymbols,
+                                       "G and L must share one word table object")
+    g2, l2 = g.copy(), l.copy()
+    hub = l2.add_state()
+    for cid, symbol in tokens:
+        tok = word_table.add(symbol)
+        if weight != ZERO:  # +inf would kill the path anyway
+            g2.add_arc(UNIGRAM_STATE, tok, tok, weight, UNIGRAM_STATE)
+            if g2.start != UNIGRAM_STATE:
+                g2.add_arc(g2.start, tok, tok, weight, UNIGRAM_STATE)
+        l2.add_arc(l2.start, cid, tok, 0.0, hub)
+        if cid != EPSILON_ID:  # an epsilon loop would emit tokens reading nothing
+            l2.add_arc(hub, cid, tok, 0.0, hub)
+    l2.set_final(hub, 0.0)
+    sep = l2.isymbols.find(WORD_SEPARATOR)
+    if sep is not None:
+        l2.add_arc(hub, sep, EPSILON_ID, 0.0, l2.start)
+    return g2, l2
+
+
 def add_char_fallback(g: Wfst, l: Wfst, charset: SymbolTable, cfg: LmConfig):
     """Attach the out-of-vocabulary escape hatch.
 
@@ -314,29 +328,12 @@ def add_char_fallback(g: Wfst, l: Wfst, charset: SymbolTable, cfg: LmConfig):
     char_fallback_penalty, and the start state an arc per character token
     into it at the same cost, so a line may begin with an out-of-vocabulary
     span; the lexicon gains identity character paths so any text can be
-    consumed and resurfaced verbatim as char tokens.
+    consumed and resurfaced verbatim as char tokens, which are registered in
+    the word table G and L share.
     """
-    word_table = g.isymbols
-    if word_table is not l.osymbols and word_table != l.osymbols:
-        raise SymbolTableMismatchError(word_table.name, l.osymbols.name)
     chars = [c for c in character_symbols(charset) if c != WORD_SEPARATOR]
-    for c in chars:
-        word_table.add(c)
-
-    g2 = _add_unigram_loops(g, [word_table.id(c) for c in chars], cfg.char_fallback_penalty)
-
-    l2 = l.copy()
-    hub = l2.add_state()
-    sep = charset.find(WORD_SEPARATOR)
-    for c in chars:
-        cid = charset.id(c)
-        tok = word_table.id(c)
-        l2.add_arc(l2.start, cid, tok, 0.0, hub)
-        l2.add_arc(hub, cid, tok, 0.0, hub)
-    l2.set_final(hub, 0.0)
-    if sep is not None:
-        l2.add_arc(hub, sep, EPSILON_ID, 0.0, l2.start)
-    return g2, l2
+    return _add_unigram_tokens(g, l, [(charset.id(c), c) for c in chars],
+                               cfg.char_fallback_penalty)
 
 
 def insert_nonterminal(g: Wfst, l: Wfst, cfg: LmConfig):
@@ -344,25 +341,9 @@ def insert_nonterminal(g: Wfst, l: Wfst, cfg: LmConfig):
     spelling is one epsilon, so a regex span can cover part of a sentence
     while the rest is scored by G. The `$REGEX` arc loops on the unigram
     state and also leads there from the start state, so a line may begin
-    with, or consist of, a regex entity."""
-    word_table = g.isymbols
-    nt = word_table.find(REGEX_NT)
-    if nt is None:
-        raise SymbolError(
-            f"{REGEX_NT!r} is not registered in the word table {word_table.name!r}"
-        )
-    # +inf would kill the path anyway
-    labels = [nt] if cfg.nonterminal_weight != ZERO else []
-    g2 = _add_unigram_loops(g, labels, cfg.nonterminal_weight)
-
-    l2 = l.copy()
-    end = l2.add_state()
-    l2.add_arc(l2.start, EPSILON_ID, nt, 0.0, end)
-    l2.set_final(end, 0.0)
-    sep = l2.isymbols.find(WORD_SEPARATOR)
-    if sep is not None:
-        l2.add_arc(end, sep, EPSILON_ID, 0.0, l2.start)
-    return g2, l2
+    with, or consist of, a regex entity. `$REGEX` is registered in the word
+    table G and L share."""
+    return _add_unigram_tokens(g, l, [(EPSILON_ID, REGEX_NT)], cfg.nonterminal_weight)
 
 
 def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
@@ -377,7 +358,7 @@ def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
     """
     if l_prime.osymbols != g_prime.isymbols:
         raise SymbolTableMismatchError(
-            l_prime.osymbols.name, g_prime.isymbols.name,
+            l_prime.osymbols, g_prime.isymbols,
             "lexicon output side must be the grammar's word table",
         )
     char_disambig = l_prime.isymbols.add(DISAMBIG)

@@ -141,7 +141,7 @@ def compose(a: Fst, b: Fst) -> Wfst:
     """
     if a.osymbols != b.isymbols:
         raise SymbolTableMismatchError(
-            a.osymbols.name, b.isymbols.name,
+            a.osymbols, b.isymbols,
             "compose needs a.osymbols == b.isymbols",
         )
     out = Wfst(a.isymbols, b.osymbols)
@@ -487,7 +487,7 @@ def replace(root: Fst, nonterminal: int, sub: Fst) -> "ReplaceView":
     index = by_nonterminal.get(nonterminal)
     if index is None:
         index = by_nonterminal[nonterminal] = _index_calls(root, nonterminal)
-    view = ReplaceView(root, index, sub, _remap_arcs(sub, root, nonterminal))
+    view = ReplaceView(root, index, sub, _label_maps(sub, root, nonterminal))
     if not index[0]:
         warnings.warn("nonterminal label absent from root; replace is a no-op",
                       ReplaceNoOpWarning, stacklevel=2)
@@ -514,25 +514,20 @@ def _index_calls(root: Fst, nonterminal: int):
     return calls, targets, n_calls, n_arcs
 
 
-def _remap_arcs(sub: Fst, root: Fst, nonterminal: int):
-    """sub's arcs per state as (ilabel, olabel, weight, nextstate) tuples,
-    each label mapped by symbol into root's table on its side."""
+def _label_maps(sub: Fst, root: Fst, nonterminal: int):
+    """({sub ilabel: root ilabel}, {sub olabel: root olabel}) over the
+    labels sub's arcs use, each mapped by symbol into root's table on its
+    side, in state and arc order so the first bad label raises."""
     imap, omap = {EPSILON_ID: EPSILON_ID}, {EPSILON_ID: EPSILON_ID}
-    remapped = []
     for q in sub.states():
-        arcs = []
         for arc in sub.arcs(q):
-            i = imap.get(arc.ilabel)
-            if i is None:
-                i = imap[arc.ilabel] = _map_label(arc.ilabel, sub.isymbols, root.isymbols,
-                                                  nonterminal)
-            o = omap.get(arc.olabel)
-            if o is None:
-                o = omap[arc.olabel] = _map_label(arc.olabel, sub.osymbols, root.osymbols,
-                                                  nonterminal)
-            arcs.append((i, o, arc.weight, arc.nextstate))
-        remapped.append(arcs)
-    return remapped
+            if arc.ilabel not in imap:
+                imap[arc.ilabel] = _map_label(arc.ilabel, sub.isymbols, root.isymbols,
+                                              nonterminal)
+            if arc.olabel not in omap:
+                omap[arc.olabel] = _map_label(arc.olabel, sub.osymbols, root.osymbols,
+                                              nonterminal)
+    return imap, omap
 
 
 def _map_label(label, sub_table, root_table, nonterminal):
@@ -555,23 +550,24 @@ class ReplaceView(Fst):
     never change one.
     """
 
-    def __init__(self, root: Fst, index, sub: Fst, sub_arcs):
+    def __init__(self, root: Fst, index, sub: Fst, label_maps):
         calls, targets, n_calls, n_arcs = index
         self.isymbols, self.osymbols = root.isymbols, root.osymbols
         self.start, self.finals = root.start, root.finals
         self._root_arcs = root.arcs
         self._calls = calls
         self._n = root.num_states()
-        self._sub_arcs, self._sub_finals = sub_arcs, sub.finals
+        self._sub_arcs, self._sub_finals = sub.arcs, sub.finals
+        self._imap, self._omap = label_maps
         self._block = sub.num_states()
-        live = not sub.is_empty() and bool(sub.finals)   # else every call site is dropped
+        live = bool(sub.finals)   # else every call site is dropped
         self._returns = list(targets) if live else []    # each block's return target
         self._entries = {t: self._n + k * self._block + sub.start
                          for k, t in enumerate(self._returns)}
         self._num_states = self._n + len(self._returns) * self._block
         self._num_arcs = n_arcs - n_calls
         if live:
-            block_arcs = sum(map(len, sub_arcs)) + len(sub.finals)
+            block_arcs = sub.num_arcs() + len(sub.finals)
             self._num_arcs += n_calls + len(self._returns) * block_arcs
         self._built = {}
 
@@ -592,7 +588,9 @@ class ReplaceView(Fst):
         else:
             k, q = divmod(state - self._n, self._block)
             offset = state - q
-            arcs = [Arc(i, o, w, offset + t) for i, o, w, t in self._sub_arcs[q]]
+            imap, omap = self._imap, self._omap
+            arcs = [Arc(imap[a.ilabel], omap[a.olabel], a.weight, offset + a.nextstate)
+                    for a in self._sub_arcs(q)]
             fw = self._sub_finals.get(q)
             if fw is not None:
                 arcs.append(Arc(EPSILON_ID, EPSILON_ID, fw, self._returns[k]))

@@ -431,8 +431,8 @@ def partition(classes: dict):
     return {frozenset(b) for b in blocks.values()}
 
 
-def grammar_from_probs(uni_probs: dict, bi_probs: dict | None = None,
-                       word_table: SymbolTable | None = None) -> Wfst:
+def grammar_from_probs(uni_probs: dict, bi_probs: dict | None,
+                       word_table: SymbolTable) -> Wfst:
     """G from hand-set probabilities, shaped like the two-word figure model:
     unigram arcs from the start at -log p(w), bigram arcs between word
     states at -log p(w2|w1), every word state final with weight 0. The start

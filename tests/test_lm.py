@@ -6,7 +6,12 @@ from collections import Counter
 import pytest
 
 from regexbias.compiler import compile_biased
-from regexbias.errors import ConfigError, LexiconError, RegexBiasError, SymbolError
+from regexbias.errors import (
+    ConfigError,
+    LexiconError,
+    RegexBiasError,
+    SymbolTableMismatchError,
+)
 from regexbias.fst import (
     DISAMBIG,
     EPSILON,
@@ -224,7 +229,8 @@ class TestCountNgrams:
 
 class TestGrammar:
     def test_fig2_handset_weights(self):
-        g = grammar_from_probs({"foo": 0.001, "bar": 0.001}, {("foo", "bar"): 0.01})
+        g = grammar_from_probs({"foo": 0.001, "bar": 0.001}, {("foo", "bar"): 0.01},
+                               make_word_table(["foo", "bar"]))
         by_label = {}
         for s, arc in g.all_arcs():
             by_label[(s, g.isymbols.sym(arc.ilabel))] = arc.weight
@@ -238,13 +244,13 @@ class TestGrammar:
         assert paths[("foo", "bar")] == pytest.approx(6.907755 + 4.605170, abs=1e-5)
 
     def test_neglog_conversion_exact(self):
-        g = grammar_from_probs({"w": 0.001})
+        g = grammar_from_probs({"w": 0.001}, None, make_word_table(["w"]))
         (_, arc), = list(g.all_arcs())
         assert arc.weight == pytest.approx(-math.log(0.001), abs=1e-9)
 
     def test_counted_grammar_connected_and_finite(self):
         counts = count_ngrams(["the cat sat", "the dog sat", "a cat"])
-        g = build_grammar(counts, LmConfig())
+        g = build_grammar(counts, LmConfig(), make_word_table(counts.vocabulary()))
         ins, _, w = shortest_path(g)
         assert w < math.inf and ins
         # every state lies on an accepting path (connect is a no-op)
@@ -253,7 +259,7 @@ class TestGrammar:
     def test_stochasticity(self):
         counts = count_ngrams(["the cat sat on the mat", "the dog sat", "a cat sat",
                                "the mat sat"])
-        g = build_grammar(counts, LmConfig())
+        g = build_grammar(counts, LmConfig(), make_word_table(counts.vocabulary()))
         assert check_stochastic(g, counts) <= 1e-6
 
     def test_stochastic_with_fallback_and_nonterminal(self):
@@ -267,7 +273,6 @@ class TestGrammar:
         g = build_grammar(counts, cfg, word_table)
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
         g, l = add_char_fallback(g, l, charset, cfg)
-        word_table.add(REGEX_NT)
         g, l = insert_nonterminal(g, l, cfg)
         assert check_stochastic(g, counts) <= 1e-6
 
@@ -276,7 +281,7 @@ class TestGrammar:
         rng = random.Random(seed)
         counts = count_ngrams(zipf_corpus(rng, rng.randint(5, 60), rng.randint(10, 200)))
         cfg = LmConfig(backoff_discount=rng.choice([0.1, 0.4, 0.7]))
-        g = build_grammar(counts, cfg)
+        g = build_grammar(counts, cfg, make_word_table(counts.vocabulary()))
         want_arcs, want_finals = per_word_grammar(counts, cfg)
         got_arcs, got_finals = grammar_by_context(g)
         assert got_arcs == pytest.approx(want_arcs, abs=1e-9)
@@ -287,7 +292,7 @@ class TestGrammar:
         # "a" is followed by a, b and </s>; "b" by a and b but never </s>
         counts = count_ngrams(["a a b a", "b b a", "a"])
         cfg = LmConfig()
-        g = build_grammar(counts, cfg)
+        g = build_grammar(counts, cfg, make_word_table(counts.vocabulary()))
         arcs, _ = grammar_by_context(g)
         assert ("a", "<eps>", None) not in arcs
         assert ("b", "<eps>", None) in arcs
@@ -305,7 +310,6 @@ class TestGrammar:
         g = build_grammar(counts, cfg, word_table)
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
         g, l = add_char_fallback(g, l, charset, cfg)
-        word_table.add(REGEX_NT)
         g, l = insert_nonterminal(g, l, cfg)
         assert any(arc.ilabel == EPSILON_ID for _, arc in g.all_arcs())
         assert check_stochastic(g, counts) == pytest.approx(per_word_deviation(g, counts),
@@ -313,7 +317,7 @@ class TestGrammar:
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(RegexBiasError):
-            build_grammar(count_ngrams([]), LmConfig())
+            build_grammar(count_ngrams([]), LmConfig(), make_word_table([]))
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -339,7 +343,7 @@ class TestLexicon:
     def test_fig2b_topology_seven_states(self):
         lex = Lexicon({"foo": "foo", "bar": "bar"})
         charset = charset_for(["foo", "bar"])
-        l = build_lexicon(lex, charset)
+        l = build_lexicon(lex, charset, make_word_table(lex.words()))
         assert l.num_states() == 7
         # two word paths, word emitted on the first character
         paths = enumerate_paths(l, 3)
@@ -349,14 +353,14 @@ class TestLexicon:
     def test_single_char_word(self):
         lex = Lexicon({"a": "a"})
         charset = charset_for(["a"])
-        l = build_lexicon(lex, charset)
+        l = build_lexicon(lex, charset, make_word_table(lex.words()))
         paths = enumerate_paths(l, 1)
         assert paths == {(("a",), ("a",)): 0.0}
 
     def test_word_sequences_use_separator(self):
         lex = Lexicon({"ab": "ab", "c": "c"})
         charset = charset_for(["ab", "c"])
-        l = build_lexicon(lex, charset)
+        l = build_lexicon(lex, charset, make_word_table(lex.words()))
         paths = enumerate_paths(l, 6, max_out_len=6)
         assert (("a", "b", " ", "c"), ("ab", "c")) in paths
 
@@ -364,7 +368,7 @@ class TestLexicon:
         lex = Lexicon({"xy": "xy"})
         charset = make_table(["x"], "chars")
         with pytest.raises(LexiconError):
-            build_lexicon(lex, charset)
+            build_lexicon(lex, charset, make_word_table(lex.words()))
 
     def test_spelling_with_space_rejected(self):
         with pytest.raises(LexiconError):
@@ -469,7 +473,6 @@ class TestNonterminal:
         lex = Lexicon.from_words(counts.vocabulary())
         l = build_lexicon(lex, charset, word_table)
         g, l = add_char_fallback(g, l, charset, cfg)
-        word_table.add(REGEX_NT)
         return charset, word_table, g, l, cfg
 
     def test_grammar_read_back_from_text_splices_the_same(self):
@@ -481,7 +484,6 @@ class TestNonterminal:
         word_table = make_word_table(words)
         g = build_grammar(counts, cfg, word_table)
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
-        word_table.add(REGEX_NT)
         back = read_fst_text(write_fst_text(g), word_table, word_table)
         assert g.start != UNIGRAM_STATE
         for splice in (lambda g: add_char_fallback(g, l, charset, cfg),
@@ -498,7 +500,6 @@ class TestNonterminal:
         word_table = make_word_table(words)
         g = build_grammar(counts, cfg, word_table)
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
-        word_table.add(REGEX_NT)
         assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in g.all_arcs())
         machines = [g, l]
         snapshots = [arc_snapshot(g), arc_snapshot(l)]
@@ -512,14 +513,34 @@ class TestNonterminal:
         assert [arc_snapshot(m) for m in machines] == snapshots
         assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in root.all_arcs())
 
-    def test_requires_registered_symbol(self):
-        charset, word_table, g, l, cfg = self.setup_model()
-        bad_table = make_word_table(["foo", "bar"])
-        g_bad = grammar_from_probs({"foo": 0.5, "bar": 0.5}, word_table=bad_table)
-        l_bad = build_lexicon(Lexicon.from_words(["foo", "bar"]),
-                              charset_for(["foo", "bar"]), bad_table)
-        with pytest.raises(SymbolError):
-            insert_nonterminal(g_bad, l_bad, cfg)
+    def test_registers_its_symbol(self):
+        # bench/workloads.py registers `$REGEX` before the call; both give one root
+        texts = []
+        for preregistered in (False, True):
+            charset, word_table, g, l, cfg = self.setup_model()
+            if preregistered:
+                word_table.add(REGEX_NT)
+            else:
+                assert word_table.find(REGEX_NT) is None
+            g2, l2 = insert_nonterminal(g, l, cfg)
+            texts.append([write_fst_text(m) for m in (g2, l2, build_root(l2, g2))])
+        assert texts[0] == texts[1]
+
+    def test_separate_word_tables_rejected(self):
+        # equal tables used to pass: the tokens went into G's table only, so
+        # L' wrote output labels that its own table did not hold
+        cfg = LmConfig()
+        counts = count_ngrams(["foo bar", "bar foo", "foo"])
+        words = counts.vocabulary()
+        charset = charset_for(words)
+        g = build_grammar(counts, cfg, make_word_table(words))
+        l = build_lexicon(Lexicon.from_words(words), charset, make_word_table(words))
+        tables = [list(g.isymbols), list(l.osymbols)]
+        for splice in (lambda: add_char_fallback(g, l, charset, cfg),
+                       lambda: insert_nonterminal(g, l, cfg)):
+            with pytest.raises(SymbolTableMismatchError, match="equal but separate tables"):
+                splice()
+            assert [list(g.isymbols), list(l.osymbols)] == tables
 
     def test_nonterminal_survives_into_root(self):
         charset, word_table, g, l, cfg = self.setup_model()
@@ -605,7 +626,6 @@ class TestNonterminal:
         g = build_grammar(counts, cfg, word_table)
         l = build_lexicon(Lexicon.from_words(words), charset_for(words), word_table)
         if with_nonterminal:
-            word_table.add(REGEX_NT)
             g, l = insert_nonterminal(g, l, cfg)
         root = build_root(l, g)
         expected = join_without_disambig(l, g, 6)
@@ -627,7 +647,6 @@ class TestNonterminal:
         g = build_grammar(counts, cfg, word_table)
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
         g, l = add_char_fallback(g, l, charset, cfg)
-        word_table.add(REGEX_NT)
         g, l = insert_nonterminal(g, l, cfg)
         assert len(words) >= 100
         assert build_root(l, g).num_arcs() <= 2 * (l.num_arcs() + g.num_arcs())
@@ -655,7 +674,6 @@ def test_date_regex_splices_into_root():
     g = build_grammar(counts, cfg, words)
     l = build_lexicon(Lexicon.from_words(vocab), charset, words)
     g, l = add_char_fallback(g, l, charset, cfg)
-    words.add(REGEX_NT)
     g, l = insert_nonterminal(g, l, cfg)
     root = build_root(l, g)
     alpha = -2.0

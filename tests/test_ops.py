@@ -166,7 +166,8 @@ class TestCompose:
         b = linear_acceptor("a", abcd_table)
         with pytest.raises(SymbolTableMismatchError) as err:
             compose(a, b)
-        assert "ab" in str(err.value) and "abcd" in str(err.value)
+        assert "'ab' (3 symbols) vs 'abcd' (5 symbols)" in str(err.value)
+        assert "first differing at id 3: None vs 'c'" in str(err.value)
 
     def test_length_linear_scoring(self, ab_table):
         # acceptor of "ab" composed with per-arc cost 1 identity: total 2.0
