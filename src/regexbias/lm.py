@@ -16,18 +16,22 @@ Layout conventions baked in here and relied on downstream:
   what they write, among them one token per recognizer character, so
   out-of-vocabulary spans can surface verbatim in the decoded token stream.
 * L emits a word on the first character of its spelling and a space
-  separator between words; `#0` is appended to spellings that collide
-  with or prefix another word's spelling.
-* G backs off on eps:eps arcs. Inside `build_root` those arcs read `#0`
-  too, which L passes through on its final states, so the backoff is
-  taken only where a word has just ended; on the benchmark's corpora
-  L' o G' is then deterministic per label pair and optim skips the subset
-  construction. Without `#0` the product optimizes to the same paths, since
-  determinize takes eps:eps as one more label pair, but the unigram
-  fan-out is copied into every history state: 9,806 root arcs against
-  278,406 on the benchmark's V~500 seed-1 corpus. Every `#0` is relabeled to
-  epsilon after the root graph is optimized, so the root keeps eps:eps
-  arcs: it is neither epsilon-free nor deterministic.
+  separator between words. Each word is spelled with its own characters:
+  `ops.determinize` takes each (ilabel, olabel) pair as one label, so
+  words that share a spelling, or whose spelling prefixes another's,
+  already differ on their first arc, and L needs no disambiguation
+  symbols. Neither L nor the root adds a symbol to the caller's charset.
+* `#0` is the word-side backoff marker, and only that. G backs off on
+  eps:eps arcs; inside `build_root` those arcs read `#0`, which L writes
+  on an eps:#0 loop on its final states, so the backoff is taken only
+  where a word has just ended, and the product's backoff arcs come out
+  eps:eps. On the benchmark's corpora L' o G' is then deterministic per
+  label pair and optim skips the subset construction. Without `#0` the
+  product optimizes to the same paths, since determinize takes eps:eps as
+  one more label pair, but the unigram fan-out is copied into every
+  history state: 9,771 root arcs against 278,371 on the benchmark's V~500
+  seed-1 corpus. The root keeps the eps:eps backoff arcs: it is neither
+  epsilon-free nor deterministic on its input labels.
 """
 
 import math
@@ -45,6 +49,7 @@ from .fst import (
     EPSILON,
     EPSILON_ID,
     REGEX_NT,
+    RESERVED,
     Arc,
     SymbolTable,
     Wfst,
@@ -121,16 +126,18 @@ class Lexicon:
 def count_ngrams(lines) -> NgramCounts:
     """Exact unigram and bigram counts with sentence-boundary markers.
 
-    A line holding a marker, `<eps>`, `#0` or `$REGEX` as a token raises
-    RegexBiasError: each would be taken for the symbol it names.
+    A line holding a boundary marker, `<eps>` or a symbol of
+    `fst.RESERVED` as a token raises RegexBiasError: each would be taken
+    for the symbol it names.
     """
     counts = NgramCounts()
     uni, bi = counts.unigram, counts.bigram
+    reserved = sorted(RESERVED | {EPSILON, SENTENCE_START, SENTENCE_END})
     for lineno, line in enumerate(lines, 1):
         tokens = line.split()
         if not tokens:
             continue
-        for marker in (SENTENCE_START, SENTENCE_END, EPSILON, DISAMBIG, REGEX_NT):
+        for marker in reserved:
             if marker in tokens:
                 raise RegexBiasError(f"line {lineno}: corpus token {marker!r} is reserved")
         uni[SENTENCE_START] = uni.get(SENTENCE_START, 0) + 1
@@ -233,50 +240,25 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig, word_table: SymbolTable) -
     return g
 
 
-def disambiguated_spellings(lex: Lexicon):
-    """Append `#0` (repeated per extra collision) to spellings that equal or
-    prefix another word's spelling, so the lexicon determinizes cleanly."""
-    spellings = {w: tuple(sp) for w, sp in lex.entries.items()}
-    by_spelling = {}
-    for w in sorted(spellings):
-        by_spelling.setdefault(spellings[w], []).append(w)
-    # in sorted order the spellings a spelling prefixes follow it as one block
-    ordered = sorted(by_spelling)
-    out = {}
-    for i, sp in enumerate(ordered):
-        words = by_spelling[sp]
-        extended = i + 1 < len(ordered) and ordered[i + 1][:len(sp)] == sp
-        needs_marker = len(words) > 1 or extended
-        for k, w in enumerate(words):
-            if needs_marker:
-                out[w] = sp + (DISAMBIG,) * (k + 1)
-            else:
-                out[w] = sp
-    return out
-
-
 def build_lexicon(lex: Lexicon, charset: SymbolTable, word_table: SymbolTable) -> Wfst:
     """Characters -> words transducer, closed over word sequences with a
-    space separator; the word label rides on the first character. Its
-    output side is `word_table`, the table object G was built over."""
+    space separator; each word is spelled with its own characters and its
+    label rides on the first one. The input side is `charset`, unchanged;
+    the output side is `word_table`, the table object G was built over."""
     if not len(lex):
         raise RegexBiasError("cannot build a lexicon machine from no entries")
-    spellings = disambiguated_spellings(lex)
-    if any(DISAMBIG in sp for sp in spellings.values()):
-        charset.add(DISAMBIG)
     sep = charset.find(WORD_SEPARATOR)
 
     l = Wfst(charset, word_table)
     root = l.add_state()
     l.set_start(root)
-    for w in sorted(spellings):
+    for w in lex.words():
         wid = word_table.find(w)
         if wid is None:
             raise SymbolError(f"word {w!r} missing from table {word_table.name!r}")
-        spelling = spellings[w]
         cur = root
         out_label = wid
-        for ch in spelling:
+        for ch in lex.entries[w]:
             cid = charset.find(ch)
             if cid is None:
                 raise LexiconError(
@@ -347,34 +329,26 @@ def insert_nonterminal(g: Wfst, l: Wfst, cfg: LmConfig):
 
 
 def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
-    """T_root = optim(L' o G') with every `#0` relabeled to epsilon after
-    optimization; `$REGEX` labels pass through optim as ordinary symbols.
+    """T_root = optim(L' o G'), returned as optim builds it; `$REGEX`
+    labels pass through optim as ordinary symbols.
 
-    G's eps:eps backoff arcs read `#0` during optimization, and L' passes
-    `#0` through with a `#0:#0` loop on each of its final states, where a
-    word has just ended. Both inputs are copied, not changed; `#0` is
-    registered in their symbol tables. The root keeps the relabeled
-    eps:eps arcs, so it is neither epsilon-free nor deterministic.
+    G's eps:eps backoff arcs read `#0`, which L' writes on an eps:#0 loop
+    on each of its final states, so the product backs off only where a word
+    has just ended, on eps:eps arcs. L' and G' must share one word table
+    object, in which `#0` is registered; both inputs are copied, not changed.
     """
-    if l_prime.osymbols != g_prime.isymbols:
-        raise SymbolTableMismatchError(
-            l_prime.osymbols, g_prime.isymbols,
-            "lexicon output side must be the grammar's word table",
-        )
-    char_disambig = l_prime.isymbols.add(DISAMBIG)
-    word_disambig = l_prime.osymbols.add(DISAMBIG)
-    g_prime.isymbols.add(DISAMBIG)
+    words = g_prime.isymbols
+    if l_prime.osymbols is not words:
+        raise SymbolTableMismatchError(l_prime.osymbols, words,
+                                       "L' and G' must share one word table object")
+    backoff = words.add(DISAMBIG)
     g = g_prime.copy()  # shares g_prime's arcs, so relabeling builds new ones
     for s in g.states():
         arcs = g.arcs(s)
         for k, arc in enumerate(arcs):
             if arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID:
-                arcs[k] = Arc(word_disambig, EPSILON_ID, arc.weight, arc.nextstate)
+                arcs[k] = Arc(backoff, EPSILON_ID, arc.weight, arc.nextstate)
     l = l_prime.copy()
     for s in l.finals:
-        l.add_arc(s, char_disambig, word_disambig, 0.0, s)
-    root = optim(compose(l, g))
-    for _, arc in root.all_arcs():  # optim built root: no copy shares its arcs
-        if arc.ilabel == char_disambig:
-            arc.ilabel = EPSILON_ID
-    return root
+        l.add_arc(s, EPSILON_ID, backoff, 0.0, s)
+    return optim(compose(l, g))

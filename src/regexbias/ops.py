@@ -455,16 +455,17 @@ _CALL_INDEXES = weakref.WeakKeyDictionary()
 
 
 def replace(root: Fst, nonterminal: int, sub: Fst) -> "ReplaceView":
-    """Splice `sub` in place of every root arc labeled with the nonterminal.
+    """Splice `sub` in place of every root arc whose output label is the
+    nonterminal, an id of `root.osymbols`; input labels are not read.
 
-    Each labeled arc s->t becomes an epsilon entry (carrying the arc
+    Each such arc s->t becomes an epsilon entry (carrying the arc
     weight) into a copy of sub's start, with epsilon returns from sub's
     finals to t carrying the final weights. Copies are shared per return
     target so paths cannot leak between different call sites. One level
-    only: sub itself must not carry the nonterminal. An empty sub, like one
+    only: sub itself must not write the nonterminal. An empty sub, like one
     without finals, just drops the nonterminal arcs. sub's labels are mapped
     into root's tables by symbol, only those its arcs use; a missing one
-    raises SymbolError, one that maps to the nonterminal
+    raises SymbolError, an output label that maps to the nonterminal
     ReplaceRecursionError.
 
     The result is a read-only `ReplaceView`, built lazily. Its states are
@@ -503,11 +504,9 @@ def _index_calls(root: Fst, nonterminal: int):
     for s in root.states():
         arcs = root.arcs(s)
         n_arcs += len(arcs)
-        sites = [(arc.weight, arc.nextstate) for arc in arcs
-                 if arc.ilabel == nonterminal or arc.olabel == nonterminal]
+        sites = [(arc.weight, arc.nextstate) for arc in arcs if arc.olabel == nonterminal]
         if sites:
-            calls[s] = ([arc for arc in arcs
-                         if arc.ilabel != nonterminal and arc.olabel != nonterminal], sites)
+            calls[s] = ([arc for arc in arcs if arc.olabel != nonterminal], sites)
             n_calls += len(sites)
             for _, t in sites:
                 targets.setdefault(t, len(targets))
@@ -522,23 +521,20 @@ def _label_maps(sub: Fst, root: Fst, nonterminal: int):
     for q in sub.states():
         for arc in sub.arcs(q):
             if arc.ilabel not in imap:
-                imap[arc.ilabel] = _map_label(arc.ilabel, sub.isymbols, root.isymbols,
-                                              nonterminal)
+                imap[arc.ilabel] = _map_label(arc.ilabel, sub.isymbols, root.isymbols)
             if arc.olabel not in omap:
-                omap[arc.olabel] = _map_label(arc.olabel, sub.osymbols, root.osymbols,
-                                              nonterminal)
+                omap[arc.olabel] = _map_label(arc.olabel, sub.osymbols, root.osymbols)
+                if omap[arc.olabel] == nonterminal:
+                    raise ReplaceRecursionError(
+                        "replacement sub-machine writes the nonterminal label itself")
     return imap, omap
 
 
-def _map_label(label, sub_table, root_table, nonterminal):
+def _map_label(label, sub_table, root_table):
     symbol = sub_table.sym(label)
     mapped = root_table.find(symbol)
     if mapped is None:
         raise SymbolError(f"replacement symbol {symbol!r} missing from table {root_table.name!r}")
-    if mapped == nonterminal:
-        raise ReplaceRecursionError(
-            "replacement sub-machine carries the nonterminal label itself"
-        )
     return mapped
 
 

@@ -379,8 +379,9 @@ def connect(a: Wfst) -> Wfst:
 def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
     """The splice oracle for `ops.replace`: a fresh machine holding a copy
     of root with one copy of sub per distinct return target, numbered and
-    ordered as `replace` documents. Only the labels sub's arcs use are
-    mapped into root's tables, by symbol."""
+    ordered as `replace` documents. Call sites are the arcs whose output
+    label is the nonterminal, an id of root's output table. Only the labels
+    sub's arcs use are mapped into root's tables, by symbol."""
     def mapped(label, sub_table, root_table):
         if label == EPSILON_ID:
             return EPSILON_ID
@@ -389,13 +390,13 @@ def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
         if target is None:
             raise SymbolError(f"replacement symbol {symbol!r} missing from table "
                               f"{root_table.name!r}")
-        if target == nonterminal:
-            raise ReplaceRecursionError("replacement sub-machine carries the nonterminal")
         return target
 
     sub_arcs = [(q, mapped(arc.ilabel, sub.isymbols, root.isymbols),
                  mapped(arc.olabel, sub.osymbols, root.osymbols), arc.weight, arc.nextstate)
                 for q, arc in sub.all_arcs()]
+    if any(o == nonterminal for _, _, o, _, _ in sub_arcs):
+        raise ReplaceRecursionError("replacement sub-machine writes the nonterminal")
     out = Wfst(root.isymbols, root.osymbols)
     out.add_states(root.num_states())
     if not root.is_empty():
@@ -404,7 +405,7 @@ def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
         out.set_final(s, w)
     calls = []
     for s, arc in root.all_arcs():
-        if arc.ilabel == nonterminal or arc.olabel == nonterminal:
+        if arc.olabel == nonterminal:
             calls.append((s, arc))
         else:
             out.add_arc(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)

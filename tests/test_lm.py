@@ -13,6 +13,7 @@ from regexbias.errors import (
     SymbolTableMismatchError,
 )
 from regexbias.fst import (
+    BLANK,
     DISAMBIG,
     EPSILON,
     EPSILON_ID,
@@ -31,7 +32,6 @@ from regexbias.lm import (
     build_lexicon,
     build_root,
     count_ngrams,
-    disambiguated_spellings,
     insert_nonterminal,
     make_word_table,
 )
@@ -161,19 +161,10 @@ def per_word_deviation(g, counts):
     return worst
 
 
-def join_without_disambig(l, g, max_len):
+def join_lexicon_grammar(l, g, max_len):
     """The root's paths with inputs up to `max_len`, by brute force: L's
-    paths joined with G, `#0` dropped from L's inputs, min weight per pair.
-    Each word spelling here carries at most one `#0` and a sentence of
-    `max_len` characters holds at most (max_len + 1) // 2 spelled words."""
-    longest = max_len + (max_len + 1) // 2
-    joined = join_with_acceptor(enumerate_paths(l, longest, max_out_len=max_len + 1), g)
-    out = {}
-    for (ins, outs), w in joined.items():
-        key = (tuple(c for c in ins if c != DISAMBIG), outs)
-        if len(key[0]) <= max_len and w < out.get(key, math.inf):
-            out[key] = w
-    return out
+    paths joined with G, min weight per pair."""
+    return join_with_acceptor(enumerate_paths(l, max_len, max_out_len=max_len + 1), g)
 
 
 class TestCountNgrams:
@@ -192,12 +183,12 @@ class TestCountNgrams:
         counts = count_ngrams(["", "  ", "a"])
         assert counts.unigram["<s>"] == 1
 
-    @pytest.mark.parametrize("marker", ["<s>", "</s>", EPSILON, DISAMBIG, REGEX_NT])
+    @pytest.mark.parametrize("marker", ["<s>", "</s>", EPSILON, BLANK, DISAMBIG, REGEX_NT])
     def test_boundary_marker_token_rejected(self, marker):
         # corpus text is outside input: a boundary marker would otherwise
         # reach build_grammar as a word and fail there untyped, and a
-        # reserved symbol would silently become epsilon, the backoff
-        # marker or the nonterminal
+        # reserved symbol would silently become epsilon, the CTC blank, the
+        # backoff marker or the nonterminal
         with pytest.raises(RegexBiasError, match=re.escape(f"line 3: corpus token '{marker}'")):
             count_ngrams(["a b", "", f"a {marker} b"])
         for line in (f"a{marker}", f"<{marker}>"):
@@ -374,40 +365,33 @@ class TestLexicon:
         with pytest.raises(LexiconError):
             Lexicon({"a b": "a b"})
 
-    def test_disambiguation_on_collisions_and_prefixes(self):
-        lex = Lexicon()
-        lex.add("FOO", ("f", "o", "o"))
-        lex.add("foo", ("f", "o", "o"))      # same spelling, another word
-        lex.add("foobar", ("f", "o", "o", "b", "a", "r"))
-        spellings = disambiguated_spellings(lex)
-        assert spellings["FOO"] != spellings["foo"]
-        assert DISAMBIG in spellings["FOO"] and DISAMBIG in spellings["foo"]
-        assert DISAMBIG not in spellings["foobar"]
-        # build_root relabels every `#0` to epsilon and the root stays trimmed
-        word_table = make_word_table(["FOO", "foo", "foobar"])
-        g = grammar_from_probs({"FOO": 0.2, "foo": 0.3, "foobar": 0.5},
-                               {("FOO", "foobar"): 0.5}, word_table)
-        root = build_root(build_lexicon(lex, charset_for(["foobar"]), word_table), g)
+    def test_root_keeps_homophones_and_prefixes_apart(self):
+        # FOO and foo share a spelling and foo prefixes foobar. L writes the
+        # word on the first character and determinize takes each label pair
+        # as one label, so no lexicon symbol is needed to keep them apart
+        cfg = LmConfig()
+        lex = Lexicon({"FOO": "foo", "foo": "foo", "foobar": "foobar"})
+        counts = count_ngrams(["FOO foobar", "foo", "foobar FOO foo", "foo foo"])
+        charset = charset_for(["foobar"])
+        word_table = make_word_table(lex.words())
+        n_chars = len(charset)
+        g = build_grammar(counts, cfg, word_table)
+        l = build_lexicon(lex, charset, word_table)
+        g, l = insert_nonterminal(g, l, cfg)
+        root = build_root(l, g)
+        # nothing is added to the charset, so no arc of L' or the root reads `#0`
+        assert len(charset) == n_chars and charset.find(DISAMBIG) is None
+        expected = join_lexicon_grammar(l, g, 10)
+        assert {outs for (ins, outs) in expected if "".join(ins) == "foo"} == {
+            ("FOO",), ("foo",)}
+        assert paths_equal(enumerate_paths(root, 10, max_out_len=11), expected, tol=1e-6)
         trimmed = connect(root)
         assert (trimmed.num_states(), trimmed.num_arcs()) == (root.num_states(), root.num_arcs())
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_disambiguation_matches_pairwise_scan(self, seed):
-        rng = random.Random(seed)
-        pool = ["".join(rng.choice("abcd") for _ in range(rng.randint(1, 7)))
-                for _ in range(rng.randint(5, 300))]
-        lex = Lexicon()
-        for i in range(len(pool)):
-            lex.add(f"w{i}", rng.choice(pool))  # draws repeat: spellings collide
-        spellings = set(lex.entries.values())
-        got = disambiguated_spellings(lex)
-        for w, sp in lex.entries.items():
-            shared = sorted(v for v, other in lex.entries.items() if other == sp)
-            extended = any(other != sp and other[:len(sp)] == sp for other in spellings)
-            if len(shared) > 1 or extended:
-                assert got[w] == sp + (DISAMBIG,) * (shared.index(w) + 1)
-            else:
-                assert got[w] == sp
+        # the backoff arcs, eps:eps, are the only eps-input arcs besides the
+        # `$REGEX` call sites
+        nt = word_table.id(REGEX_NT)
+        eps_outputs = {arc.olabel for _, arc in root.all_arcs() if arc.ilabel == EPSILON_ID}
+        assert eps_outputs == {EPSILON_ID, nt}
 
     def test_big_lexicon_determinizes(self):
         # 1k random words with shared prefixes must not blow the budget
@@ -527,20 +511,22 @@ class TestNonterminal:
         assert texts[0] == texts[1]
 
     def test_separate_word_tables_rejected(self):
-        # equal tables used to pass: the tokens went into G's table only, so
-        # L' wrote output labels that its own table did not hold
+        # equal tables are still two tables: a token or `#0` registered in
+        # one would be missing from the other, so L' would write output
+        # labels its own table does not hold
         cfg = LmConfig()
         counts = count_ngrams(["foo bar", "bar foo", "foo"])
         words = counts.vocabulary()
         charset = charset_for(words)
         g = build_grammar(counts, cfg, make_word_table(words))
         l = build_lexicon(Lexicon.from_words(words), charset, make_word_table(words))
-        tables = [list(g.isymbols), list(l.osymbols)]
-        for splice in (lambda: add_char_fallback(g, l, charset, cfg),
-                       lambda: insert_nonterminal(g, l, cfg)):
+        tables = [list(g.isymbols), list(l.osymbols), list(charset)]
+        for step in (lambda: add_char_fallback(g, l, charset, cfg),
+                     lambda: insert_nonterminal(g, l, cfg),
+                     lambda: build_root(l, g)):
             with pytest.raises(SymbolTableMismatchError, match="equal but separate tables"):
-                splice()
-            assert [list(g.isymbols), list(l.osymbols)] == tables
+                step()
+            assert [list(g.isymbols), list(l.osymbols), list(charset)] == tables
 
     def test_nonterminal_survives_into_root(self):
         charset, word_table, g, l, cfg = self.setup_model()
@@ -562,8 +548,7 @@ class TestNonterminal:
         g2, l2 = insert_nonterminal(g, l, cfg_inf)
         root = build_root(l2, g2)
         nt = word_table.id(REGEX_NT)
-        assert not [arc for _, arc in root.all_arcs()
-                    if arc.olabel == nt or arc.ilabel == nt]
+        assert not [arc for _, arc in root.all_arcs() if arc.olabel == nt]
 
     def test_fallback_covers_oov(self):
         charset, word_table, g, l, cfg = self.setup_model()
@@ -616,9 +601,9 @@ class TestNonterminal:
 
     @pytest.mark.parametrize("with_nonterminal", [False, True])
     def test_root_with_colliding_spellings_is_plain_t(self, with_nonterminal):
-        # "a" prefixes "ab" and "b" prefixes "ba", so the lexicon's `#0` and
-        # the backoff's `#0` meet; "ba" never ends a sentence, so "ba" alone
-        # needs the backoff and then </s>
+        # "a" prefixes "ab" and "b" prefixes "ba", so the backoff's `#0` is
+        # written where another word's spelling goes on; "ba" never ends a
+        # sentence, so "ba" alone needs the backoff and then </s>
         cfg = LmConfig()
         counts = count_ngrams(["a ab", "b ba a", "ab b", "a b"])
         words = counts.vocabulary()
@@ -628,7 +613,7 @@ class TestNonterminal:
         if with_nonterminal:
             g, l = insert_nonterminal(g, l, cfg)
         root = build_root(l, g)
-        expected = join_without_disambig(l, g, 6)
+        expected = join_lexicon_grammar(l, g, 6)
         assert ((("b", "a"), ("ba",))) in expected
         assert paths_equal(enumerate_paths(root, 6, max_out_len=7), expected, tol=1e-6)
 
@@ -689,3 +674,34 @@ def test_date_regex_splices_into_root():
     assert outs == base_outs == (w1, w2, *entity, w3)
     assert cost == pytest.approx(base + len(entity) * (alpha - cfg.char_fallback_penalty),
                                  abs=1e-6)
+
+
+def test_splice_matches_the_nonterminal_on_the_word_side():
+    # `$REGEX` sorts first, so its word id is the charset id of "a": a
+    # root arc or a T_r arc that reads "a" is neither a call site nor a
+    # recursion
+    cfg = LmConfig()
+    counts = count_ngrams(["ab ba", "ab", "ba"])
+    vocab = counts.vocabulary()
+    charset = SymbolTable.from_symbols("abc ", "chars")
+    words = make_word_table(vocab + [REGEX_NT])
+    nt = words.id(REGEX_NT)
+    assert nt == charset.id("a")
+    g = build_grammar(counts, cfg, words)
+    l = build_lexicon(Lexicon.from_words(vocab), charset, words)
+    g, l = add_char_fallback(g, l, charset, cfg)
+    g, l = insert_nonterminal(g, l, cfg)
+    root = build_root(l, g)
+    alpha = -1.0
+    # (regex, sentence, its words, how many of its characters T_r reads)
+    for text, sentence, want, n_entity in (('"c" "c"', "ab ba", ("ab", "ba"), 0),
+                                           ('"a" "c"', "ab ac", ("ab", "a", "c"), 2)):
+        _, _, t_r = compile_biased(f"export = {text};", charset, alpha)
+        view = replace(root, nt, t_r)
+        assert write_fst_text(view) == write_fst_text(replace_eager(root, nt, t_r))
+        acceptor = linear_acceptor(sentence, charset)
+        _, outs, cost = shortest_path(compose(acceptor, view))
+        _, base_outs, base = shortest_path(compose(acceptor, root))
+        assert outs == base_outs == want
+        assert cost == pytest.approx(
+            base + n_entity * (alpha - cfg.char_fallback_penalty), abs=1e-6)

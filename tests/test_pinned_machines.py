@@ -17,10 +17,10 @@ LADDER_FAMILIES = {f"ladder{n}" for n in range(2, 11)}
 # sha256 of each group's machine texts, each followed by a NUL byte
 PINS = {
     "G'": "1c31b55d97db1c9479bf9e01a1d572defeb7c69780e6231c366ae96ef6a681d5",
-    "L'": "43ad4efb6f84183ef2a08bb58e087e7eb7eedcdbe1d14ee5890457bdc4224975",
-    "root": "1c943a12909cd18ceba96804c53e819a93ca8caad2be11050b9eb5be8ab170cb",
-    "root V500": "393cd840e394886c646500bb8f4ca90492c2e8ad27088600a22fb99ca27703cc",
-    "root one-letter words": "b2af5af084128f17458bb898c0da0b6cd1256c4f703c1b62bc5333839c792770",
+    "L'": "501373d341671623ec34234e99f0b8fa08c10f2442e7422fdffdb110a508e9ae",
+    "root": "008e5fd7f7726e5b0cbea5ca1b793bb9c1847fe14e3632b11dd9f3997ffdd281",
+    "root V500": "78b18aecd90bd6972f799026ef1e1c844c1413936717de59c433b17e0b8244d7",
+    "root one-letter words": "62b08f595f8eef8419cc4662466a1ea686b06f50d3599d52cc1c725a240d2605",
     "R": "fdc211c72236788de114a4c7033eae5fbb9e3c1d5020b77f5a9641adee18c42c",
     "T_r": "e924e2d16bee88c5adbe144bc9319e86d12ba7d578e99d902ce2be0f67baab26",
     "R wide": "b94aacc52871a10c88b7cbacd2ef738dcdeb7f0d5a35bd36ab0cdfbc911da967",
@@ -35,13 +35,13 @@ def digest(machines):
     return h.hexdigest()
 
 
-def built_digests(workloads, measure):
-    """G', L' and the root of the V~200 seed-1 root graph, R and T_r of
-    ladder rungs n = 2..10 and the first seed-1 entity regexes, R and T_r
-    of the ladder pass's 19 wide-class templates apart, the V~500
-    seed-1 root, and the root of a corpus with one-letter words: its L' o G'
-    is not deterministic per label pair, so optim runs the subset
-    construction that it skips for the other roots."""
+def built_machines(workloads, measure):
+    """{group: its machines}: G', L' and the root of the V~200 seed-1
+    root graph, R and T_r of ladder rungs n = 2..10 and the first seed-1
+    entity regexes, R and T_r of the ladder pass's 19 wide-class templates
+    apart, the V~500 seed-1 root, and the root of a corpus with one-letter
+    words: its L' o G' is not deterministic per label pair, so optim runs
+    the subset construction that it skips for the other roots."""
     off = measure.NullTracer()
     requests = workloads.RegexRequests(1)
     requests.setup(off)
@@ -59,22 +59,30 @@ def built_digests(workloads, measure):
         zipf_corpus(random.Random(5), 148, 600, "abcdefghijklmnopqrstuvwxyz", min_len=1),
         off).root
     return {
-        "G'": digest([lm.g_prime]),
-        "L'": digest([lm.l_prime]),
-        "root": digest([lm.root]),
-        "R": digest(r for _, r, _ in compiled),
-        "T_r": digest(t_r for _, _, t_r in compiled),
-        "R wide": digest(r for _, r, _ in wide),
-        "T_r wide": digest(t_r for _, _, t_r in wide),
-        "root V500": digest([root_v500]),
-        "root one-letter words": digest([one_letter]),
+        "G'": [lm.g_prime],
+        "L'": [lm.l_prime],
+        "root": [lm.root],
+        "R": [r for _, r, _ in compiled],
+        "T_r": [t_r for _, _, t_r in compiled],
+        "R wide": [r for _, r, _ in wide],
+        "T_r wide": [t_r for _, _, t_r in wide],
+        "root V500": [root_v500],
+        "root one-letter words": [one_letter],
     }
 
 
+def summed_sizes(machines):
+    """(states, arcs, finals) summed over a group's machines."""
+    return tuple(sum(n) for n in zip(*((m.num_states(), m.num_arcs(), len(m.finals))
+                                       for m in machines)))
+
+
 def test_built_machines_match_pins(bench):
-    got = built_digests(*bench)
+    groups = built_machines(*bench)
+    got = {name: digest(machines) for name, machines in groups.items()}
     changed = sorted(name for name in PINS if got[name] != PINS[name])
     assert not changed, (
         f"built machines changed: {changed}. Update PINS only for an intended "
         f"change to what is built, and say so in CHANGES.md. New digests: "
-        f"{ {name: got[name] for name in changed} }")
+        f"{ {name: got[name] for name in changed} }. New (states, arcs, finals) "
+        f"summed per group: { {name: summed_sizes(groups[name]) for name in changed} }")
