@@ -7,6 +7,14 @@ deterministic per label pair, and `optim` then skips the subset
 construction. Its start is final exactly when the regex accepts the empty
 string, so such a regex is rejected before any DFA is built.
 
+The DFA is built over label classes, as RE2's byte classes and flex's
+equivalence classes do for a regex's alphabet: the label pairs whose arcs
+go to the same targets at the same weights from every state form one class.
+`[0-9] [A-Z0-9]` gives the classes {0-9} and {A-Z}. `optim` sees one arc
+per class, and each of its arcs expands back into one per member. Members
+are interchangeable on every path, and a class's first pair stands for it,
+so the expansion is `optim`'s own result arc for arc (see `nfa_to_dfa`).
+
 The bias step adds alpha to every arc of R, so a matching string of length
 n costs exactly n*alpha. That is R composed with the one-state scorer
 S_alpha, whose self-loops cost alpha per symbol; the tests keep that
@@ -69,8 +77,9 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
     copy before it. The arcs into a position are shared Arc objects.
 
     Literals must exist in the alphabet; character classes narrow to the
-    alphabet's subset of their range and must stay non-empty. More than
-    DETERMINIZE_STATE_BUDGET states raise before any is built.
+    alphabet's subset of their range, once per Class node however often it
+    repeats, and must stay non-empty. More than DETERMINIZE_STATE_BUDGET
+    states raise before any is built.
     """
     size = _nfa_states(ast)
     if size > DETERMINIZE_STATE_BUDGET:
@@ -83,6 +92,7 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
     m.set_start(m.add_state())
     into = [None]  # position -> the arcs that enter it
     linked = set()  # (p, q) pairs whose arcs are in
+    narrowed = {}  # id of a Class node -> its labels in the alphabet
 
     def position(labels):
         q = m.add_state()
@@ -113,14 +123,17 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
                                   f"decoder alphabet {alphabet.name!r}")
             return position([label])
         if isinstance(node, gr.Class):
-            members = [c for c in node.symbols if alphabet.find(c) is not None
-                       and c not in RESERVED]
-            if not members:
+            labels = narrowed.get(id(node))
+            if labels is None:
+                labels = narrowed[id(node)] = [alphabet.id(c) for c in node.symbols
+                                               if alphabet.find(c) is not None
+                                               and c not in RESERVED]
+            if not labels:
                 raise SymbolError(
                     f"character class {node.symbols!r} has no symbols in the "
                     f"decoder alphabet {alphabet.name!r}"
                 )
-            return position([alphabet.id(c) for c in members])
+            return position(labels)
         if isinstance(node, gr.Concat):
             run = [], [], True
             for child in node.children:
@@ -152,8 +165,55 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
 
 
 def nfa_to_dfa(nfa: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
-    """Subset construction plus minimization: the canonical eps-free DFA."""
-    return optim(nfa, state_budget)
+    """optim(nfa), the canonical DFA, computed over label classes.
+
+    A label class holds the (ilabel, olabel) pairs whose arcs, listed state
+    by state in arc order, go to the same targets at the same weights; its
+    smallest pair is its representative. optim runs on the machine that
+    keeps only the representatives' arcs, and each arc of its result then
+    expands into one arc per member, each state's arcs sorted by label pair.
+
+    The result is optim(nfa) arc for arc, and a budget raises at the same
+    point with the same count. Members make the same moves from every
+    subset, so determinize builds the same subsets, pushing gives the same
+    weights and `_refine` finds the same partition. determinize and
+    minimize number new states in order of label pair, and a class's
+    representative comes first, so no member reaches a state first. Pairs
+    whose arcs at a nondeterministic state come in different orders fall
+    into different classes, which only misses a merge.
+    """
+    moves = {}  # label pair -> flat [state, target, weight, ...] of its arcs
+    for s in nfa.states():
+        for arc in nfa.arcs(s):
+            moves.setdefault((arc.ilabel, arc.olabel), []).extend(
+                (s, arc.nextstate, arc.weight))
+    classes = {}  # flat moves -> their label pairs, ascending
+    for pair in sorted(moves):
+        classes.setdefault(tuple(moves.pop(pair)), []).append(pair)
+    members = {pairs[0]: pairs for pairs in classes.values()}
+    rep = {pair: pairs[0] for pairs in members.values() for pair in pairs}
+    del classes  # its keys hold every arc; freed before optim runs
+    reduced = Wfst(nfa.isymbols, nfa.osymbols)
+    reduced.add_states(nfa.num_states())
+    reduced.start, reduced.finals = nfa.start, dict(nfa.finals)
+    for s in nfa.states():
+        # a class keeps the arcs of its member met first at s, in their
+        # places, so minimize's pushing relaxes them as it would in nfa
+        standing = {}
+        arcs = reduced.arcs(s)
+        for arc in nfa.arcs(s):
+            pair = arc.ilabel, arc.olabel
+            r = rep[pair]
+            if standing.setdefault(r, pair) == pair:
+                arcs.append(arc if r == pair else Arc(*r, arc.weight, arc.nextstate))
+    dfa = optim(reduced, state_budget)
+    if len(members) < len(rep):  # some class has more than one member
+        for s in dfa.states():
+            arcs = dfa.arcs(s)
+            arcs[:] = [Arc(i, o, w, t) for i, o, w, t in sorted(
+                (i, o, arc.weight, arc.nextstate)
+                for arc in arcs for i, o in members[arc.ilabel, arc.olabel])]
+    return dfa
 
 
 def dfa_to_acceptor(dfa: Wfst) -> Wfst:

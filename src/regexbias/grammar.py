@@ -9,8 +9,9 @@ point at names defined earlier in the file, so grammars cannot recurse.
 
 Lexical rules: one compiled pattern, `_TOKEN_RE`, scans the text. Strings
 and classes end on their own line, and `\\` inside them escapes any
-character, a class range's upper end included. Errors point at the start of
-the offending token.
+character, a class range's upper end included. A class lists each member
+once, in the order first written. Errors point at the start of the
+offending token.
 
 The AST has five node types: `Literal`, `Class`, `Concat`, `Union` and
 `Repeat(child, min, max)`, which spells every postfix operator (`*` is
@@ -157,7 +158,7 @@ def _tokenize(text):
                     members.extend(map(chr, range(ord(lo), ord(hi) + 1)))
             if not members:
                 raise GrammarError("empty character class", *where)
-            value = tuple(members)
+            value = tuple(dict.fromkeys(members))
         elif kind == "ESCAPE":
             if value == "\\":
                 raise GrammarError("dangling backslash", *where)

@@ -220,7 +220,7 @@ def class_token(draw):
             c = draw(BODY_CHARS)
             text.append("\\" + c if c in "]\\-" or draw(st.booleans()) else c)
             members.append(c)
-    return "[" + "".join(text) + "]", "CLASS", tuple(members)
+    return "[" + "".join(text) + "]", "CLASS", tuple(dict.fromkeys(members))
 
 
 LEX_TOKENS = st.one_of(
