@@ -7,13 +7,13 @@ deterministic per label pair, and `optim` then skips the subset
 construction. Its start is final exactly when the regex accepts the empty
 string, so such a regex is rejected before any DFA is built.
 
-The DFA is built over label classes, as RE2's byte classes and flex's
-equivalence classes do for a regex's alphabet: the label pairs whose arcs
-go to the same targets at the same weights from every state form one class.
-`[0-9] [A-Z0-9]` gives the classes {0-9} and {A-Z}. `optim` sees one arc
-per class, and each of its arcs expands back into one per member. Members
-are interchangeable on every path, and a class's first pair stands for it,
-so the expansion is `optim`'s own result arc for arc (see `nfa_to_dfa`).
+The NFA carries one arc per label class, as RE2's byte classes do for a
+regex's alphabet: a class holds the labels that exactly the same positions
+carry, so `[0-9] [A-Z0-9]` gives the classes {0-9} and {A-Z}. Members of a
+class label the same arcs at weight 0 and are interchangeable on every
+path. `optim` runs on one arc per class, labelled with the class's
+smallest member, and each arc of its result expands back into one per
+member: the DFA of the per-label automaton, arc for arc (see `nfa_to_dfa`).
 
 The bias step adds alpha to every arc of R, so a matching string of length
 n costs exactly n*alpha. That is R composed with the one-state scorer
@@ -64,17 +64,33 @@ def _nfa_states(ast):
     return positions(ast) + 1
 
 
-def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
+class PositionAutomaton(Wfst):
+    """The position automaton over label classes, as `ast_to_nfa` builds
+    it. Each arc is labelled with the smallest label of its class, and
+    `members` maps that label to the class's labels, ascending."""
+
+    members: dict
+
+
+def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
     """Glushkov construction (Berry & Sethi 1986): the position automaton,
-    an eps-free NFA acceptor with the regex's language.
+    an eps-free NFA acceptor with the regex's language, one arc per label
+    class.
 
     State 0 is the start. Every other state is one symbol position, an
-    occurrence of a Literal or Class once repeats are expanded, and every
-    arc into a position carries that position's labels, so no arc enters
+    occurrence of a Literal or Class once repeats are expanded, and the
+    arcs into a position carry that position's labels, so no arc enters
     the start. The finals are the positions that can end a match, plus the
     start exactly when the regex accepts the empty string. A bounded repeat
     x{m,M} expands as x^m (x (x ...)?)?: each optional copy follows only the
-    copy before it. The arcs into a position are shared Arc objects.
+    copy before it.
+
+    A label class holds the labels that exactly the same positions carry:
+    `[0-9] [A-Z0-9]` gives {0-9} and {A-Z}. Each link into a position gets
+    one arc per class among the position's labels, labelled with the
+    class's smallest; the arcs into a position are shared Arc objects.
+    `members` maps that label to the whole class, so expanding each arc
+    into one per member gives the per-label position automaton.
 
     Literals must exist in the alphabet; character classes narrow to the
     alphabet's subset of their range, once per Class node however often it
@@ -88,24 +104,21 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
             f"ast_to_nfa would build {size} states, over the "
             f"{DETERMINIZE_STATE_BUDGET} state budget"
         )
-    m = Wfst(alphabet)
+    m = PositionAutomaton(alphabet)
     m.set_start(m.add_state())
-    into = [None]  # position -> the arcs that enter it
-    linked = set()  # (p, q) pairs whose arcs are in
+    carried = [()]  # state -> the labels on the arcs into it
+    follow = [{}]  # state -> the positions it links to, in link order
     narrowed = {}  # id of a Class node -> its labels in the alphabet
 
     def position(labels):
         q = m.add_state()
-        into.append([Arc(label, label, 0.0, q) for label in labels])
+        carried.append(labels)
+        follow.append({})
         return [q], [q], False
 
     def link(lasts, firsts):
         for p in lasts:
-            arcs = m.arcs(p)
-            for q in firsts:
-                if (p, q) not in linked:
-                    linked.add((p, q))
-                    arcs.extend(into[q])
+            follow[p].update(dict.fromkeys(firsts))
 
     def then(left, right):
         """(first, last, nullable) of `left` followed by `right`."""
@@ -161,58 +174,44 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> Wfst:
     link([0], firsts)
     for q in lasts + [0] * nullable:
         m.set_final(q, 0.0)
+    carriers = {}  # label -> the positions that carry it
+    for q, labels in enumerate(carried):
+        for label in labels:
+            carriers.setdefault(label, []).append(q)
+    classes = {}  # positions -> the labels they carry, ascending
+    for label in sorted(carriers):
+        classes.setdefault(tuple(carriers[label]), []).append(label)
+    into = [[] for _ in carried]  # position -> the arcs that enter it
+    for positions, labels in classes.items():
+        for q in positions:
+            into[q].append(Arc(labels[0], labels[0], 0.0, q))
+    for p, positions in enumerate(follow):
+        m.arcs(p).extend(arc for q in positions for arc in into[q])
+    m.members = {labels[0]: labels for labels in classes.values()}
     return m
 
 
-def nfa_to_dfa(nfa: Wfst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
-    """optim(nfa), the canonical DFA, computed over label classes.
+def nfa_to_dfa(nfa: PositionAutomaton, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
+    """The minimal DFA of the per-label position automaton: optim(nfa),
+    each arc then expanded into one arc per member of its label's class,
+    each state's arcs sorted by label.
 
-    A label class holds the (ilabel, olabel) pairs whose arcs, listed state
-    by state in arc order, go to the same targets at the same weights; its
-    smallest pair is its representative. optim runs on the machine that
-    keeps only the representatives' arcs, and each arc of its result then
-    expands into one arc per member, each state's arcs sorted by label pair.
-
-    The result is optim(nfa) arc for arc, and a budget raises at the same
-    point with the same count. Members make the same moves from every
-    subset, so determinize builds the same subsets, pushing gives the same
-    weights and `_refine` finds the same partition. determinize and
-    minimize number new states in order of label pair, and a class's
-    representative comes first, so no member reaches a state first. Pairs
-    whose arcs at a nondeterministic state come in different orders fall
-    into different classes, which only misses a merge.
+    The expansion is exact. In the per-label automaton the arcs into a
+    position carry all of its labels at weight 0, so the members of a
+    class, which the same positions carry, make the same moves from every
+    set of states: determinize builds the same subsets, `_refine`
+    finds the same partition, and a budget raises at the same point with
+    the same count. With every weight 0, arc order cannot move a pushed
+    weight. determinize and minimize number new states in order of label,
+    and a class's smallest label stands for it, so no member would have
+    reached a state first.
     """
-    moves = {}  # label pair -> flat [state, target, weight, ...] of its arcs
-    for s in nfa.states():
-        for arc in nfa.arcs(s):
-            moves.setdefault((arc.ilabel, arc.olabel), []).extend(
-                (s, arc.nextstate, arc.weight))
-    classes = {}  # flat moves -> their label pairs, ascending
-    for pair in sorted(moves):
-        classes.setdefault(tuple(moves.pop(pair)), []).append(pair)
-    members = {pairs[0]: pairs for pairs in classes.values()}
-    rep = {pair: pairs[0] for pairs in members.values() for pair in pairs}
-    del classes  # its keys hold every arc; freed before optim runs
-    reduced = Wfst(nfa.isymbols, nfa.osymbols)
-    reduced.add_states(nfa.num_states())
-    reduced.start, reduced.finals = nfa.start, dict(nfa.finals)
-    for s in nfa.states():
-        # a class keeps the arcs of its member met first at s, in their
-        # places, so minimize's pushing relaxes them as it would in nfa
-        standing = {}
-        arcs = reduced.arcs(s)
-        for arc in nfa.arcs(s):
-            pair = arc.ilabel, arc.olabel
-            r = rep[pair]
-            if standing.setdefault(r, pair) == pair:
-                arcs.append(arc if r == pair else Arc(*r, arc.weight, arc.nextstate))
-    dfa = optim(reduced, state_budget)
-    if len(members) < len(rep):  # some class has more than one member
-        for s in dfa.states():
-            arcs = dfa.arcs(s)
-            arcs[:] = [Arc(i, o, w, t) for i, o, w, t in sorted(
-                (i, o, arc.weight, arc.nextstate)
-                for arc in arcs for i, o in members[arc.ilabel, arc.olabel])]
+    dfa = optim(nfa, state_budget)
+    members = nfa.members
+    for s in dfa.states():
+        arcs = dfa.arcs(s)
+        arcs[:] = [Arc(label, label, w, t) for label, w, t in sorted(
+            (label, arc.weight, arc.nextstate) for arc in arcs for label in members[arc.ilabel])]
     return dfa
 
 

@@ -16,8 +16,6 @@ class SymbolTableMismatchError(RegexBiasError):
     message gives their sizes and the first id whose symbols differ."""
 
     def __init__(self, left, right, detail=""):
-        self.left_name = left.name
-        self.right_name = right.name
         diff = next(((i, a, b) for i, (a, b) in enumerate(zip_longest(left, right)) if a != b),
                     None)
         msg = (f"symbol tables do not match: {left.name!r} ({len(left)} symbols) "

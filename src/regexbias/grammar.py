@@ -96,15 +96,9 @@ class GrammarSource:
 
     definitions: list = field(default_factory=list)  # (name, ast)
 
-    def ast(self, name):
-        for n, a in self.definitions:
-            if n == name:
-                return a
-        raise GrammarError(f"no definition named {name!r}")
-
     def export_ast(self):
         """The export expression; references in it are already resolved."""
-        return self.ast("export")
+        return dict(self.definitions)["export"]
 
 
 # --- tokenizer --------------------------------------------------------------

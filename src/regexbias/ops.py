@@ -297,7 +297,9 @@ def minimize(a: Fst) -> Wfst:
     shortest suffix costs undefined; exactly-equal suffixes still merge
     then. The result is numbered breadth first with each state's arcs
     sorted by (ilabel, olabel), so it does not depend on the input's state
-    numbering or arc order.
+    numbering. Its weights depend on the input's arc order only within
+    `_shortest_distance`'s 1e-15 tolerance: of two paths whose costs differ
+    by less, the first relaxed sets the potential that pushing uses.
     """
     if not a.is_empty() and not a.check_pair_deterministic():
         raise NondeterministicInputError(
@@ -556,7 +558,7 @@ class ReplaceView(Fst):
         self._sub_arcs, self._sub_finals = sub.arcs, sub.finals
         self._imap, self._omap = label_maps
         self._block = sub.num_states()
-        live = bool(sub.finals)   # else every call site is dropped
+        live = not sub.is_empty() and bool(sub.finals)   # else every call site is dropped
         self._returns = list(targets) if live else []    # each block's return target
         self._entries = {t: self._n + k * self._block + sub.start
                          for k, t in enumerate(self._returns)}

@@ -207,6 +207,20 @@ def ast_fullmatch(ast, s: str) -> bool:
     return len(s) in ends(ast, 0)
 
 
+def per_label_nfa(nfa) -> Wfst:
+    """The per-label position automaton: `ast_to_nfa`'s result with each
+    arc expanded into one arc per member of its label's class."""
+    out = Wfst(nfa.isymbols, nfa.osymbols)
+    out.add_states(nfa.num_states())
+    out.set_start(nfa.start)
+    for s, w in nfa.finals.items():
+        out.set_final(s, w)
+    for s, arc in nfa.all_arcs():
+        for label in nfa.members[arc.ilabel]:
+            out.add_arc(s, label, label, arc.weight, arc.nextstate)
+    return out
+
+
 def ast_to_pattern(node, alphabet=None) -> str:
     """Render a grammar AST as an equivalent Python `re` pattern, the
     reference engine the hand-written patterns are checked against.

@@ -26,7 +26,7 @@ from regexbias.errors import (
     RegexBiasError,
     SymbolError,
 )
-from regexbias.fst import SymbolTable, Wfst
+from regexbias.fst import SymbolTable
 from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose
 from regexbias.textio import write_fst_text
 
@@ -39,6 +39,7 @@ from conftest import (
     connect,
     enumerate_paths,
     make_table,
+    per_label_nfa,
 )
 
 
@@ -92,7 +93,8 @@ def parse_export(text):
     return gr.parse_grammar(f"export = {text};").export_ast()
 
 
-# (regex, states, arcs, deterministic per label pair) of the position automaton
+# (regex, states, arcs, deterministic per label pair) of the per-label
+# position automaton
 POSITION_AUTOMATA = [
     ('"AB" [A-Z0-9]{6,10} [a-z]{1,2}?', 15, 518, True),  # a wide-code template
     ('[0-9]{2} "/" [0-9]{2} "/" [0-9]{4}', 11, 82, True),  # date
@@ -104,6 +106,8 @@ POSITION_AUTOMATA = [
     # currency codes that share a first letter
     ('("DEK" | "DSC") ("-")? [0-9]{3}', 11, 58, False),
 ]
+# arcs of ast_to_nfa's result for each regex above, one per (link, label class)
+CLASS_ARCS = dict(zip((text for text, *_ in POSITION_AUTOMATA), [38, 10, 25, 14, 28, 33, 13]))
 
 
 class TestAstToNfa:
@@ -141,7 +145,8 @@ class TestAstToNfa:
                             lambda table, symbol: looked_up.append(symbol) or find(table, symbol))
         nfa = ast_to_nfa(parse_export("[A-Z0-9]{6,10}"), WIDE_TABLE)
         assert len(looked_up) == 36
-        assert nfa.num_arcs() == 36 * 10
+        assert nfa.num_arcs() == 10
+        assert per_label_nfa(nfa).num_arcs() == 36 * 10
 
     def test_license_pattern_vs_reference_engine(self, alnum_table, rng):
         source = gr.parse_grammar('export = \\d [A-Z]{3} \\d{3};')
@@ -178,14 +183,16 @@ class TestAstToNfa:
         # deterministic and optim skips the subset construction on them
         ast = gr.parse_grammar(f"export = {text};").export_ast()
         nfa = ast_to_nfa(ast, WIDE_TABLE)
-        assert (nfa.num_states(), nfa.num_arcs()) == (states, arcs)
-        assert nfa.check_pair_deterministic() == deterministic
+        flat = per_label_nfa(nfa)
+        assert (nfa.num_states(), nfa.num_arcs()) == (states, CLASS_ARCS[text])
+        assert flat.num_arcs() == arcs
+        assert nfa.check_pair_deterministic() == flat.check_pair_deterministic() == deterministic
         if deterministic:
             monkeypatch.setattr(ops, "determinize", fail_if_called("determinize"))
         dfa = nfa_to_dfa(nfa)
         pattern = re.compile(ast_to_pattern(ast))
         for _ in range(100):
-            s = random_walk(nfa, rng)
+            s = random_walk(dfa, rng)  # the DFA's walks use every class member
             assert pattern.fullmatch(s) and accepts(dfa, s), s
             k = rng.randrange(len(s))
             mutant = s[:k] + rng.choice(string.ascii_letters + string.digits + "/-") + s[k + 1:]
@@ -220,7 +227,7 @@ class TestAstFullmatch:
     @pytest.mark.parametrize("text", WIDE_PATTERNS)
     def test_agrees_with_re_on_walks_and_mutants(self, text, rng):
         ast = gr.parse_grammar(f"export = {text};").export_ast()
-        nfa = ast_to_nfa(ast, WIDE_TABLE)
+        nfa = per_label_nfa(ast_to_nfa(ast, WIDE_TABLE))
         pattern = re.compile(ast_to_pattern(ast))
         symbols = string.ascii_letters + string.digits + "/-"
         hits = 0
@@ -310,8 +317,9 @@ class TestNfaToDfa:
         assert check_deterministic(dfa) and check_eps_free(dfa)
 
     def test_optim_runs_on_one_arc_per_class(self, monkeypatch):
-        # K and F each move on their own; the other 34 members of [A-Z0-9]
-        # move alike, so optim sees three arcs into each class position
+        # K and F are also carried by positions of their own, the other 34
+        # members of [A-Z0-9] only by the class positions: three classes, so
+        # optim sees three arcs into each class position
         seen = []
 
         def recording_optim(m, state_budget):
@@ -321,82 +329,41 @@ class TestNfaToDfa:
         monkeypatch.setattr(compiler, "optim", recording_optim)
         nfa = ast_to_nfa(parse_export('"KF" [A-Z0-9]{8}'), WIDE_TABLE)
         dfa = nfa_to_dfa(nfa)
-        [reduced] = seen
-        assert [len(reduced.arcs(s)) for s in reduced.states()] == [1, 1] + [3] * 8 + [0]
+        assert seen == [nfa]
+        assert [len(nfa.arcs(s)) for s in nfa.states()] == [1, 1] + [3] * 8 + [0]
         for s in range(2, 10):
-            assert sorted(WIDE_TABLE.sym(arc.ilabel) for arc in reduced.arcs(s)) == ["A", "F", "K"]
+            assert sorted(WIDE_TABLE.sym(arc.ilabel) for arc in nfa.arcs(s)) == ["A", "F", "K"]
         assert (dfa.num_states(), dfa.num_arcs()) == (11, 2 + 36 * 8)
-        assert write_fst_text(dfa) == write_fst_text(ops.optim(nfa))
-
-    def test_member_arc_keeps_its_place(self):
-        # b's arc comes first at state 1 and stands for the class {a, b}
-        # there; pushing then relaxes c's arc, 2**-52 lighter and so within
-        # the relaxation tolerance, after it, as optim does on the whole machine
-        table = make_table(list("abcd"), "abcd")
-        a, b, c, d = (table.id(x) for x in "abcd")
-        m = Wfst(table)
-        m.add_states(3)
-        m.set_start(0)
-        m.set_final(2, 0.0)
-        m.add_arc(0, d, d, 0.0, 1)
-        for label, w in ((b, 1.0), (c, 1.0 - 2 ** -52), (a, 1.0)):
-            m.add_arc(1, label, label, w, 2)
-        assert write_fst_text(nfa_to_dfa(m)) == write_fst_text(ops.optim(m))
+        assert write_fst_text(dfa) == write_fst_text(ops.optim(per_label_nfa(nfa)))
 
     def test_nullable_chain(self):
-        # follow sets are quadratic over chains of nullable copies; optim
-        # sees two labels, b and the one standing for the other 25 letters
+        # follow sets are quadratic over chains of nullable copies; each
+        # link into an [a-z] position carries two classes, {b} and the other
+        # 25 letters
         nfa = ast_to_nfa(parse_export('"b" (([a-z]?){16}){4}'), WIDE_TABLE)
         dfa = nfa_to_dfa(nfa)
-        assert (nfa.num_states(), nfa.num_arcs()) == (66, 54081)
+        assert (nfa.num_states(), nfa.num_arcs()) == (66, 4161)
+        assert per_label_nfa(nfa).num_arcs() == 54081
         assert (dfa.num_states(), dfa.num_arcs()) == (66, 1665)
-        assert write_fst_text(dfa) == write_fst_text(ops.optim(nfa))
+        assert write_fst_text(dfa) == write_fst_text(ops.optim(per_label_nfa(nfa)))
 
     def test_budget_raises_as_optim_does(self):
         # b and c move alike, and the DFA needs 2**5 states
         table = make_table(list("abc"), "abc")
         nfa = ast_to_nfa(parse_export('[abc]* "a" [abc]{4}'), table)
         raised = []
-        for build in (nfa_to_dfa, ops.optim):
+        for build, m in ((nfa_to_dfa, nfa), (ops.optim, per_label_nfa(nfa))):
             with pytest.raises(BudgetExceededError) as err:
-                build(nfa, 10)
+                build(m, 10)
             raised.append((err.value.stage, err.value.limit, err.value.used))
         assert raised == [("determinize", 10, 10)] * 2
 
 
 CLASS_TABLE = make_table(list("abc"), "abc")
-CLASS_PAIRS = [(i, o) for i in range(4) for o in range(4)]
-CLASS_WEIGHTS = [0.0, 1.0, -0.5, 0.1, 0.2, 0.3, 2.5, float("inf")]
-
-
-@st.composite
-def classed_machines(draw):
-    """Transducers over {a, b, c} whose label pairs fall into classes: each
-    group of pairs shares a drawn list of (state, weight, target) moves, and
-    a few single arcs may split a group. eps:eps is one more pair. Weights
-    include inf and sums that are not exact; states may be nondeterministic,
-    and each state's arcs come in drawn order."""
-    n = draw(st.integers(0, 5))
-    m = Wfst(CLASS_TABLE, CLASS_TABLE)
-    m.add_states(n)
-    if n == 0:
-        return m
-    m.set_start(0)
-    state, weight = st.integers(0, n - 1), st.sampled_from(CLASS_WEIGHTS)
-    pairs = draw(st.permutations(CLASS_PAIRS))[:draw(st.integers(1, 8))]
-    arcs = []
-    while pairs:
-        size = draw(st.integers(1, 4))
-        group, pairs = pairs[:size], pairs[size:]
-        moves = draw(st.lists(st.tuples(state, weight, state), max_size=6))
-        arcs += [(s, i, o, w, t) for i, o in group for s, w, t in moves]
-    label = st.integers(0, 3)
-    arcs += draw(st.lists(st.tuples(state, label, label, weight, state), max_size=3))
-    for s, i, o, w, t in draw(st.permutations(arcs)):
-        m.add_arc(s, i, o, w, t)
-    for s in draw(st.sets(state, max_size=n)):
-        m.set_final(s, draw(st.sampled_from([0.0, 0.5, -1.0, 0.3])))
-    return m
+# classes that overlap, so a regex's label classes merge and split
+CLASS_LEAVES = st.sampled_from([gr.Literal("a"), gr.Literal("b"), gr.Class(("a", "b")),
+                                gr.Class(("a", "c")), gr.Class(("b", "c")),
+                                gr.Class(("a", "b", "c")), gr.Concat(())])
 
 
 def built_or_raised(build, m, state_budget):
@@ -407,13 +374,20 @@ def built_or_raised(build, m, state_budget):
         return err.stage, err.limit, err.used
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(classed_machines())
-def test_nfa_to_dfa_equals_optim(m):
-    # a budget of 3 stops about one draw in five, one of 200 only non-twin ones
-    for state_budget in (3, 200):
-        assert built_or_raised(nfa_to_dfa, m, state_budget) == \
-            built_or_raised(ops.optim, m, state_budget)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.recursive(CLASS_LEAVES, _branches, max_leaves=8))
+def test_nfa_to_dfa_equals_optim(ast):
+    # optim of the class automaton, expanded, is optim of the per-label one,
+    # and a budget stops both at the same point
+    nfa = ast_to_nfa(ast, CLASS_TABLE)
+    for state_budget in (3, 8, DETERMINIZE_STATE_BUDGET):
+        assert built_or_raised(nfa_to_dfa, nfa, state_budget) == \
+            built_or_raised(ops.optim, per_label_nfa(nfa), state_budget)
+    dfa = nfa_to_dfa(nfa)
+    for n in range(6):
+        for chars in itertools.product("abc", repeat=n):
+            s = "".join(chars)
+            assert accepts(dfa, s) == ast_fullmatch(ast, s), (ast, s)
 
 
 class TestCompileGrammar:

@@ -16,7 +16,7 @@ class TestParse:
         text = 'DIGIT = "0"|"1"|"2"|"3"|"4"|"5"|"6"|"7"|"8"|"9";\nexport = DIGIT;'
         source = gr.parse_grammar(text)
         assert [name for name, _ in source.definitions] == ["DIGIT", "export"]
-        digit = source.ast("DIGIT")
+        digit = dict(source.definitions)["DIGIT"]
         assert isinstance(digit, gr.Union) and len(digit.children) == 10
         assert source.export_ast() is digit
 
@@ -25,7 +25,7 @@ class TestParse:
         exported = source.export_ast()
         assert ast_shape(exported) == ast_shape(gr.Concat((gr.Literal("x"), gr.Literal("x"))))
         # a reference is the referenced definition's AST, shared, not copied
-        assert exported.children[0] is exported.children[1] is source.ast("A")
+        assert exported.children[0] is exported.children[1] is dict(source.definitions)["A"]
 
     def test_empty_export_expression(self):
         with pytest.raises(GrammarError):

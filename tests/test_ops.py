@@ -556,6 +556,30 @@ class TestMinimize:
         assert (out.num_states(), out.num_arcs()) == (2, 2)
         assert paths_equal(enumerate_paths(out, 5), enumerate_paths(m, 5))
 
+    def test_arc_order_moves_weights_within_tolerance(self, abcd_table):
+        # two parallel arcs 2**-52 apart relax within _shortest_distance's
+        # 1e-15 tolerance, so whichever comes first sets the potential: both
+        # orders give the same states and labels, weights within 1e-15
+        a, b, c, d = (abcd_table.id(x) for x in "abcd")
+        built = []
+        for order in ((b, c), (c, b)):
+            m = Wfst(abcd_table)
+            m.add_states(3)
+            m.set_start(0)
+            m.set_final(2, 0.0)
+            m.add_arc(0, d, d, 0.0, 1)
+            weight = {b: 1.0, c: 1.0 - 2 ** -52}
+            for label in order + (a,):
+                m.add_arc(1, label, label, weight.get(label, 1.0), 2)
+            out = minimize(m)
+            built.append(([(s, arc.ilabel, arc.nextstate) for s, arc in out.all_arcs()],
+                          [arc.weight for _, arc in out.all_arcs()], out.finals))
+        (shape, weights, finals), (other_shape, other_weights, other_finals) = built
+        assert shape == other_shape and finals.keys() == other_finals.keys()
+        assert weights != other_weights  # the orders do differ
+        assert weights == pytest.approx(other_weights, rel=0, abs=1e-15)
+        assert finals == pytest.approx(other_finals, rel=0, abs=1e-15)
+
 
 class TestOptim:
     def test_empty_language(self, ab_table):
@@ -778,6 +802,19 @@ class TestReplace:
         out = replace(root, nt, Wfst(table, table))
         assert write_fst_text(out) == write_fst_text(replace(root, nt, no_final))
         assert enumerate_paths(out, 2) == {(("x",), ("x",)): 1.5}
+
+    def test_startless_sub_with_finals_drops_call_sites(self):
+        # a sub with no start state accepts nothing, whatever its finals say
+        table = make_table(["x", "$REGEX"], "syms")
+        nt = table.id("$REGEX")
+        root = self.make_root(table, nt)
+        sub = Wfst(table, table)
+        sub.add_states(2)
+        sub.add_arc(0, table.id("x"), table.id("x"), 0.0, 1)
+        sub.set_final(1, 0.0)
+        out = replace(root, nt, sub)
+        assert write_fst_text(out) == write_fst_text(replace_eager(root, nt, sub))
+        assert (out.num_states(), out.num_arcs()) == (2, 0)
 
     def test_trimmed_inputs_give_trimmed_result(self, rng):
         table = make_table(["a", "b", "$REGEX"], "syms")
