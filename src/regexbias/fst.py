@@ -15,6 +15,10 @@ Copies of a machine share its Arc objects and own only the lists that hold
 them, so an arc is never changed once its machine may have been copied:
 code that needs different arcs builds new ones and puts them in its own
 machine's lists.
+
+A combinator that pairs two machines' labels, such as `ops.compose`,
+needs one table object on the shared side: tables grow, so two equal ones
+need not stay equal. `ops.replace` alone maps labels by symbol.
 """
 
 from dataclasses import dataclass
@@ -78,9 +82,6 @@ class SymbolTable:
 
     def __iter__(self):
         return iter(self._syms)
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolTable) and self._syms == other._syms
 
     def __repr__(self):
         return f"SymbolTable({self.name!r}, {len(self)} symbols)"

@@ -4,9 +4,10 @@ Every function leaves its inputs untouched and reads them through the
 `Fst` interface. All but `replace` return a fresh machine; replace returns
 a read-only view, a `ReplaceView`, that shares the root's arc lists and
 builds the spliced states' lists on use.
-Composition uses the 3-state epsilon filter so epsilon paths are neither
-duplicated nor dropped, and matches labels from the side with fewer arcs
-at each product state. Determinization is a weighted subset construction
+Composition needs one table object between its operands, pairs epsilons
+through the two-state sequence filter so each epsilon path is built once,
+and matches labels from the side with fewer arcs at each product state.
+Determinization is a weighted subset construction
 carrying residual weights whose label is each arc's (ilabel, olabel)
 pair, eps:eps included: it removes no epsilons, as OpenFst's does not,
 and so handles transducers and acceptors alike. Minimization
@@ -122,11 +123,14 @@ def _pred_cycle(pred):
 # ---------------------------------------------------------------------------
 
 def compose(a: Fst, b: Fst) -> Wfst:
-    """Compose two machines; a's output space must be b's input space.
+    """Compose two machines; a.osymbols must be b.isymbols, one table
+    object, since tables grow and two equal ones need not stay equal.
 
-    The pairing runs through the standard 3-state epsilon filter: state 0
-    allows any move, state 1 commits to advancing only b on its input
-    epsilons, state 2 commits to advancing only a on its output epsilons.
+    Epsilons pair through OpenFst's sequence filter (Allauzen, Riley &
+    Schalkwyk 2009): in filter state 0, a may move alone on an output
+    epsilon and stays in 0; b may move alone on an input epsilon and goes
+    to 1, where only b's epsilons move. A label match returns to 0, so
+    each pairing of epsilons is built once, a's moves before b's.
 
     Matching scans the side with fewer arcs at each product state and
     looks the other side up in its per-state label index: a's arcs by
@@ -139,11 +143,9 @@ def compose(a: Fst, b: Fst) -> Wfst:
     states but no accepting path, on which `shortest_path` raises
     NoPathError. optim trims it.
     """
-    if a.osymbols != b.isymbols:
-        raise SymbolTableMismatchError(
-            a.osymbols, b.isymbols,
-            "compose needs a.osymbols == b.isymbols",
-        )
+    if a.osymbols is not b.isymbols:
+        raise SymbolTableMismatchError(a.osymbols, b.isymbols,
+                                       "compose needs a.osymbols is b.isymbols")
     out = Wfst(a.isymbols, b.osymbols)
     if a.is_empty() or b.is_empty():
         return out
@@ -185,23 +187,13 @@ def compose(a: Fst, b: Fst) -> Wfst:
                         dst = state_of((arc1.nextstate, arc2.nextstate, 0))
                         out.add_arc(src, arc1.ilabel, arc2.olabel,
                                     arc1.weight + arc2.weight, dst)
-        b_eps = b_index.get(EPSILON_ID, ())
-        for arc1 in a_index.get(EPSILON_ID, ()):
-            # a moves alone on its output epsilon
-            if filt in (0, 2):
-                dst = state_of((arc1.nextstate, s2, 2))
+        if filt == 0:  # a moves alone on its output epsilon
+            for arc1 in a_index.get(EPSILON_ID, ()):
+                dst = state_of((arc1.nextstate, s2, 0))
                 out.add_arc(src, arc1.ilabel, EPSILON_ID, arc1.weight, dst)
-            # both sides take their epsilon arcs together
-            if filt == 0:
-                for arc2 in b_eps:
-                    dst = state_of((arc1.nextstate, arc2.nextstate, 0))
-                    out.add_arc(src, arc1.ilabel, arc2.olabel,
-                                arc1.weight + arc2.weight, dst)
-        # b moves alone on its input epsilon
-        if filt in (0, 1):
-            for arc2 in b_eps:
-                dst = state_of((s1, arc2.nextstate, 1))
-                out.add_arc(src, EPSILON_ID, arc2.olabel, arc2.weight, dst)
+        for arc2 in b_index.get(EPSILON_ID, ()):  # b moves alone on its input epsilon
+            dst = state_of((s1, arc2.nextstate, 1))
+            out.add_arc(src, EPSILON_ID, arc2.olabel, arc2.weight, dst)
     return out
 
 

@@ -6,7 +6,7 @@ oracles because only the tests read them."""
 import math
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -275,6 +275,23 @@ def join_paths(pa: dict, pb: dict):
             if w < out.get(key, ZERO):
                 out[key] = w
     return out
+
+
+def path_counts(a: Wfst) -> Counter:
+    """Number of accepting paths per (input symbols, output symbols) pair
+    of an acyclic machine. Unlike enumerate_paths, which keeps one weight
+    per pair, it sees a path that is built twice."""
+    counts = Counter()
+    stack = [] if a.is_empty() else [(a.start, (), ())]
+    while stack:
+        state, ins, outs = stack.pop()
+        if a.is_final(state):
+            counts[ins, outs] += 1
+        for arc in a.arcs(state):
+            stack.append((arc.nextstate,
+                          ins if arc.ilabel == EPSILON_ID else ins + (arc.ilabel,),
+                          outs if arc.olabel == EPSILON_ID else outs + (arc.olabel,)))
+    return counts
 
 
 def _eps_closure(a: Wfst, dist: dict) -> dict:

@@ -1,9 +1,11 @@
 """The benchmark imports toolkit names directly; a rename or deletion in
 `src/` must fail here, not only when the benchmark next runs. Its own
-correctness checks run here too, on a seeded slice of its inputs."""
+correctness checks run here too, on a seeded slice of its inputs, and so
+does its self-test."""
 
 import importlib
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -90,3 +92,12 @@ def test_traced_root_probe_completes(bench):
     workloads.probe_ops(tracer, ("probe", 0), (lm.l_prime, lm.g_prime))
     counts = {rec["name"]: rec["counts"] for rec in tracer.spans}
     assert counts["ops.determinize"]["states_out"] >= counts["ops.minimize"]["states_out"] > 0
+
+
+def test_selftest_passes_on_seed_1():
+    # `python3 bench/selftest.py --seed 1`: three child processes, one after
+    # another, each building every workload's inputs and machines
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py"), "--seed", "1"],
+                          cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest ok"

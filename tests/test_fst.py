@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,16 @@ class TestTextFormat:
         assert write_fst_text(m) == ""
         back = read_fst_text("", ab_table)
         assert back.is_empty()
+
+    def test_blank_lines_skipped(self, ab_table):
+        text = "0\t1\t1\t1\t0.5\n1\n"
+        back = read_fst_text("\n  \n" + text.replace("\n", "\n\t\n", 1) + "\n", ab_table)
+        assert write_fst_text(back) == text
+
+    def test_three_fields_rejected(self, ab_table):
+        with pytest.raises(RegexBiasError, match=re.escape(
+                "bad machine text at line 2: expected 1, 2, 4 or 5 tab-separated fields, got 3")):
+            read_fst_text("0\t1\t1\t1\n1\t0\t1\n", ab_table)
 
     def test_bad_line_raises(self, ab_table):
         bad = [

@@ -31,6 +31,10 @@ class TestParse:
         with pytest.raises(GrammarError):
             gr.parse_grammar("export = ;")
 
+    def test_empty_class_rejected(self):
+        with pytest.raises(GrammarError, match=re.escape("line 1, column 10: empty character class")):
+            gr.parse_grammar("export = [];")
+
     def test_missing_export(self):
         with pytest.raises(GrammarError, match="export"):
             gr.parse_grammar('A = "x";')

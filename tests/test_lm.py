@@ -10,6 +10,7 @@ from regexbias.errors import (
     ConfigError,
     LexiconError,
     RegexBiasError,
+    SymbolError,
     SymbolTableMismatchError,
 )
 from regexbias.fst import (
@@ -364,6 +365,28 @@ class TestLexicon:
     def test_spelling_with_space_rejected(self):
         with pytest.raises(LexiconError):
             Lexicon({"a b": "a b"})
+
+    @pytest.mark.parametrize("word", ["<s>", "</s>", EPSILON, BLANK, DISAMBIG, REGEX_NT])
+    def test_reserved_word_rejected(self, word):
+        # the words count_ngrams rejects: `<eps>` would take id 0 and decode
+        # as nothing, `#0` would be the backoff marker, `$REGEX` the nonterminal
+        with pytest.raises(LexiconError, match=re.escape(f"lexicon word {word!r} is reserved")):
+            Lexicon.from_words(["ab", word])
+
+    @pytest.mark.parametrize("word, spelling", [("", "ab"), ("ab", "")])
+    def test_empty_word_or_spelling_rejected(self, word, spelling):
+        with pytest.raises(LexiconError, match=re.escape(
+                f"empty word or spelling: {word!r} -> {tuple(spelling)!r}")):
+            Lexicon({word: spelling})
+
+    def test_no_entries_rejected(self):
+        with pytest.raises(RegexBiasError, match="cannot build a lexicon machine from no entries"):
+            build_lexicon(Lexicon(), charset_for(["ab"]), make_word_table(["ab"]))
+
+    def test_word_missing_from_table_rejected(self):
+        with pytest.raises(SymbolError, match="word 'cd' missing from table 'words'"):
+            build_lexicon(Lexicon.from_words(["ab", "cd"]), charset_for(["abcd"]),
+                          make_word_table(["ab"]))
 
     def test_root_keeps_homophones_and_prefixes_apart(self):
         # FOO and foo share a spelling and foo prefixes foobar. L writes the

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from conftest import (
     make_table,
     moore_classes,
     partition,
+    path_counts,
     paths_equal,
     random_machine,
     replace_eager,
@@ -130,8 +132,12 @@ class TestShortestPath:
         m = Wfst(ab_table)
         m.add_state()
         m.set_start(0)
-        with pytest.raises(NoPathError):
+        with pytest.raises(NoPathError, match="no accepting path from the start state"):
             shortest_path(m)
+
+    def test_empty_machine(self, ab_table):
+        with pytest.raises(NoPathError, match="machine has no states"):
+            shortest_path(Wfst(ab_table))
 
     def test_negative_cycle_identified(self, ab_table):
         m = Wfst(ab_table)
@@ -169,6 +175,13 @@ class TestCompose:
         assert "'ab' (3 symbols) vs 'abcd' (5 symbols)" in str(err.value)
         assert "first differing at id 3: None vs 'c'" in str(err.value)
 
+    def test_equal_but_separate_tables(self, ab_table):
+        # a table may grow after the compose, so equal today is not enough
+        a = linear_acceptor("a", ab_table)
+        b = linear_acceptor("a", make_table(["a", "b"], "ab"))
+        with pytest.raises(SymbolTableMismatchError, match="equal but separate tables"):
+            compose(a, b)
+
     def test_length_linear_scoring(self, ab_table):
         # acceptor of "ab" composed with per-arc cost 1 identity: total 2.0
         a = linear_acceptor("ab", ab_table)
@@ -179,7 +192,7 @@ class TestCompose:
 
     def test_epsilon_filter_no_duplicates(self, ab_table):
         # both operands can move on eps; every (in, out) pair must keep one
-        # min-weight entry and nothing may be dropped
+        # min-weight entry, built once, and nothing may be dropped
         a = Wfst(ab_table)
         a.add_states(3)
         a.set_start(0)
@@ -195,6 +208,32 @@ class TestCompose:
         c = compose(a, b)
         expected = join_paths(enumerate_paths(a, 6), enumerate_paths(b, 6))
         assert paths_equal(enumerate_paths(c, 6), expected)
+        assert path_counts(c) == joined_counts(a, b) == {((1,), (2, 2)): 1}
+
+    def test_epsilon_paths_built_once(self, abcd_table):
+        # each pair of paths that meet on the middle string is one product
+        # path, however a's output epsilons and b's input epsilons interleave
+        rng = random.Random(7)
+        both_eps = 0
+        for _ in range(300):
+            a = random_machine(rng, abcd_table, max_states=4, acyclic=True, eps_prob=0.4)
+            b = random_machine(rng, abcd_table, max_states=4, acyclic=True, eps_prob=0.4)
+            both_eps += (any(arc.olabel == EPSILON_ID for _, arc in a.all_arcs())
+                         and any(arc.ilabel == EPSILON_ID for _, arc in b.all_arcs()))
+            assert path_counts(compose(a, b)) == joined_counts(a, b)
+        assert both_eps >= 90
+
+    def test_empty_operand_gives_empty_product(self, ab_table):
+        out_table = make_table(["x"], "x")
+        to_x = Wfst(ab_table, out_table)
+        to_x.set_start(to_x.add_state())
+        to_x.set_final(0)
+        to_x.add_arc(0, 1, 1, 0.0, 0)
+        empty_a, empty_b = Wfst(ab_table), Wfst(ab_table, out_table)
+        for a, b in ((empty_a, to_x), (identity_scorer(ab_table, 0.0), empty_b)):
+            c = compose(a, b)
+            assert c.is_empty() and c.num_states() == 0
+            assert c.isymbols is ab_table and c.osymbols is out_table
 
     def test_keeps_states_off_accepting_paths(self, ab_table):
         # the product is returned as built: the state b:b leads to stays
@@ -220,7 +259,7 @@ class TestCompose:
         # a wide start on one side and a narrow one on the other, so matching
         # scans b's arcs at the start pair when a is wide and a's when b is;
         # both starts have epsilon arcs on the matched side, so the start pair
-        # moves a alone, b alone and both, into all three filter states
+        # moves a alone and b alone, into both filter states
         joined = 0
         for wide_a in (True, False) * 30:
             a = skewed_machine(rng, abcd_table, wide_a, "olabel")
@@ -242,6 +281,17 @@ class TestCompose:
             c = compose(a, b)
             expected = join_paths(enumerate_paths(a, 6), enumerate_paths(b, 6))
             assert paths_equal(enumerate_paths(c, 6), expected)
+
+
+def joined_counts(a, b):
+    """path_counts of a composed with b by brute force: one product path
+    per pair of paths that meet on the middle string."""
+    out = Counter()
+    for (x, y), n in path_counts(a).items():
+        for (y2, z), m in path_counts(b).items():
+            if y == y2:
+                out[x, z] += n * m
+    return out
 
 
 def skewed_machine(rng, table, wide, side):
@@ -360,6 +410,12 @@ class TestConnect:
 
 
 class TestDeterminize:
+    def test_empty_machine(self, ab_table):
+        out_table = make_table(["x"], "x")
+        out = determinize(Wfst(ab_table, out_table))
+        assert out.is_empty() and out.num_states() == 0
+        assert out.isymbols is ab_table and out.osymbols is out_table
+
     def test_eps_chain_keeps_its_weight(self, ab_table):
         # eps:eps is an ordinary label pair: the chain stays, at its weight
         m = Wfst(ab_table)
