@@ -61,7 +61,10 @@ def _nfa_states(ast):
                 memo[key] = 1
         return memo[key]
 
-    return positions(ast) + 1
+    try:
+        return positions(ast) + 1
+    finally:
+        del positions  # it refers to itself through its closure cell
 
 
 class PositionAutomaton(Wfst):
@@ -170,7 +173,10 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
             return run[0], list(lasts), node.min == 0 or run[2]
         raise TypeError(f"not a regex AST node: {node!r}")
 
-    firsts, lasts, nullable = build(ast)
+    try:
+        firsts, lasts, nullable = build(ast)
+    finally:
+        del build  # it refers to itself through its closure cell
     link([0], firsts)
     for q in lasts + [0] * nullable:
         m.set_final(q, 0.0)

@@ -19,8 +19,20 @@ machine's lists.
 A combinator that pairs two machines' labels, such as `ops.compose`,
 needs one table object on the shared side: tables grow, so two equal ones
 need not stay equal. `ops.replace` alone maps labels by symbol.
+
+The bulk builders run with CPython's cyclic garbage collector paused,
+through `nogc`: `ops.compose`, `determinize`, `minimize` and `optim`,
+`textio`'s writer and reader, and each `lm` step from n-gram counts to
+the root. They allocate arcs, lists and dicts by the hundred thousand, and
+each collection would rescan every live one. Nothing in this package
+builds a reference cycle, so refcounting alone frees what they drop, and
+the pause leaves nothing for a later collection. The pause is
+process-wide: another thread's cyclic garbage waits until the build
+returns. A caller that disabled the collector finds it still disabled.
 """
 
+import functools
+import gc
 from dataclasses import dataclass
 
 from .errors import SymbolError
@@ -33,6 +45,22 @@ REGEX_NT = "$REGEX"
 RESERVED = {BLANK, DISAMBIG, REGEX_NT}
 
 EPSILON_ID = 0
+
+
+def nogc(func):
+    """Run `func` with the cyclic garbage collector disabled, then enabled
+    again, unless the caller had already disabled it (so nested calls
+    leave it to the outermost); as Mercurial's `util.nogc`."""
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class SymbolTable:

@@ -54,6 +54,7 @@ from .fst import (
     SymbolTable,
     Wfst,
     character_symbols,
+    nogc,
 )
 from .ops import compose, optim
 from .semiring import ZERO
@@ -127,6 +128,7 @@ class Lexicon:
         return len(self.entries)
 
 
+@nogc
 def count_ngrams(lines) -> NgramCounts:
     """Exact unigram and bigram counts with sentence-boundary markers.
 
@@ -180,6 +182,7 @@ def _unigram_layout(p_uni: dict, word_table: SymbolTable):
     return g, word_state
 
 
+@nogc
 def build_grammar(counts: NgramCounts, cfg: LmConfig, word_table: SymbolTable) -> Wfst:
     """Bigram backoff acceptor over the words of `word_table`, the table
     object the caller also passes to `build_lexicon`.
@@ -243,6 +246,7 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig, word_table: SymbolTable) -
     return g
 
 
+@nogc
 def build_lexicon(lex: Lexicon, charset: SymbolTable, word_table: SymbolTable) -> Wfst:
     """Characters -> words transducer, closed over word sequences with a
     space separator; each word is spelled with its own characters and its
@@ -277,6 +281,7 @@ def build_lexicon(lex: Lexicon, charset: SymbolTable, word_table: SymbolTable) -
     return l
 
 
+@nogc
 def _add_unigram_tokens(g: Wfst, l: Wfst, tokens, weight: float):
     """Copies of G and L with unigram tokens, (character id, word symbol)
     pairs whose symbols are registered in the word table G and L share. G
@@ -331,6 +336,7 @@ def insert_nonterminal(g: Wfst, l: Wfst, cfg: LmConfig):
     return _add_unigram_tokens(g, l, [(EPSILON_ID, REGEX_NT)], cfg.nonterminal_weight)
 
 
+@nogc
 def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
     """T_root = optim(L' o G'), returned as optim builds it; `$REGEX`
     labels pass through optim as ordinary symbols.

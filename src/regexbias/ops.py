@@ -38,7 +38,7 @@ from .errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from .fst import EPSILON_ID, Arc, Fst, Wfst
+from .fst import EPSILON_ID, Arc, Fst, Wfst, nogc
 from .semiring import ZERO
 
 DETERMINIZE_STATE_BUDGET = 1_000_000
@@ -122,6 +122,7 @@ def _pred_cycle(pred):
 # composition
 # ---------------------------------------------------------------------------
 
+@nogc
 def compose(a: Fst, b: Fst) -> Wfst:
     """Compose two machines; a.osymbols must be b.isymbols, one table
     object, since tables grow and two equal ones need not stay equal.
@@ -212,6 +213,7 @@ def _label_index(m: Fst, side: str) -> list[dict[int, list[Arc]]]:
 # determinization
 # ---------------------------------------------------------------------------
 
+@nogc
 def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """Weighted subset construction with residual weights pushed to the start.
 
@@ -278,6 +280,7 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
 # minimization
 # ---------------------------------------------------------------------------
 
+@nogc
 def minimize(a: Fst) -> Wfst:
     """Merge indistinguishable states of a deterministic machine.
 
@@ -345,7 +348,9 @@ def _minimize(a: Fst) -> Wfst:
     finals = {s: a.final(s) - p for s, p in pot.items()}
     start, out = a.start, Wfst(a.isymbols, a.osymbols)
     # freed before the refinement below, minimize's memory peak; optim holds
-    # no other reference to a machine that determinize built
+    # no other reference to a machine that determinize built. So nothing may
+    # wrap this function, `nogc` included: a wrapper's argument tuple would
+    # keep that machine alive until the rebuild ends.
     del pot, a
     classes = _refine(finals, arcs)
 
@@ -424,6 +429,7 @@ def _refine(finals, arcs):
     return classes
 
 
+@nogc
 def optim(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """minimize(determinize(a)); the usual decode-graph optimization step.
 

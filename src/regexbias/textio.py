@@ -9,7 +9,7 @@ the zero element.
 """
 
 from .errors import RegexBiasError
-from .fst import Fst, SymbolTable, Wfst
+from .fst import Fst, SymbolTable, Wfst, nogc
 from .semiring import ZERO
 
 
@@ -27,6 +27,7 @@ def parse_weight(text: str) -> float:
     return w
 
 
+@nogc
 def write_fst_text(m: Fst) -> str:
     if m.is_empty():
         return ""
@@ -50,6 +51,7 @@ def write_fst_text(m: Fst) -> str:
     return "\n".join(lines) + "\n"
 
 
+@nogc
 def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None = None) -> Wfst:
     """Parse machine text; malformed input raises RegexBiasError. State ids
     stay below twice the non-blank lines: a trimmed machine's states all appear."""

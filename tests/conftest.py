@@ -3,6 +3,7 @@ path enumeration, property predicates, grammar ASTs rendered as Python `re`
 patterns, a hand-set grammar and the stochasticity check, kept here as
 oracles because only the tests read them."""
 
+import gc
 import math
 import random
 import re
@@ -521,6 +522,16 @@ def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:
     if worst > tol:
         raise RegexBiasError(f"grammar mass deviates from 1 by {worst}")
     return worst
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test after which the cyclic garbage collector is off: a
+    builder that pauses it must enable it again on every exit."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the cyclic garbage collector was left disabled")
 
 
 @pytest.fixture
