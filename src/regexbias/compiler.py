@@ -281,6 +281,8 @@ def compile_grammar(text: str, alphabet: SymbolTable):
 
 
 def compile_biased(text: str, alphabet: SymbolTable, alpha: float):
-    """Grammar text -> (GrammarSource, R, T_r at the given alpha)."""
+    """Grammar text -> (GrammarSource, R, T_r at the given alpha). A bad
+    alpha is rejected before the grammar is compiled."""
+    bias = BiasSpec(alpha)
     source, r = compile_grammar(text, alphabet)
-    return source, r, apply_bias(r, BiasSpec(alpha))
+    return source, r, apply_bias(r, bias)

@@ -134,12 +134,6 @@ class Fst:
     def states(self):
         return range(self.num_states())
 
-    def all_arcs(self):
-        """Iterate (src, arc) over every transition."""
-        for s in self.states():
-            for arc in self.arcs(s):
-                yield s, arc
-
     def final(self, state: int) -> float:
         return self.finals.get(state, ZERO)
 

@@ -25,13 +25,13 @@ Layout conventions baked in here and relied on downstream:
   eps:eps arcs; inside `build_root` those arcs read `#0`, which L writes
   on an eps:#0 loop on its final states, so the backoff is taken only
   where a word has just ended, and the product's backoff arcs come out
-  eps:eps. On the benchmark's corpora L' o G' is then deterministic per
-  label pair and optim skips the subset construction. Without `#0` the
-  product optimizes to the same paths, since determinize takes eps:eps as
-  one more label pair, and `compose` defers each backoff to just before
-  the next match: 9,771 root arcs against 10,264 on the benchmark's V~500
-  seed-1 corpus. The root keeps the eps:eps backoff arcs: it is neither
-  epsilon-free nor deterministic on its input labels.
+  eps:eps. On the benchmark's corpora L' o G' is deterministic per label
+  pair with or without `#0`, since `compose` defers each backoff to just
+  before the next match, so optim skips the subset construction either
+  way, and both products optimize to the same paths. What `#0` buys is a
+  smaller root, built faster: 9,771 root arcs against 10,264 on the
+  benchmark's V~500 seed-1 corpus. The root keeps the eps:eps backoff
+  arcs: it is neither epsilon-free nor deterministic on its input labels.
 """
 
 import math

@@ -43,10 +43,8 @@ def write_fst_text(m: Fst) -> str:
     order = [m.start] + [s for s in m.states() if s != m.start]
     for s in order:
         for arc in m.arcs(s):
-            fields = [str(s), str(arc.nextstate), str(arc.ilabel), str(arc.olabel)]
-            if arc.weight != 0.0:
-                fields.append(format_weight(arc.weight))
-            lines.append("\t".join(fields))
+            w = "" if arc.weight == 0.0 else f"\t{format_weight(arc.weight)}"
+            lines.append(f"{s}\t{arc.nextstate}\t{arc.ilabel}\t{arc.olabel}{w}")
     lines.extend(final_line(s) for s in sorted(m.finals) if s not in lead)
     return "\n".join(lines) + "\n"
 
@@ -59,10 +57,7 @@ def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None
     lines = text.splitlines()
     state_limit = 2 * sum(1 for line in lines if line.strip())
     ilimit, olimit = len(m.isymbols), len(m.osymbols)
-    pending_arcs = []
-    pending_finals = []
     start = None
-    max_state = -1
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -75,28 +70,24 @@ def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None
                 if not (0 <= ilabel < ilimit and 0 <= olabel < olimit):
                     raise ValueError(f"labels {ilabel}:{olabel} are outside the symbol tables")
                 weight = parse_weight(fields[4]) if len(fields) == 5 else 0.0
-                pending_arcs.append((src, dst, ilabel, olabel, weight))
-                max_state = max(max_state, src, dst)
+                top = src if src > dst else dst
+                if top >= m.num_states():
+                    m.add_states(top + 1 - m.num_states())
+                m.add_arc(src, ilabel, olabel, weight, dst)
             elif len(fields) in (1, 2):
                 state = int(fields[0])
                 if not 0 <= state < state_limit:
                     raise ValueError(f"state id {state} is outside 0..{state_limit - 1}")
                 weight = parse_weight(fields[1]) if len(fields) == 2 else 0.0
-                pending_finals.append((state, weight))
-                max_state = max(max_state, state)
+                if state >= m.num_states():
+                    m.add_states(state + 1 - m.num_states())
+                m.set_final(state, weight)
             else:
                 raise ValueError(f"expected 1, 2, 4 or 5 tab-separated fields, got {len(fields)}")
         except ValueError as exc:
             raise RegexBiasError(f"bad machine text at line {lineno}: {exc}") from None
         if start is None:
             start = int(fields[0])
-    del lines  # free the split text before the machine is built
-    if start is None:
-        return m
-    m.add_states(max_state + 1)
-    m.set_start(start)
-    for src, dst, ilabel, olabel, weight in pending_arcs:
-        m.add_arc(src, ilabel, olabel, weight, dst)
-    for state, weight in pending_finals:
-        m.set_final(state, weight)
+    if start is not None:
+        m.set_start(start)
     return m

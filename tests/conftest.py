@@ -73,8 +73,15 @@ def random_machine(rng: random.Random, table: SymbolTable, max_states=6,
     return m
 
 
+def all_arcs(m):
+    """Iterate (src, arc) over every transition of m."""
+    for s in m.states():
+        for arc in m.arcs(s):
+            yield s, arc
+
+
 def check_acceptor(m: Wfst) -> bool:
-    return all(arc.ilabel == arc.olabel for _, arc in m.all_arcs())
+    return all(arc.ilabel == arc.olabel for _, arc in all_arcs(m))
 
 
 def check_deterministic(m: Wfst) -> bool:
@@ -90,7 +97,7 @@ def check_deterministic(m: Wfst) -> bool:
 
 def check_eps_free(m: Wfst) -> bool:
     return not any(
-        arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID for _, arc in m.all_arcs()
+        arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID for _, arc in all_arcs(m)
     )
 
 
@@ -216,7 +223,7 @@ def per_label_nfa(nfa) -> Wfst:
     out.set_start(nfa.start)
     for s, w in nfa.finals.items():
         out.set_final(s, w)
-    for s, arc in nfa.all_arcs():
+    for s, arc in all_arcs(nfa):
         for label in nfa.members[arc.ilabel]:
             out.add_arc(s, label, label, arc.weight, arc.nextstate)
     return out
@@ -254,7 +261,7 @@ def ast_to_pattern(node, alphabet=None) -> str:
 
 def arc_snapshot(m: Wfst) -> list:
     """Every arc of m as a (src, ilabel, olabel, weight, nextstate) tuple."""
-    return [(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate) for s, arc in m.all_arcs()]
+    return [(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate) for s, arc in all_arcs(m)]
 
 
 def paths_equal(lhs: dict, rhs: dict, tol=1e-9):
@@ -315,7 +322,7 @@ def acceptor_weights(a: Wfst, sequences) -> dict:
     one step per label followed by its closure. Prefixes shared between
     sequences are walked once. `a` may have no negative epsilon cycle.
     """
-    assert all(arc.ilabel == arc.olabel for _, arc in a.all_arcs()), "not an acceptor"
+    assert all(arc.ilabel == arc.olabel for _, arc in all_arcs(a)), "not an acceptor"
     reach = {(): _eps_closure(a, {a.start: 0.0}) if not a.is_empty() else {}}
 
     def reached(seq):
@@ -377,7 +384,7 @@ def connect(a: Wfst) -> Wfst:
             if arc.nextstate not in forward:
                 queue.append(arc.nextstate)
     rev = [[] for _ in a.states()]
-    for s, arc in a.all_arcs():
+    for s, arc in all_arcs(a):
         rev[arc.nextstate].append(s)
     backward = set()
     queue = deque(s for s in a.finals if s in forward)
@@ -426,7 +433,7 @@ def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
 
     sub_arcs = [(q, mapped(arc.ilabel, sub.isymbols, root.isymbols),
                  mapped(arc.olabel, sub.osymbols, root.osymbols), arc.weight, arc.nextstate)
-                for q, arc in sub.all_arcs()]
+                for q, arc in all_arcs(sub)]
     if any(o == nonterminal for _, _, o, _, _ in sub_arcs):
         raise ReplaceRecursionError("replacement sub-machine writes the nonterminal")
     out = Wfst(root.isymbols, root.osymbols)
@@ -436,7 +443,7 @@ def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
     for s, w in root.finals.items():
         out.set_final(s, w)
     calls = []
-    for s, arc in root.all_arcs():
+    for s, arc in all_arcs(root):
         if arc.olabel == nonterminal:
             calls.append((s, arc))
         else:

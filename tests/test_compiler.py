@@ -31,6 +31,7 @@ from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose
 from regexbias.textio import write_fst_text
 
 from conftest import (
+    all_arcs,
     arc_snapshot,
     ast_fullmatch,
     ast_to_pattern,
@@ -286,7 +287,7 @@ def test_random_ast_gives_position_automaton(ast):
     assert _nfa_states(ast) == nfa.num_states()
     assert check_eps_free(nfa)
     into = {}
-    for src, arc in nfa.all_arcs():
+    for src, arc in all_arcs(nfa):
         into.setdefault(arc.nextstate, {}).setdefault(src, set()).add(arc.ilabel)
     assert 0 not in into
     for by_source in into.values():
@@ -408,7 +409,7 @@ class TestDfaToAcceptor:
     def test_identity_labels_zero_weights(self, ab_table):
         ast = gr.parse_grammar('export = "a" "b"?;').export_ast()
         r = dfa_to_acceptor(nfa_to_dfa(ast_to_nfa(ast, ab_table)))
-        for _, arc in r.all_arcs():
+        for _, arc in all_arcs(r):
             assert arc.ilabel == arc.olabel
             assert arc.weight == 0.0
         assert all(w == 0.0 for w in r.finals.values())
@@ -477,6 +478,13 @@ class TestApplyBias:
                 BiasSpec(alpha)
             assert isinstance(err.value, RegexBiasError)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("-inf")])
+    def test_bad_alpha_rejected_before_compiling(self, monkeypatch, ab_table, alpha):
+        # the subset construction of this export takes seconds
+        monkeypatch.setattr(compiler, "ast_to_nfa", fail_if_called("ast_to_nfa"))
+        with pytest.raises(ConfigError):
+            compile_biased('export = ("a" | "b")* "a" ("a" | "b"){14};', ab_table, alpha)
+
     @pytest.mark.parametrize("text", [
         'export = "A" "B"*;',
         'export = ("A" | "B")* "A" ("A" | "B"){3};',
@@ -497,5 +505,5 @@ class TestScorer:
         s = scorer(ab_table, -3.0)
         assert s.num_states() == 1
         assert s.num_arcs() == 2
-        assert all(arc.weight == -3.0 for _, arc in s.all_arcs())
+        assert all(arc.weight == -3.0 for _, arc in all_arcs(s))
         assert s.final(s.start) == 0.0

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -11,6 +12,7 @@ from regexbias.ops import shortest_path
 from regexbias.textio import read_fst_text, write_fst_text
 
 from conftest import (
+    all_arcs,
     arc_snapshot,
     check_acceptor,
     check_deterministic,
@@ -18,6 +20,7 @@ from conftest import (
     connect,
     make_table,
 )
+from test_bench import bench  # noqa: F401  (the fixture that imports bench/)
 
 
 class TestSymbolTable:
@@ -121,9 +124,9 @@ class TestTextFormat:
         assert set(back.finals) == set(m.finals)
         for s in m.finals:
             assert back.finals[s] == pytest.approx(m.finals[s], abs=1e-8)
-        assert [(s, a.ilabel, a.olabel, a.nextstate) for s, a in back.all_arcs()] == \
-               [(s, a.ilabel, a.olabel, a.nextstate) for s, a in m.all_arcs()]
-        for (_, got), (_, want) in zip(back.all_arcs(), m.all_arcs()):
+        assert [(s, a.ilabel, a.olabel, a.nextstate) for s, a in all_arcs(back)] == \
+               [(s, a.ilabel, a.olabel, a.nextstate) for s, a in all_arcs(m)]
+        for (_, got), (_, want) in zip(all_arcs(back), all_arcs(m)):
             assert got.weight == pytest.approx(want.weight, abs=1e-8)
 
     def test_zero_weight_omitted(self, ab_table):
@@ -223,3 +226,41 @@ def test_text_roundtrip_keeps_text_start_and_counts(m):
     assert back.start == m.start
     assert (back.num_states(), back.num_arcs(), back.finals.keys()) == \
            (m.num_states(), m.num_arcs(), m.finals.keys())
+
+
+class TestReadAsBuilt:
+    """The reader builds the machine line by line, so a line may name a
+    state that no earlier line has reached."""
+
+    def test_final_line_before_any_arc_reaches_its_state(self, ab_table):
+        back = read_fst_text("0\t1\t1\t1\n4\t0.5\n1\t4\t2\t2\n", ab_table)
+        assert back.num_states() == 5 and back.finals == {4: 0.5}
+        assert arc_snapshot(back) == [(0, 1, 1, 0.0, 1), (1, 2, 2, 0.0, 4)]
+
+    def test_arcs_into_and_out_of_states_far_above_those_seen(self, ab_table):
+        back = read_fst_text("0\t7\t1\t2\t0.25\n7\t1\t2\t1\n1\t0\t1\t1\n9\t3\t1\t1\n1\n",
+                             ab_table)
+        assert (back.start, back.num_states(), back.finals) == (0, 10, {1: 0.0})
+        assert arc_snapshot(back) == [(0, 1, 2, 0.25, 7), (1, 1, 1, 0.0, 0),
+                                      (7, 2, 1, 0.0, 1), (9, 1, 1, 0.0, 3)]
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("3\t4\t1", "expected 1, 2, 4 or 5 tab-separated fields, got 3"),
+        ("3\t4\t1\t3", "labels 1:3 are outside the symbol tables"),
+        ("3\tnan", "weight must be finite or inf, got 'nan'"),
+    ])
+    def test_bad_line_after_many_good_ones_names_its_line(self, ab_table, bad, reason):
+        lines = write_fst_text(linear_acceptor("ab" * 300, ab_table, arc_weight=0.5)).splitlines()
+        lines[400:400] = ["", bad]  # the blank line counts too
+        with pytest.raises(RegexBiasError, match=re.escape(f"bad machine text at line 402: {reason}")):
+            read_fst_text("\n".join(lines), ab_table)
+
+    @pytest.mark.parametrize("size", [200, 500])
+    def test_seed_1_root_text_round_trips(self, bench, size):
+        workloads, measure = bench
+        lm = workloads.build_lm_root(
+            workloads.inputs.lm_inputs(random.Random(1), size).corpus, measure.NullTracer())
+        text = write_fst_text(lm.root)
+        back = read_fst_text(text, lm.charset, lm.words)
+        assert write_fst_text(back) == text
+        assert (back.start, back.finals.keys()) == (lm.root.start, lm.root.finals.keys())

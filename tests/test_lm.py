@@ -48,6 +48,7 @@ from regexbias.ops import (
 from regexbias.textio import read_fst_text, write_fst_text
 
 from conftest import (
+    all_arcs,
     arc_snapshot,
     check_eps_free,
     check_stochastic,
@@ -120,7 +121,7 @@ def grammar_by_context(g):
     for arc in g.arcs(UNIGRAM_STATE):
         context[arc.nextstate] = g.isymbols.sym(arc.ilabel)
     arcs = {}
-    for s, arc in g.all_arcs():
+    for s, arc in all_arcs(g):
         key = (context[s], g.isymbols.sym(arc.ilabel), context[arc.nextstate])
         assert key not in arcs
         arcs[key] = arc.weight
@@ -224,11 +225,11 @@ class TestGrammar:
         g = grammar_from_probs({"foo": 0.001, "bar": 0.001}, {("foo", "bar"): 0.01},
                                make_word_table(["foo", "bar"]))
         by_label = {}
-        for s, arc in g.all_arcs():
+        for s, arc in all_arcs(g):
             by_label[(s, g.isymbols.sym(arc.ilabel))] = arc.weight
         assert by_label[(g.start, "foo")] == pytest.approx(6.907755, abs=1e-6)
         assert by_label[(g.start, "bar")] == pytest.approx(6.907755, abs=1e-6)
-        bigram = [arc.weight for s, arc in g.all_arcs() if s != g.start]
+        bigram = [arc.weight for s, arc in all_arcs(g) if s != g.start]
         assert bigram == [pytest.approx(4.605170, abs=1e-6)]
         # the two-word model's paths
         paths = {tuple(k[0]): w for k, w in enumerate_paths(g, 2).items()}
@@ -237,7 +238,7 @@ class TestGrammar:
 
     def test_neglog_conversion_exact(self):
         g = grammar_from_probs({"w": 0.001}, None, make_word_table(["w"]))
-        (_, arc), = list(g.all_arcs())
+        (_, arc), = list(all_arcs(g))
         assert arc.weight == pytest.approx(-math.log(0.001), abs=1e-9)
 
     def test_counted_grammar_connected_and_finite(self):
@@ -303,7 +304,7 @@ class TestGrammar:
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
         g, l = add_char_fallback(g, l, charset, cfg)
         g, l = insert_nonterminal(g, l, cfg)
-        assert any(arc.ilabel == EPSILON_ID for _, arc in g.all_arcs())
+        assert any(arc.ilabel == EPSILON_ID for _, arc in all_arcs(g))
         assert check_stochastic(g, counts) == pytest.approx(per_word_deviation(g, counts),
                                                             abs=1e-12)
 
@@ -413,7 +414,7 @@ class TestLexicon:
         # the backoff arcs, eps:eps, are the only eps-input arcs besides the
         # `$REGEX` call sites
         nt = word_table.id(REGEX_NT)
-        eps_outputs = {arc.olabel for _, arc in root.all_arcs() if arc.ilabel == EPSILON_ID}
+        eps_outputs = {arc.olabel for _, arc in all_arcs(root) if arc.ilabel == EPSILON_ID}
         assert eps_outputs == {EPSILON_ID, nt}
 
     def test_big_lexicon_determinizes(self):
@@ -507,7 +508,7 @@ class TestNonterminal:
         word_table = make_word_table(words)
         g = build_grammar(counts, cfg, word_table)
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
-        assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in g.all_arcs())
+        assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in all_arcs(g))
         machines = [g, l]
         snapshots = [arc_snapshot(g), arc_snapshot(l)]
         for step in (lambda g, l: add_char_fallback(g, l, charset, cfg),
@@ -518,7 +519,7 @@ class TestNonterminal:
             snapshots += [arc_snapshot(g), arc_snapshot(l)]
         root = build_root(l, g)
         assert [arc_snapshot(m) for m in machines] == snapshots
-        assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in root.all_arcs())
+        assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in all_arcs(root))
 
     def test_registers_its_symbol(self):
         # bench/workloads.py registers `$REGEX` before the call; both give one root
@@ -558,7 +559,7 @@ class TestNonterminal:
         trimmed = connect(root)
         assert (trimmed.num_states(), trimmed.num_arcs()) == (root.num_states(), root.num_arcs())
         nt = word_table.id(REGEX_NT)
-        nt_arcs = [arc for _, arc in root.all_arcs() if arc.olabel == nt]
+        nt_arcs = [arc for _, arc in all_arcs(root) if arc.olabel == nt]
         assert nt_arcs, "nonterminal arcs must survive optim"
         assert all(arc.ilabel == EPSILON_ID for arc in nt_arcs)
         # outputs containing the token are reachable
@@ -571,7 +572,7 @@ class TestNonterminal:
         g2, l2 = insert_nonterminal(g, l, cfg_inf)
         root = build_root(l2, g2)
         nt = word_table.id(REGEX_NT)
-        assert not [arc for _, arc in root.all_arcs() if arc.olabel == nt]
+        assert not [arc for _, arc in all_arcs(root) if arc.olabel == nt]
 
     def test_fallback_covers_oov(self):
         charset, word_table, g, l, cfg = self.setup_model()

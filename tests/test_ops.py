@@ -36,6 +36,7 @@ from regexbias.textio import read_fst_text, write_fst_text
 from conftest import (
     _eps_closure,
     acceptor_weights,
+    all_arcs,
     check_deterministic,
     connect,
     enumerate_paths,
@@ -114,7 +115,7 @@ class TestAcceptorWeights:
         with_eps = accepted = 0
         for _ in range(60):
             m = random_machine(rng, abcd_table, acceptor=True)
-            with_eps += any(arc.ilabel == EPSILON_ID for _, arc in m.all_arcs())
+            with_eps += any(arc.ilabel == EPSILON_ID for _, arc in all_arcs(m))
             expected = {ins: w for (ins, _), w in enumerate_paths(m, 5).items()}
             got = acceptor_weights(m, sequences)
             for seq in sequences:
@@ -218,8 +219,8 @@ class TestCompose:
         for _ in range(300):
             a = random_machine(rng, abcd_table, max_states=4, acyclic=True, eps_prob=0.4)
             b = random_machine(rng, abcd_table, max_states=4, acyclic=True, eps_prob=0.4)
-            both_eps += (any(arc.olabel == EPSILON_ID for _, arc in a.all_arcs())
-                         and any(arc.ilabel == EPSILON_ID for _, arc in b.all_arcs()))
+            both_eps += (any(arc.olabel == EPSILON_ID for _, arc in all_arcs(a))
+                         and any(arc.ilabel == EPSILON_ID for _, arc in all_arcs(b)))
             assert path_counts(compose(a, b)) == joined_counts(a, b)
         assert both_eps >= 90
 
@@ -468,7 +469,7 @@ class TestDeterminize:
             assert write_fst_text(optim(m)) == write_fst_text(minimize(determinize(m)))
         for out in outs:
             assert paths_equal(enumerate_paths(out, 4), want)
-            assert all(arc.weight != ZERO for _, arc in out.all_arcs())
+            assert all(arc.weight != ZERO for _, arc in all_arcs(out))
 
     def test_min_over_duplicate_strings(self, ab_table):
         m = Wfst(ab_table)
@@ -628,8 +629,8 @@ class TestMinimize:
             for label in order + (a,):
                 m.add_arc(1, label, label, weight.get(label, 1.0), 2)
             out = minimize(m)
-            built.append(([(s, arc.ilabel, arc.nextstate) for s, arc in out.all_arcs()],
-                          [arc.weight for _, arc in out.all_arcs()], out.finals))
+            built.append(([(s, arc.ilabel, arc.nextstate) for s, arc in all_arcs(out)],
+                          [arc.weight for _, arc in all_arcs(out)], out.finals))
         (shape, weights, finals), (other_shape, other_weights, other_finals) = built
         assert shape == other_shape and finals.keys() == other_finals.keys()
         assert weights != other_weights  # the orders do differ
@@ -803,7 +804,7 @@ class TestReplace:
         sub.add_arc(1, table.id("b"), table.id("b"), alpha, 1)
         sub.set_final(1)
         out = replace(root, nt, sub)
-        for _, arc in out.all_arcs():
+        for _, arc in all_arcs(out):
             assert arc.ilabel != nt and arc.olabel != nt
         paths = enumerate_paths(out, 4)
         strings = {"".join(k[0]): w for k, w in paths.items()}
@@ -880,7 +881,7 @@ class TestReplace:
         for _ in range(200):
             root = connect(random_machine(rng, table))
             sub = connect(random_machine(rng, sub_table, max_states=4))
-            if sub.is_empty() or not any(arc.olabel == nt for _, arc in root.all_arcs()):
+            if sub.is_empty() or not any(arc.olabel == nt for _, arc in all_arcs(root)):
                 continue
             out = replace(root, nt, sub)
             assert write_fst_text(connect(out)) == write_fst_text(out)
@@ -978,7 +979,6 @@ class TestReplace:
 
         monkeypatch.setattr(root, "_arcs", CountingList(root._arcs))
         monkeypatch.setattr(root, "arcs", lambda s: reads.append(("arcs", s)))
-        monkeypatch.setattr(root, "all_arcs", lambda: reads.append("all_arcs"))
         out = replace(root, nt, linear_acceptor("ab", table))
         assert (out.num_states(), out.num_arcs()) == (8, 8)
         assert repr(out) == "ReplaceView(8 states, 8 arcs, 1 finals)"
