@@ -45,26 +45,86 @@ def _copies(node):
     return max(node.min, 1) if node.max is None else node.max
 
 
+def _positions(node, memo):
+    """Symbol positions ast_to_nfa builds for `node`, memoised in `memo` by
+    node identity, since references share subtrees."""
+    key = id(node)
+    if key not in memo:
+        if isinstance(node, (gr.Concat, gr.Union)):
+            memo[key] = sum(_positions(c, memo) for c in node.children)
+        elif isinstance(node, gr.Repeat):
+            memo[key] = _copies(node) * _positions(node.child, memo)
+        else:
+            memo[key] = 1
+    return memo[key]
+
+
 def _nfa_states(ast):
-    """States ast_to_nfa builds for `ast`: its symbol positions plus the
-    start. Memoised by node identity, since references share subtrees."""
-    memo = {}
+    """States ast_to_nfa builds for `ast`: its symbol positions plus the start."""
+    return _positions(ast, {}) + 1
 
-    def positions(node):
-        key = id(node)
-        if key not in memo:
-            if isinstance(node, (gr.Concat, gr.Union)):
-                memo[key] = sum(positions(c) for c in node.children)
-            elif isinstance(node, gr.Repeat):
-                memo[key] = _copies(node) * positions(node.child)
-            else:
-                memo[key] = 1
-        return memo[key]
 
-    try:
-        return positions(ast) + 1
-    finally:
-        del positions  # it refers to itself through its closure cell
+def _link(follow, lasts, firsts):
+    for p in lasts:
+        follow[p].update(dict.fromkeys(firsts))
+
+
+def _then(follow, left, right):
+    """(first, last, nullable) of `left` followed by `right`."""
+    f1, l1, n1 = left
+    f2, l2, n2 = right
+    _link(follow, l1, f2)
+    return f1 + f2 if n1 else f1, l1 + l2 if n2 else l2, n1 and n2
+
+
+def _build(node, walk):
+    """Positions for `node`, recorded in `walk`, ast_to_nfa's (alphabet,
+    carried, follow, narrowed); returns the node's (first, last, nullable)."""
+    alphabet, carried, follow, narrowed = walk
+    if isinstance(node, gr.Literal):
+        label = alphabet.find(node.symbol)
+        if label is None:
+            raise SymbolError(f"regex symbol {node.symbol!r} is not in the "
+                              f"decoder alphabet {alphabet.name!r}")
+        labels = [label]
+    elif isinstance(node, gr.Class):
+        labels = narrowed.get(id(node))
+        if labels is None:
+            labels = narrowed[id(node)] = [alphabet.id(c) for c in node.symbols
+                                           if alphabet.find(c) is not None
+                                           and c not in RESERVED]
+        if not labels:
+            raise SymbolError(
+                f"character class {node.symbols!r} has no symbols in the "
+                f"decoder alphabet {alphabet.name!r}"
+            )
+    elif isinstance(node, gr.Concat):
+        run = [], [], True
+        for child in node.children:
+            run = _then(follow, run, _build(child, walk))
+        return run
+    elif isinstance(node, gr.Union):
+        parts = [_build(child, walk) for child in node.children]
+        return ([q for f, _, _ in parts for q in f], [q for _, l, _ in parts for q in l],
+                any(n for _, _, n in parts))
+    elif isinstance(node, gr.Repeat):
+        # a chain of copies; a match may end after any copy from the
+        # min-th on, and the last loops back to itself when unbounded
+        run, lasts = ([], [], True), {}
+        for done in range(1, _copies(node) + 1):
+            copy = _build(node.child, walk)
+            run = _then(follow, run, copy)
+            if done >= node.min:
+                lasts.update(dict.fromkeys(run[1]))
+        if node.max is None:
+            _link(follow, run[1], copy[0])
+        return run[0], list(lasts), node.min == 0 or run[2]
+    else:
+        raise TypeError(f"not a regex AST node: {node!r}")
+    q = len(carried)  # a Literal or Class: one new position
+    carried.append(labels)
+    follow.append({})
+    return [q], [q], False
 
 
 class PositionAutomaton(Wfst):
@@ -107,77 +167,13 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
             f"ast_to_nfa would build {size} states, over the "
             f"{DETERMINIZE_STATE_BUDGET} state budget"
         )
-    m = PositionAutomaton(alphabet)
-    m.set_start(m.add_state())
     carried = [()]  # state -> the labels on the arcs into it
     follow = [{}]  # state -> the positions it links to, in link order
     narrowed = {}  # id of a Class node -> its labels in the alphabet
-
-    def position(labels):
-        q = m.add_state()
-        carried.append(labels)
-        follow.append({})
-        return [q], [q], False
-
-    def link(lasts, firsts):
-        for p in lasts:
-            follow[p].update(dict.fromkeys(firsts))
-
-    def then(left, right):
-        """(first, last, nullable) of `left` followed by `right`."""
-        f1, l1, n1 = left
-        f2, l2, n2 = right
-        link(l1, f2)
-        return f1 + f2 if n1 else f1, l1 + l2 if n2 else l2, n1 and n2
-
-    def build(node):
-        """Positions for `node`; returns its (first, last, nullable)."""
-        if isinstance(node, gr.Literal):
-            label = alphabet.find(node.symbol)
-            if label is None:
-                raise SymbolError(f"regex symbol {node.symbol!r} is not in the "
-                                  f"decoder alphabet {alphabet.name!r}")
-            return position([label])
-        if isinstance(node, gr.Class):
-            labels = narrowed.get(id(node))
-            if labels is None:
-                labels = narrowed[id(node)] = [alphabet.id(c) for c in node.symbols
-                                               if alphabet.find(c) is not None
-                                               and c not in RESERVED]
-            if not labels:
-                raise SymbolError(
-                    f"character class {node.symbols!r} has no symbols in the "
-                    f"decoder alphabet {alphabet.name!r}"
-                )
-            return position(labels)
-        if isinstance(node, gr.Concat):
-            run = [], [], True
-            for child in node.children:
-                run = then(run, build(child))
-            return run
-        if isinstance(node, gr.Union):
-            parts = [build(child) for child in node.children]
-            return ([q for f, _, _ in parts for q in f], [q for _, l, _ in parts for q in l],
-                    any(n for _, _, n in parts))
-        if isinstance(node, gr.Repeat):
-            # a chain of copies; a match may end after any copy from the
-            # min-th on, and the last loops back to itself when unbounded
-            run, lasts = ([], [], True), {}
-            for done in range(1, _copies(node) + 1):
-                copy = build(node.child)
-                run = then(run, copy)
-                if done >= node.min:
-                    lasts.update(dict.fromkeys(run[1]))
-            if node.max is None:
-                link(run[1], copy[0])
-            return run[0], list(lasts), node.min == 0 or run[2]
-        raise TypeError(f"not a regex AST node: {node!r}")
-
-    try:
-        firsts, lasts, nullable = build(ast)
-    finally:
-        del build  # it refers to itself through its closure cell
-    link([0], firsts)
+    firsts, lasts, nullable = _build(ast, (alphabet, carried, follow, narrowed))
+    m = PositionAutomaton(alphabet)
+    m.set_start(m.add_states(len(carried)))
+    _link(follow, [0], firsts)
     for q in lasts + [0] * nullable:
         m.set_final(q, 0.0)
     carriers = {}  # label -> the positions that carry it
@@ -282,7 +278,11 @@ def compile_grammar(text: str, alphabet: SymbolTable):
 
 def compile_biased(text: str, alphabet: SymbolTable, alpha: float):
     """Grammar text -> (GrammarSource, R, T_r at the given alpha). A bad
-    alpha is rejected before the grammar is compiled."""
+    alpha is rejected before the grammar is compiled. alpha is an absolute
+    cost per character: in a root (see `lm.LmConfig`), a matching span of
+    n characters goes through `$REGEX` exactly when nonterminal_weight +
+    n*alpha < n*char_fallback_penalty, so at the defaults the neutral
+    alpha is 8.0, not 0."""
     bias = BiasSpec(alpha)
     source, r = compile_grammar(text, alphabet)
     return source, r, apply_bias(r, bias)

@@ -16,19 +16,24 @@ them, so an arc is never changed once its machine may have been copied:
 code that needs different arcs builds new ones and puts them in its own
 machine's lists.
 
+A weight of `inf`, the semiring's zero, is no transition: `Wfst.add_arc`
+stores no such arc and `set_final` no such final, so no algorithm checks
+for one. Code that fills arc lists itself, as `ops.ReplaceView` and some
+builders do, writes only finite weights or weights copied out of a Wfst.
+
 A combinator that pairs two machines' labels, such as `ops.compose`,
 needs one table object on the shared side: tables grow, so two equal ones
 need not stay equal. `ops.replace` alone maps labels by symbol.
 
 The bulk builders run with CPython's cyclic garbage collector paused,
 through `nogc`: `ops.compose`, `determinize`, `minimize` and `optim`,
-`textio`'s writer and reader, and each `lm` step from n-gram counts to
-the root. They allocate arcs, lists and dicts by the hundred thousand, and
-each collection would rescan every live one. Nothing in this package
-builds a reference cycle, so refcounting alone frees what they drop, and
-the pause leaves nothing for a later collection. The pause is
-process-wide: another thread's cyclic garbage waits until the build
-returns. A caller that disabled the collector finds it still disabled.
+`textio`'s reader, and each `lm` step from n-gram counts to the root.
+They allocate arcs, lists and dicts by the hundred thousand, and each
+collection would rescan every live one. Nothing in this package builds
+a reference cycle, so refcounting alone frees what they drop, and the
+pause leaves nothing for a later collection. The pause is process-wide:
+another thread's cyclic garbage waits until the build returns. A caller
+that disabled the collector finds it still disabled.
 """
 
 import functools
@@ -129,7 +134,8 @@ class Fst:
     """Read interface of a machine. A subclass supplies the storage: the
     attributes isymbols, osymbols, start (None when the machine is empty)
     and finals ({state: weight}), and the methods arcs(state),
-    num_states() and num_arcs(). Everything else is derived here."""
+    num_states() and num_arcs(). No arc or final weight is `inf`.
+    Everything else is derived here."""
 
     def states(self):
         return range(self.num_states())
@@ -147,15 +153,8 @@ class Fst:
     def check_pair_deterministic(self) -> bool:
         """At most one arc per (state, ilabel, olabel); eps:eps is one more
         label pair, as it is to `ops.determinize`."""
-        arcs = self.arcs
-        for s in self.states():
-            seen = set()
-            for arc in arcs(s):
-                key = (arc.ilabel, arc.olabel)
-                if key in seen:
-                    return False
-                seen.add(key)
-        return True
+        return all(len({(arc.ilabel, arc.olabel) for arc in arcs}) == len(arcs)
+                   for arcs in map(self.arcs, self.states()))
 
     def _check_state(self, state: int):
         n = self.num_states()
@@ -198,17 +197,14 @@ class Wfst(Fst):
         if not 0 <= src < len(self._arcs) > dst >= 0:
             self._check_state(src)
             self._check_state(dst)
-        if weight == 0.0:
-            weight = 0.0  # normalize -0.0
-        self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
+        if weight != ZERO:
+            self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
 
     def set_final(self, state: int, weight: float = ONE):
         self._check_state(state)
         if weight == ZERO:
             self.finals.pop(state, None)
         else:
-            if weight == 0.0:
-                weight = 0.0
             self.finals[state] = weight
 
     # -- storage --------------------------------------------------------

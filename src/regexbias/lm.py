@@ -78,6 +78,11 @@ class NgramCounts:
 
 @dataclass
 class LmConfig:
+    """T_r's alpha is an absolute cost per character: a matching span of n
+    characters goes through `$REGEX` exactly when nonterminal_weight +
+    n*alpha < n*char_fallback_penalty, so at the defaults the neutral
+    alpha is 8.0, not 0."""
+
     backoff_discount: float = 0.4
     char_fallback_penalty: float = 8.0
     nonterminal_weight: float = 0.0
@@ -203,8 +208,7 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig, word_table: SymbolTable) -
     g, word_state = _unigram_layout(p_uni, word_table)
 
     p_uni[SENTENCE_END] = counts.unigram.get(SENTENCE_END, 0) / total
-    if p_uni[SENTENCE_END] > 0.0:
-        g.set_final(UNIGRAM_STATE, _neglog(p_uni[SENTENCE_END]))
+    g.set_final(UNIGRAM_STATE, _neglog(p_uni[SENTENCE_END]))
 
     contexts = {}
     for (w1, w2), c in counts.bigram.items():
@@ -297,10 +301,9 @@ def _add_unigram_tokens(g: Wfst, l: Wfst, tokens, weight: float):
     hub = l2.add_state()
     for cid, symbol in tokens:
         tok = word_table.add(symbol)
-        if weight != ZERO:  # +inf would kill the path anyway
-            g2.add_arc(UNIGRAM_STATE, tok, tok, weight, UNIGRAM_STATE)
-            if g2.start != UNIGRAM_STATE:
-                g2.add_arc(g2.start, tok, tok, weight, UNIGRAM_STATE)
+        g2.add_arc(UNIGRAM_STATE, tok, tok, weight, UNIGRAM_STATE)
+        if g2.start != UNIGRAM_STATE:
+            g2.add_arc(g2.start, tok, tok, weight, UNIGRAM_STATE)
         l2.add_arc(l2.start, cid, tok, 0.0, hub)
         if cid != EPSILON_ID:  # an epsilon loop would emit tokens reading nothing
             l2.add_arc(hub, cid, tok, 0.0, hub)

@@ -17,8 +17,7 @@ construction when its input is already deterministic per label pair.
 
 Minimization is the one step that trims. compose and replace return the
 machine as built, which may hold states off every accepting path;
-minimize drops those. An arc of weight `inf` is no path: determinize and
-minimize drop it, the other operations keep it.
+minimize drops those.
 
 The potentials minimization pushes weights with and shortest paths are
 both single-source shortest distances (Mohri 2002), and one routine,
@@ -224,7 +223,7 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     is extracted onto the new arc, so the result is deterministic per
     label pair, and deterministic per ilabel whenever the input is an
     eps-free acceptor. States that cannot reach a final are kept; minimize
-    trims them. Arcs of weight `inf` are dropped.
+    trims them.
 
     Like any label, eps:eps needs the twins property (Mohri 1997): where
     cycles on the same label pairs but of different weight meet in one
@@ -258,8 +257,6 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
             out.set_final(src, fw)
         for label in sorted(moves):
             targets = moves[label]
-            if not targets:  # every arc on the label weighs inf
-                continue
             w_min = min(targets.values())
             new_key = tuple(sorted((t, w - w_min) for t, w in targets.items()))
             dst = state_ids.get(new_key)
@@ -286,15 +283,15 @@ def minimize(a: Fst) -> Wfst:
 
     Requires input that is deterministic at least per label pair. States
     off every start-to-final path are dropped, the only trimming in this
-    module, and so are arcs of weight `inf`. Weights are pushed toward
-    the start, then `_refine` merges the states that agree on pushed final
-    weights and out-arcs. Pushing is skipped when a negative cycle makes
-    shortest suffix costs undefined; exactly-equal suffixes still merge
-    then. The result is numbered breadth first with each state's arcs
-    sorted by (ilabel, olabel), so it does not depend on the input's state
-    numbering. Its weights depend on the input's arc order only within
-    `_shortest_distance`'s 1e-15 tolerance: of two paths whose costs differ
-    by less, the first relaxed sets the potential that pushing uses.
+    module. Weights are pushed toward the start, then `_refine` merges the
+    states that agree on pushed final weights and out-arcs. Pushing is
+    skipped when a negative cycle makes shortest suffix costs undefined;
+    exactly-equal suffixes still merge then. The result is numbered
+    breadth first with each state's arcs sorted by (ilabel, olabel), so it
+    does not depend on the input's state numbering. Its weights depend on
+    the input's arc order only within `_shortest_distance`'s 1e-15
+    tolerance: of two paths whose costs differ by less, the first relaxed
+    sets the potential that pushing uses.
     """
     if not a.is_empty() and not a.check_pair_deterministic():
         raise NondeterministicInputError(
@@ -315,7 +312,7 @@ def _minimize(a: Fst) -> Wfst:
     stack = [a.start]
     while stack:
         for arc in a.arcs(stack.pop()):
-            if not reached[arc.nextstate] and arc.weight != ZERO:
+            if not reached[arc.nextstate]:
                 reached[arc.nextstate] = True
                 stack.append(arc.nextstate)
     # potentials are the shortest distances to a final over reversed arcs, so
@@ -324,8 +321,7 @@ def _minimize(a: Fst) -> Wfst:
     for s in range(n):
         if reached[s]:
             for arc in a.arcs(s):
-                if arc.weight != ZERO:
-                    rev[arc.nextstate].append(Arc(arc.ilabel, arc.olabel, arc.weight, s))
+                rev[arc.nextstate].append(Arc(arc.ilabel, arc.olabel, arc.weight, s))
     finals = {s: w for s, w in a.finals.items() if reached[s]}
     try:
         pot = _shortest_distance(n, finals, rev.__getitem__)[0]
@@ -343,7 +339,7 @@ def _minimize(a: Fst) -> Wfst:
     pot[a.start] = 0.0  # keep total path weights unchanged
     arcs = {s: sorted((arc.ilabel, arc.olabel, arc.weight + pot[arc.nextstate] - p,
                        arc.nextstate) for arc in a.arcs(s)
-                      if arc.nextstate in pot and arc.weight != ZERO)
+                      if arc.nextstate in pot)
             for s, p in pot.items()}
     finals = {s: a.final(s) - p for s, p in pot.items()}
     start, out = a.start, Wfst(a.isymbols, a.osymbols)
@@ -615,13 +611,8 @@ def shortest_path(a: Fst):
         raise NoPathError("machine has no states")
     dist, pred = _shortest_distance(a.num_states(), {a.start: 0.0}, a.arcs)
 
-    best_state, best_cost = None, ZERO
-    for s, fw in a.finals.items():
-        if s not in dist:
-            continue
-        total = dist[s] + fw
-        if total < best_cost or (total == best_cost and (best_state is None or s < best_state)):
-            best_state, best_cost = s, total
+    best_cost, best_state = min(((dist[s] + fw, s) for s, fw in a.finals.items() if s in dist),
+                                default=(ZERO, None))
     if best_state is None:
         raise NoPathError("no accepting path from the start state")
 

@@ -27,7 +27,6 @@ def parse_weight(text: str) -> float:
     return w
 
 
-@nogc
 def write_fst_text(m: Fst) -> str:
     if m.is_empty():
         return ""

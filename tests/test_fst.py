@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from regexbias.errors import RegexBiasError, SymbolError
 from regexbias.fst import EPSILON, EPSILON_ID, SymbolTable, Wfst, linear_acceptor
-from regexbias.ops import shortest_path
+from regexbias.ops import optim, shortest_path
 from regexbias.textio import read_fst_text, write_fst_text
 
 from conftest import (
@@ -105,6 +105,35 @@ class TestWfst:
         m.set_final(s, math.inf)
         assert not m.is_final(s)
 
+    def test_inf_arc_is_not_stored(self, ab_table):
+        # inf, the semiring's zero, is no transition; its states are still checked
+        m = linear_acceptor("ab", ab_table, arc_weight=1.0)
+        before = arc_snapshot(m)
+        m.add_arc(0, 2, 2, math.inf, 2)
+        m.add_arc(2, 0, 0, math.inf, 0)
+        assert m.num_arcs() == 2 and arc_snapshot(m) == before
+        assert [len(m.arcs(s)) for s in m.states()] == [1, 1, 0]
+        with pytest.raises(IndexError):
+            m.add_arc(0, 1, 1, math.inf, 5)
+
+    def test_negative_zero_weights_read_as_zero(self, ab_table):
+        def build(zero):
+            m = Wfst(ab_table)
+            m.add_states(4)
+            m.set_start(0)
+            m.add_arc(0, 1, 1, zero, 1)
+            m.add_arc(0, 1, 1, 1.0, 2)  # not deterministic: optim determinizes
+            m.add_arc(1, 2, 2, zero, 3)
+            m.add_arc(2, 2, 2, zero, 3)
+            m.add_arc(3, 0, 0, zero, 3)
+            m.set_final(1, 0.5)
+            m.set_final(3, zero)
+            return m
+
+        plus, minus = build(0.0), build(-0.0)
+        assert write_fst_text(minus) == write_fst_text(plus)
+        assert write_fst_text(optim(minus)) == write_fst_text(optim(plus))
+
 
 class TestTextFormat:
     def test_roundtrip_bit_exact(self, ab_table):
@@ -163,6 +192,12 @@ class TestTextFormat:
         assert format_weight(math.inf) == "inf"
         assert parse_weight("inf") == math.inf
         assert format_weight(6.907755278982137) == "6.90775528"
+
+    def test_inf_arc_line_builds_no_arc(self, ab_table):
+        # the line still names the start and grows the states
+        back = read_fst_text("0\t3\t1\t1\tinf\n0\t1\t2\t2\n1\n", ab_table)
+        assert (back.start, back.num_states(), back.finals) == (0, 4, {1: 0.0})
+        assert back.num_arcs() == 1 and arc_snapshot(back) == [(0, 2, 2, 0.0, 1)]
 
     def test_empty_machine(self, ab_table):
         m = Wfst(ab_table)

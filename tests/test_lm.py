@@ -670,12 +670,15 @@ class TestNonterminal:
         assert paths_equal(paths_plain, expected, tol=1e-6)
 
 
-def test_date_regex_splices_into_root():
+@pytest.mark.parametrize("weight", [0.0, 1.5, -1.0])
+@pytest.mark.parametrize("alpha", [-2.0, 0.0, 7.0, 8.0, 9.0])
+def test_date_regex_splices_into_root(alpha, weight):
     # corpus -> root -> splice a compiled date regex at `$REGEX`: an entity
-    # in a sentence decodes to its characters at alpha each, where the plain
-    # root spells it with char tokens at the fallback penalty each
+    # in a sentence decodes to its characters, through `$REGEX` at w plus
+    # alpha per character where that is cheaper than char tokens at the
+    # fallback penalty each, so alpha is absolute and 8.0 is neutral at w = 0
     rng = random.Random(13)
-    cfg = LmConfig()
+    cfg = LmConfig(nonterminal_weight=weight)
     counts = count_ngrams(zipf_corpus(rng, 30, 90, min_len=2))
     vocab = counts.vocabulary()
     charset = charset_for(vocab, extra=" /0123456789")
@@ -685,7 +688,6 @@ def test_date_regex_splices_into_root():
     g, l = add_char_fallback(g, l, charset, cfg)
     g, l = insert_nonterminal(g, l, cfg)
     root = build_root(l, g)
-    alpha = -2.0
     _, _, t_r = compile_biased('export = \\d{2} "/" \\d{2} "/" \\d{4};', charset, alpha)
     spliced = replace(root, words.id(REGEX_NT), t_r)
     assert write_fst_text(spliced) == write_fst_text(replace_eager(root, words.id(REGEX_NT), t_r))
@@ -696,8 +698,8 @@ def test_date_regex_splices_into_root():
     _, outs, cost = shortest_path(compose(sentence, spliced))
     _, base_outs, base = shortest_path(compose(sentence, root))
     assert outs == base_outs == (w1, w2, *entity, w3)
-    assert cost == pytest.approx(base + len(entity) * (alpha - cfg.char_fallback_penalty),
-                                 abs=1e-6)
+    gain = weight + len(entity) * (alpha - cfg.char_fallback_penalty)
+    assert cost == pytest.approx(base + min(0.0, gain), abs=1e-6)
 
 
 def test_splice_matches_the_nonterminal_on_the_word_side():
