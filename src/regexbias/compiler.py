@@ -59,11 +59,6 @@ def _positions(node, memo):
     return memo[key]
 
 
-def _nfa_states(ast):
-    """States ast_to_nfa builds for `ast`: its symbol positions plus the start."""
-    return _positions(ast, {}) + 1
-
-
 def _link(follow, lasts, firsts):
     for p in lasts:
         follow[p].update(dict.fromkeys(firsts))
@@ -160,7 +155,7 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
     repeats, and must stay non-empty. More than DETERMINIZE_STATE_BUDGET
     states raise before any is built.
     """
-    size = _nfa_states(ast)
+    size = _positions(ast, {}) + 1  # the symbol positions plus the start
     if size > DETERMINIZE_STATE_BUDGET:
         raise BudgetExceededError(
             "ast_to_nfa", DETERMINIZE_STATE_BUDGET, size,

@@ -257,6 +257,8 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
             out.set_final(src, fw)
         for label in sorted(moves):
             targets = moves[label]
+            if not targets:  # each sum on this label overflowed to inf
+                continue
             w_min = min(targets.values())
             new_key = tuple(sorted((t, w - w_min) for t, w in targets.items()))
             dst = state_ids.get(new_key)

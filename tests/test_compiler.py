@@ -10,7 +10,7 @@ from regexbias import compiler, ops
 from regexbias import grammar as gr
 from regexbias.compiler import (
     BiasSpec,
-    _nfa_states,
+    _positions,
     apply_bias,
     ast_to_nfa,
     compile_biased,
@@ -270,7 +270,7 @@ def _branches(children):
 @given(st.recursive(LEAVES, _branches, max_leaves=8))
 def test_random_ast_matches_reference_engine(ast):
     nfa = ast_to_nfa(ast, AB_TABLE)
-    assert _nfa_states(ast) == nfa.num_states()
+    assert _positions(ast, {}) + 1 == nfa.num_states()
     dfa = nfa_to_dfa(nfa)
     for n in range(6):
         for chars in itertools.product("ab", repeat=n):
@@ -284,7 +284,7 @@ def test_random_ast_gives_position_automaton(ast):
     # no eps arcs, none into the start, and every arc into a state carries
     # the same labels as the others into it
     nfa = ast_to_nfa(ast, AB_TABLE)
-    assert _nfa_states(ast) == nfa.num_states()
+    assert _positions(ast, {}) + 1 == nfa.num_states()
     assert check_eps_free(nfa)
     into = {}
     for src, arc in all_arcs(nfa):

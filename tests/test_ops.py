@@ -459,8 +459,8 @@ class TestDeterminize:
         "0\t1\t1\t1\tinf\n0\t1\t2\t2\n1\n",
     ], ids=["eps-return", "no-eps"])
     def test_inf_arcs_are_no_path(self, text, ab_table):
-        # an arc of weight inf is no path: determinize and both of optim's
-        # routes drop it instead of keeping it or failing on an empty label
+        # an arc of weight inf is no path: add_arc drops it as the text is
+        # read, so no output of determinize or either of optim's routes has it
         m = read_fst_text(text, ab_table)
         want = enumerate_paths(m, 4)
         outs = [determinize(m), optim(m)]
@@ -470,6 +470,23 @@ class TestDeterminize:
         for out in outs:
             assert paths_equal(enumerate_paths(out, 4), want)
             assert all(arc.weight != ZERO for _, arc in all_arcs(out))
+
+    def test_overflowing_sums_are_no_path(self, ab_table):
+        # every finite arc is stored, but the only path through 2 costs
+        # 1.7e308 + 1.7e308, which overflows to inf: the subset holding 2
+        # gets no b arc, and determinize raises nothing
+        m = Wfst(ab_table)
+        m.add_states(4)
+        m.set_start(0)
+        m.add_arc(0, 1, 1, 0.0, 1)
+        m.add_arc(0, 1, 1, 1.7e308, 2)
+        m.add_arc(2, 2, 2, 1.7e308, 3)
+        m.set_final(1)
+        m.set_final(3)
+        want = enumerate_paths(m, 4)
+        assert want == {(("a",), ("a",)): 0.0}
+        for out in (determinize(m), optim(m)):
+            assert enumerate_paths(out, 4) == want
 
     def test_min_over_duplicate_strings(self, ab_table):
         m = Wfst(ab_table)
