@@ -15,16 +15,14 @@ class SymbolTableMismatchError(RegexBiasError):
     """Two machines were combined over incompatible symbol tables; the
     message gives their sizes and the first id whose symbols differ."""
 
-    def __init__(self, left, right, detail=""):
+    def __init__(self, left, right, detail):
         diff = next(((i, a, b) for i, (a, b) in enumerate(zip_longest(left, right)) if a != b),
                     None)
         msg = (f"symbol tables do not match: {left.name!r} ({len(left)} symbols) "
                f"vs {right.name!r} ({len(right)} symbols), ")
         msg += ("equal but separate tables" if diff is None
                 else "first differing at id {}: {!r} vs {!r}".format(*diff))
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"{msg} ({detail})")
 
 
 class ConfigError(RegexBiasError, ValueError):

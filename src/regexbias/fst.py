@@ -16,10 +16,12 @@ them, so an arc is never changed once its machine may have been copied:
 code that needs different arcs builds new ones and puts them in its own
 machine's lists.
 
-A weight of `inf`, the semiring's zero, is no transition: `Wfst.add_arc`
-stores no such arc and `set_final` no such final, so no algorithm checks
-for one. Code that fills arc lists itself, as `ops.ReplaceView` and some
-builders do, writes only finite weights or weights copied out of a Wfst.
+Weights are costs: min chooses between paths and + concatenates them. A
+weight of `inf`, the semiring's zero `ZERO`, is no transition:
+`Wfst.add_arc` stores no such arc and `set_final` no such final, so no
+algorithm checks for one. Code that fills arc lists itself, as
+`ops.ReplaceView` and some builders do, writes only finite weights or
+weights copied out of a Wfst.
 
 A combinator that pairs two machines' labels, such as `ops.compose`,
 needs one table object on the shared side: tables grow, so two equal ones
@@ -38,10 +40,10 @@ that disabled the collector finds it still disabled.
 
 import functools
 import gc
+import math
 from dataclasses import dataclass
 
 from .errors import SymbolError
-from .semiring import ONE, ZERO
 
 EPSILON = "<eps>"
 BLANK = "<blank>"
@@ -50,6 +52,7 @@ REGEX_NT = "$REGEX"
 RESERVED = {BLANK, DISAMBIG, REGEX_NT}
 
 EPSILON_ID = 0
+ZERO = math.inf
 
 
 def nogc(func):
@@ -200,7 +203,7 @@ class Wfst(Fst):
         if weight != ZERO:
             self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
 
-    def set_final(self, state: int, weight: float = ONE):
+    def set_final(self, state: int, weight: float = 0.0):
         self._check_state(state)
         if weight == ZERO:
             self.finals.pop(state, None)
@@ -233,8 +236,8 @@ def character_symbols(table: SymbolTable):
     return [s for i, s in enumerate(table) if i != EPSILON_ID and s not in RESERVED]
 
 
-def linear_acceptor(symbols, table: SymbolTable, arc_weight: float = ONE,
-                    final_weight: float = ONE) -> Wfst:
+def linear_acceptor(symbols, table: SymbolTable, arc_weight: float = 0.0,
+                    final_weight: float = 0.0) -> Wfst:
     """Single-path acceptor of the given symbol sequence."""
     m = Wfst(table)
     prev = m.add_state()

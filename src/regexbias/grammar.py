@@ -58,10 +58,6 @@ class Class:
 
     symbols: tuple
 
-    def __post_init__(self):
-        if not self.symbols:
-            raise GrammarError("empty character class")
-
 
 @dataclass(frozen=True, eq=False)
 class Concat:
@@ -271,16 +267,14 @@ class _Parser:
                     "(definitions may only refer to earlier lines)",
                     tok.line, tok.column)
             return self.definitions[tok.value]
-        if tok.kind == "LPAREN":
-            self.take()
-            # checked before descending, so deep nesting cannot exhaust the stack
-            self.open_groups += 1
-            self.nest(None, self.open_groups, tok)
-            node, depth = self.parse_expr()
-            self.take("RPAREN")
-            self.open_groups -= 1
-            return self.nest(node, depth + 1, tok)
-        raise GrammarError(f"expected an expression, found {tok.kind}", tok.line, tok.column)
+        self.take("LPAREN")
+        # checked before descending, so deep nesting cannot exhaust the stack
+        self.open_groups += 1
+        self.nest(None, self.open_groups, tok)
+        node, depth = self.parse_expr()
+        self.take("RPAREN")
+        self.open_groups -= 1
+        return self.nest(node, depth + 1, tok)
 
 
 def parse_grammar(text: str) -> GrammarSource:

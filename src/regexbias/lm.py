@@ -50,6 +50,7 @@ from .fst import (
     EPSILON_ID,
     REGEX_NT,
     RESERVED,
+    ZERO,
     Arc,
     SymbolTable,
     Wfst,
@@ -57,7 +58,6 @@ from .fst import (
     nogc,
 )
 from .ops import compose, optim
-from .semiring import ZERO
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"

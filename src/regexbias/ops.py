@@ -37,18 +37,13 @@ from .errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from .fst import EPSILON_ID, Arc, Fst, Wfst, nogc
-from .semiring import ZERO
+from .fst import EPSILON_ID, ZERO, Arc, Fst, Wfst, nogc
 
 DETERMINIZE_STATE_BUDGET = 1_000_000
 
 
 class ReplaceNoOpWarning(UserWarning):
     """replace() found no arcs carrying the nonterminal."""
-
-
-def _empty_like(a: Fst) -> Wfst:
-    return Wfst(a.isymbols, a.osymbols)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +227,9 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     hundreds of MB even for a 3-state machine with two eps:eps loops. No
     machine built in this package has such eps:eps cycles.
     """
-    if a.is_empty():
-        return _empty_like(a)
     out = Wfst(a.isymbols, a.osymbols)
+    if a.is_empty():
+        return out
     start_key = ((a.start, 0.0),)
     state_ids = {start_key: out.add_state()}
     out.set_start(0)
@@ -305,7 +300,7 @@ def minimize(a: Fst) -> Wfst:
 def _minimize(a: Fst) -> Wfst:
     """minimize() of a machine known to be deterministic per label pair."""
     if a.is_empty():
-        return _empty_like(a)
+        return Wfst(a.isymbols, a.osymbols)
     # only the arcs of states the start reaches are reversed, so a negative
     # cycle it cannot reach does not stop the pushing
     n = a.num_states()
@@ -337,7 +332,7 @@ def _minimize(a: Fst) -> Wfst:
                     queue.append(arc.nextstate)
     del rev, reached  # freed before the pushed arc lists are built
     if a.start not in pot:
-        return _empty_like(a)
+        return Wfst(a.isymbols, a.osymbols)
     pot[a.start] = 0.0  # keep total path weights unchanged
     arcs = {s: sorted((arc.ilabel, arc.olabel, arc.weight + pot[arc.nextstate] - p,
                        arc.nextstate) for arc in a.arcs(s)

@@ -9,8 +9,7 @@ the zero element.
 """
 
 from .errors import RegexBiasError
-from .fst import Fst, SymbolTable, Wfst, nogc
-from .semiring import ZERO
+from .fst import ZERO, Fst, SymbolTable, Wfst, nogc
 
 
 def format_weight(w: float) -> str:

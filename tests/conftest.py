@@ -19,7 +19,7 @@ from regexbias.errors import (
     ReplaceRecursionError,
     SymbolError,
 )
-from regexbias.fst import EPSILON_ID, SymbolTable, Wfst
+from regexbias.fst import EPSILON_ID, ZERO, SymbolTable, Wfst
 from regexbias.lm import (
     SENTENCE_END,
     SENTENCE_START,
@@ -28,7 +28,6 @@ from regexbias.lm import (
     _neglog,
     _unigram_layout,
 )
-from regexbias.semiring import ZERO
 
 ENUMERATE_PATH_BUDGET = 1_000_000
 

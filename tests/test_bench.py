@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from regexbias.compiler import compile_biased
+from regexbias.fst import Wfst
+from regexbias.ops import replace
 from regexbias.textio import write_fst_text
 
 from conftest import replace_eager
@@ -20,6 +23,7 @@ BENCH_MODULES = ("inputs", "measure", "workloads")
 SLOW_RUNGS = ("ladder11", "ladder12")   # 2**12 and 2**13 DFA states
 ENTITY_REQUESTS = 100
 SPLICE_REQUESTS = 20
+NEUTRAL_REQUESTS = 50
 PROBE_VOCAB = 100
 
 
@@ -79,6 +83,31 @@ def test_request_splices_equal_eager_splice(bench):
         requests.request(item, off, out)
         oracle = replace_eager(root, requests.nonterminal, out["compiled"].t_r)
         assert write_fst_text(out["spliced"]) == write_fst_text(oracle), item.text
+
+
+def test_neutral_alpha_costs_what_char_fallback_costs(bench):
+    # at alpha = char_fallback_penalty and nonterminal_weight 0, a spliced
+    # entity ties with its char tokens, so the view's best path costs what
+    # the root's does with its `$REGEX` call sites dropped, as a splice of
+    # an empty machine drops them
+    workloads, measure = bench
+    requests = workloads.RegexRequests(1)
+    requests.setup(measure.NullTracer())
+    lm = requests.lm
+    assert lm.cfg.nonterminal_weight == 0.0
+    neutral = lm.cfg.char_fallback_penalty
+    plain = replace(lm.root, requests.nonterminal, Wfst(requests.alphabet))
+    rng = random.Random(1)
+    for i in range(NEUTRAL_REQUESTS):
+        item = requests.item(i)
+        _, _, t_r = compile_biased(item.text, requests.alphabet, neutral)
+        view = replace(lm.root, requests.nonterminal, t_r)
+        for entity in item.positives:
+            w1, w2 = rng.choice(lm.vocab), rng.choice(lm.vocab)
+            sentence = f"{w1} {entity} {w2}"
+            outs, cost = workloads.best_path(sentence, lm.charset, view)
+            base_outs, base = workloads.best_path(sentence, lm.charset, plain)
+            assert outs == base_outs and cost == pytest.approx(base, abs=1e-9), item.text
 
 
 def test_traced_root_probe_completes(bench):

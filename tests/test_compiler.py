@@ -130,6 +130,12 @@ class TestAstToNfa:
         with pytest.raises(SymbolError):
             ast_to_nfa(gr.Class(("x", "z")), ab_table)
 
+    def test_empty_class_rejected(self, ab_table):
+        # the grammar text cannot spell one; a class built through the API
+        # has nothing left in any alphabet
+        with pytest.raises(SymbolError, match="has no symbols in the decoder alphabet"):
+            ast_to_nfa(gr.Class(()), ab_table)
+
     def test_repeated_class_members_build_one_arc(self):
         # a class lists each member once, so the NFA stays deterministic per
         # label pair and optim skips the subset construction

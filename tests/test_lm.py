@@ -731,3 +731,26 @@ def test_splice_matches_the_nonterminal_on_the_word_side():
         assert outs == base_outs == want
         assert cost == pytest.approx(
             base + n_entity * (alpha - cfg.char_fallback_penalty), abs=1e-6)
+
+
+def test_charset_without_separator():
+    # with no " " in the charset, L never returns to its start: a line is
+    # one word, or a char token or `$REGEX` then char tokens
+    cfg = LmConfig()
+    charset = SymbolTable.from_symbols("abcd0123", "chars")
+    counts = count_ngrams(["ab", "ba", "abc", "ab", "cab"])
+    vocab = counts.vocabulary()
+    words = make_word_table(vocab)
+    g = build_grammar(counts, cfg, words)
+    l = build_lexicon(Lexicon.from_words(vocab), charset, words)
+    g, l = add_char_fallback(g, l, charset, cfg)
+    g, l = insert_nonterminal(g, l, cfg)
+    root = build_root(l, g)
+    assert (root.num_states(), root.num_arcs()) == (11, 29)
+
+    def best(line, machine):
+        return shortest_path(compose(linear_acceptor(line, charset), machine))[1]
+    assert best("cab", root) == ("cab",)
+    assert best("dd", root) == ("d", "d")
+    _, _, t_r = compile_biased("export = [0-3]{2};", charset, -2.0)
+    assert best("01", replace(root, words.id(REGEX_NT), t_r)) == ("0", "1")

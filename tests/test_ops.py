@@ -18,7 +18,7 @@ from regexbias.errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from regexbias.fst import EPSILON_ID, SymbolTable, Wfst, linear_acceptor
+from regexbias.fst import EPSILON_ID, ZERO, SymbolTable, Wfst, linear_acceptor
 from regexbias.ops import (
     ReplaceNoOpWarning,
     _refine,
@@ -30,7 +30,6 @@ from regexbias.ops import (
     replace,
     shortest_path,
 )
-from regexbias.semiring import ZERO
 from regexbias.textio import read_fst_text, write_fst_text
 
 from conftest import (
@@ -505,7 +504,7 @@ class TestDeterminize:
         out = determinize(m)
         assert paths_equal(enumerate_paths(out, 4), enumerate_paths(m, 4))
 
-    def test_property_flag_set(self, rng, abcd_table):
+    def test_acceptor_output_is_pair_deterministic(self, rng, abcd_table):
         for _ in range(25):
             m = random_machine(rng, abcd_table, acyclic=True, acceptor=True)
             out = determinize(m)
