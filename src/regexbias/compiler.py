@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import grammar as gr
 from .errors import BudgetExceededError, ConfigError, GrammarError, SymbolError
-from .fst import RESERVED, Arc, SymbolTable, Wfst, character_symbols
+from .fst import RESERVED, SymbolTable, Wfst, character_symbols
 from .ops import DETERMINIZE_STATE_BUDGET, optim
 
 
@@ -146,7 +146,7 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
     A label class holds the labels that exactly the same positions carry:
     `[0-9] [A-Z0-9]` gives {0-9} and {A-Z}. Each link into a position gets
     one arc per class among the position's labels, labelled with the
-    class's smallest; the arcs into a position are shared Arc objects.
+    class's smallest; the arcs into a position are shared tuples.
     `members` maps that label to the whole class, so expanding each arc
     into one per member gives the per-label position automaton.
 
@@ -181,7 +181,7 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
     into = [[] for _ in carried]  # position -> the arcs that enter it
     for positions, labels in classes.items():
         for q in positions:
-            into[q].append(Arc(labels[0], labels[0], 0.0, q))
+            into[q].append((labels[0], labels[0], 0.0, q))
     for p, positions in enumerate(follow):
         m.arcs(p).extend(arc for q in positions for arc in into[q])
     m.members = {labels[0]: labels for labels in classes.values()}
@@ -207,8 +207,7 @@ def nfa_to_dfa(nfa: PositionAutomaton, state_budget: int = DETERMINIZE_STATE_BUD
     members = nfa.members
     for s in dfa.states():
         arcs = dfa.arcs(s)
-        arcs[:] = [Arc(label, label, w, t) for label, w, t in sorted(
-            (label, arc.weight, arc.nextstate) for arc in arcs for label in members[arc.ilabel])]
+        arcs[:] = sorted((label, label, w, t) for i, _, w, t in arcs for label in members[i])
     return dfa
 
 
@@ -220,8 +219,8 @@ def dfa_to_acceptor(dfa: Wfst) -> Wfst:
         return out
     out.set_start(dfa.start)
     for s in dfa.states():
-        for arc in dfa.arcs(s):
-            out.add_arc(s, arc.ilabel, arc.ilabel, 0.0, arc.nextstate)
+        for i, _, _, t in dfa.arcs(s):
+            out.add_arc(s, i, i, 0.0, t)
     for s in dfa.finals:
         out.set_final(s, 0.0)
     return out
@@ -247,11 +246,10 @@ def apply_bias(r: Wfst, bias: BiasSpec) -> Wfst:
     for state and arc for arc. R is left unchanged: T_r is a copy of it
     whose arc lists hold new arcs.
     """
-    t_r = r.copy()
+    t_r, alpha = r.copy(), bias.alpha
     for s in t_r.states():
         arcs = t_r.arcs(s)
-        arcs[:] = [Arc(arc.ilabel, arc.olabel, arc.weight + bias.alpha, arc.nextstate)
-                   for arc in arcs]
+        arcs[:] = [(i, o, w + alpha, t) for i, o, w, t in arcs]
     return t_r
 
 

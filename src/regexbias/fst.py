@@ -11,10 +11,10 @@ finished machines are safe to share across threads. `ops.replace` relies
 on this: it indexes a root's call sites once and reuses the index for as
 long as the root lives.
 
-Copies of a machine share its Arc objects and own only the lists that hold
-them, so an arc is never changed once its machine may have been copied:
-code that needs different arcs builds new ones and puts them in its own
-machine's lists.
+An arc is the plain tuple `(ilabel, olabel, weight, nextstate)`: consume
+ilabel, emit olabel, add weight, move to nextstate. Arcs are immutable, so
+copies of a machine share them; each copy owns its arc lists, and code
+that needs different arcs puts new tuples in its own machine's lists.
 
 Weights are costs: min chooses between paths and + concatenates them. A
 weight of `inf`, the semiring's zero `ZERO`, is no transition:
@@ -31,17 +31,17 @@ The bulk builders run with CPython's cyclic garbage collector paused,
 through `nogc`: `ops.compose`, `determinize`, `minimize` and `optim`,
 `textio`'s reader, and each `lm` step from n-gram counts to the root.
 They allocate arcs, lists and dicts by the hundred thousand, and each
-collection would rescan every live one. Nothing in this package builds
-a reference cycle, so refcounting alone frees what they drop, and the
-pause leaves nothing for a later collection. The pause is process-wide:
-another thread's cyclic garbage waits until the build returns. A caller
-that disabled the collector finds it still disabled.
+collection would rescan every live one. An arc holds only numbers, so the
+first collection after its build stops tracking it. Nothing in this
+package builds a reference cycle, so refcounting alone frees what they
+drop, and the pause leaves nothing for a later collection. The pause is
+process-wide: another thread's cyclic garbage waits until the build
+returns. A caller that disabled the collector finds it still disabled.
 """
 
 import functools
 import gc
 import math
-from dataclasses import dataclass
 
 from .errors import SymbolError
 
@@ -123,21 +123,12 @@ class SymbolTable:
         return f"SymbolTable({self.name!r}, {len(self)} symbols)"
 
 
-@dataclass(slots=True)
-class Arc:
-    """One transition: consume ilabel, emit olabel, accumulate weight."""
-
-    ilabel: int
-    olabel: int
-    weight: float
-    nextstate: int
-
-
 class Fst:
     """Read interface of a machine. A subclass supplies the storage: the
     attributes isymbols, osymbols, start (None when the machine is empty)
-    and finals ({state: weight}), and the methods arcs(state),
-    num_states() and num_arcs(). No arc or final weight is `inf`.
+    and finals ({state: weight}), and the methods arcs(state), a list of
+    (ilabel, olabel, weight, nextstate) tuples, num_states() and
+    num_arcs(). No arc or final weight is `inf`.
     Everything else is derived here."""
 
     def states(self):
@@ -156,7 +147,7 @@ class Fst:
     def check_pair_deterministic(self) -> bool:
         """At most one arc per (state, ilabel, olabel); eps:eps is one more
         label pair, as it is to `ops.determinize`."""
-        return all(len({(arc.ilabel, arc.olabel) for arc in arcs}) == len(arcs)
+        return all(len({(i, o) for i, o, _, _ in arcs}) == len(arcs)
                    for arcs in map(self.arcs, self.states()))
 
     def _check_state(self, state: int):
@@ -175,7 +166,7 @@ class Wfst(Fst):
     def __init__(self, isymbols: SymbolTable, osymbols: SymbolTable | None = None):
         self.isymbols = isymbols
         self.osymbols = osymbols if osymbols is not None else isymbols
-        self._arcs: list[list[Arc]] = []
+        self._arcs: list[list[tuple]] = []
         self.start: int | None = None
         self.finals: dict[int, float] = {}
 
@@ -201,7 +192,7 @@ class Wfst(Fst):
             self._check_state(src)
             self._check_state(dst)
         if weight != ZERO:
-            self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
+            self._arcs[src].append((ilabel, olabel, weight, dst))
 
     def set_final(self, state: int, weight: float = 0.0):
         self._check_state(state)
@@ -218,12 +209,12 @@ class Wfst(Fst):
     def num_arcs(self) -> int:
         return sum(len(a) for a in self._arcs)
 
-    def arcs(self, state: int) -> list[Arc]:
+    def arcs(self, state: int) -> list[tuple]:
         return self._arcs[state]
 
     def copy(self) -> "Wfst":
-        """A machine with its own arc lists and finals that shares the Arc
-        objects with this one: change an arc list, never an arc."""
+        """A machine with its own arc lists and finals; the immutable arcs
+        in them are shared with this one."""
         out = Wfst(self.isymbols, self.osymbols)
         out._arcs = [list(arcs) for arcs in self._arcs]
         out.start = self.start

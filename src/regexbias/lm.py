@@ -51,7 +51,6 @@ from .fst import (
     REGEX_NT,
     RESERVED,
     ZERO,
-    Arc,
     SymbolTable,
     Wfst,
     character_symbols,
@@ -354,12 +353,12 @@ def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
         raise SymbolTableMismatchError(l_prime.osymbols, words,
                                        "L' and G' must share one word table object")
     backoff = words.add(DISAMBIG)
-    g = g_prime.copy()  # shares g_prime's arcs, so relabeling builds new ones
+    g = g_prime.copy()
     for s in g.states():
         arcs = g.arcs(s)
-        for k, arc in enumerate(arcs):
-            if arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID:
-                arcs[k] = Arc(backoff, EPSILON_ID, arc.weight, arc.nextstate)
+        for k, (i, o, w, t) in enumerate(arcs):
+            if i == EPSILON_ID and o == EPSILON_ID:
+                arcs[k] = (backoff, EPSILON_ID, w, t)
     l = l_prime.copy()
     for s in l.finals:
         l.add_arc(s, EPSILON_ID, backoff, 0.0, s)

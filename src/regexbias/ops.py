@@ -37,7 +37,7 @@ from .errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from .fst import EPSILON_ID, ZERO, Arc, Fst, Wfst, nogc
+from .fst import EPSILON_ID, ZERO, Fst, Wfst, nogc
 
 DETERMINIZE_STATE_BUDGET = 1_000_000
 
@@ -56,8 +56,8 @@ def _shortest_distance(n: int, sources, arcs_of):
 
     Returns (dist, pred): dist maps every reached state to its distance,
     pred maps every state reached from another to (that state, the arc).
-    Arcs only need `weight` and `nextstate`. FIFO Bellman-Ford: a distance
-    changes only when it drops by more than 1e-15.
+    FIFO Bellman-Ford: a distance changes only when it drops by more than
+    1e-15.
 
     A negative cycle raises NegativeCycleError. Every n relaxations the
     pred links are searched for a cycle in O(n), the amortized parent-graph
@@ -79,8 +79,8 @@ def _shortest_distance(n: int, sources, arcs_of):
         queued.discard(s)
         base, walk = dist[s], steps[s] + 1
         for arc in arcs_of(s):
-            t = arc.nextstate
-            nd = base + arc.weight
+            _, _, w, t = arc
+            nd = base + w
             if nd < dist.get(t, ZERO) - 1e-15:
                 if walk >= n:
                     raise NegativeCycleError(queued | {t})
@@ -145,8 +145,8 @@ def compose(a: Fst, b: Fst) -> Wfst:
     if a.is_empty() or b.is_empty():
         return out
 
-    a_by_olabel = _label_index(a, "olabel")
-    b_by_ilabel = _label_index(b, "ilabel")
+    a_by_olabel = _label_index(a, 1)
+    b_by_ilabel = _label_index(b, 0)
     state_ids = {}
     queue = deque()
 
@@ -169,36 +169,31 @@ def compose(a: Fst, b: Fst) -> Wfst:
         a_index, b_index = a_by_olabel[s1], b_by_ilabel[s2]
         a_arcs, b_arcs = a.arcs(s1), b.arcs(s2)
         if len(a_arcs) <= len(b_arcs):
-            for arc1 in a_arcs:
-                if arc1.olabel != EPSILON_ID:
-                    for arc2 in b_index.get(arc1.olabel, ()):
-                        dst = state_of((arc1.nextstate, arc2.nextstate, 0))
-                        out.add_arc(src, arc1.ilabel, arc2.olabel,
-                                    arc1.weight + arc2.weight, dst)
+            for i1, o1, w1, t1 in a_arcs:
+                if o1 != EPSILON_ID:
+                    for _, o2, w2, t2 in b_index.get(o1, ()):
+                        out.add_arc(src, i1, o2, w1 + w2, state_of((t1, t2, 0)))
         else:
-            for arc2 in b_arcs:
-                if arc2.ilabel != EPSILON_ID:
-                    for arc1 in a_index.get(arc2.ilabel, ()):
-                        dst = state_of((arc1.nextstate, arc2.nextstate, 0))
-                        out.add_arc(src, arc1.ilabel, arc2.olabel,
-                                    arc1.weight + arc2.weight, dst)
+            for i2, o2, w2, t2 in b_arcs:
+                if i2 != EPSILON_ID:
+                    for i1, _, w1, t1 in a_index.get(i2, ()):
+                        out.add_arc(src, i1, o2, w1 + w2, state_of((t1, t2, 0)))
         if filt == 0:  # a moves alone on its output epsilon
-            for arc1 in a_index.get(EPSILON_ID, ()):
-                dst = state_of((arc1.nextstate, s2, 0))
-                out.add_arc(src, arc1.ilabel, EPSILON_ID, arc1.weight, dst)
-        for arc2 in b_index.get(EPSILON_ID, ()):  # b moves alone on its input epsilon
-            dst = state_of((s1, arc2.nextstate, 1))
-            out.add_arc(src, EPSILON_ID, arc2.olabel, arc2.weight, dst)
+            for i1, _, w1, t1 in a_index.get(EPSILON_ID, ()):
+                out.add_arc(src, i1, EPSILON_ID, w1, state_of((t1, s2, 0)))
+        for _, o2, w2, t2 in b_index.get(EPSILON_ID, ()):  # b moves alone on its input epsilon
+            out.add_arc(src, EPSILON_ID, o2, w2, state_of((s1, t2, 1)))
     return out
 
 
-def _label_index(m: Fst, side: str) -> list[dict[int, list[Arc]]]:
-    """Per state of m, {label: arcs} keyed on each arc's `side` label."""
+def _label_index(m: Fst, side: int) -> list[dict[int, list[tuple]]]:
+    """Per state of m, {label: arcs} keyed on each arc's label at index
+    `side`: 0 for ilabel, 1 for olabel."""
     index = []
     for s in m.states():
-        by_label: dict[int, list[Arc]] = {}
+        by_label: dict[int, list[tuple]] = {}
         for arc in m.arcs(s):
-            by_label.setdefault(getattr(arc, side), []).append(arc)
+            by_label.setdefault(arc[side], []).append(arc)
         index.append(by_label)
     return index
 
@@ -243,11 +238,11 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
             sf = a.final(s)
             if sf != ZERO:
                 fw = min(fw, residual + sf)
-            for arc in a.arcs(s):
-                targets = moves.setdefault((arc.ilabel, arc.olabel), {})
-                w = residual + arc.weight
-                if w < targets.get(arc.nextstate, ZERO):
-                    targets[arc.nextstate] = w
+            for i, o, w, t in a.arcs(s):
+                targets = moves.setdefault((i, o), {})
+                w += residual
+                if w < targets.get(t, ZERO):
+                    targets[t] = w
         if fw != ZERO:
             out.set_final(src, fw)
         for label in sorted(moves):
@@ -308,17 +303,17 @@ def _minimize(a: Fst) -> Wfst:
     reached[a.start] = True
     stack = [a.start]
     while stack:
-        for arc in a.arcs(stack.pop()):
-            if not reached[arc.nextstate]:
-                reached[arc.nextstate] = True
-                stack.append(arc.nextstate)
+        for _, _, _, t in a.arcs(stack.pop()):
+            if not reached[t]:
+                reached[t] = True
+                stack.append(t)
     # potentials are the shortest distances to a final over reversed arcs, so
     # the states they reach are exactly the co-accessible ones
     rev = [[] for _ in range(n)]
     for s in range(n):
         if reached[s]:
-            for arc in a.arcs(s):
-                rev[arc.nextstate].append(Arc(arc.ilabel, arc.olabel, arc.weight, s))
+            for i, o, w, t in a.arcs(s):
+                rev[t].append((i, o, w, s))
     finals = {s: w for s, w in a.finals.items() if reached[s]}
     try:
         pot = _shortest_distance(n, finals, rev.__getitem__)[0]
@@ -326,17 +321,15 @@ def _minimize(a: Fst) -> Wfst:
         pot = dict.fromkeys(finals, 0.0)
         queue = deque(pot)
         while queue:
-            for arc in rev[queue.popleft()]:
-                if arc.nextstate not in pot:
-                    pot[arc.nextstate] = 0.0
-                    queue.append(arc.nextstate)
+            for _, _, _, t in rev[queue.popleft()]:
+                if t not in pot:
+                    pot[t] = 0.0
+                    queue.append(t)
     del rev, reached  # freed before the pushed arc lists are built
     if a.start not in pot:
         return Wfst(a.isymbols, a.osymbols)
     pot[a.start] = 0.0  # keep total path weights unchanged
-    arcs = {s: sorted((arc.ilabel, arc.olabel, arc.weight + pot[arc.nextstate] - p,
-                       arc.nextstate) for arc in a.arcs(s)
-                      if arc.nextstate in pot)
+    arcs = {s: sorted((i, o, w + pot[t] - p, t) for i, o, w, t in a.arcs(s) if t in pot)
             for s, p in pot.items()}
     finals = {s: a.final(s) - p for s, p in pot.items()}
     start, out = a.start, Wfst(a.isymbols, a.osymbols)
@@ -497,9 +490,9 @@ def _index_calls(root: Fst, nonterminal: int):
     for s in root.states():
         arcs = root.arcs(s)
         n_arcs += len(arcs)
-        sites = [(arc.weight, arc.nextstate) for arc in arcs if arc.olabel == nonterminal]
+        sites = [(w, t) for _, o, w, t in arcs if o == nonterminal]
         if sites:
-            calls[s] = ([arc for arc in arcs if arc.olabel != nonterminal], sites)
+            calls[s] = ([arc for arc in arcs if arc[1] != nonterminal], sites)
             n_calls += len(sites)
             for _, t in sites:
                 targets.setdefault(t, len(targets))
@@ -512,12 +505,12 @@ def _label_maps(sub: Fst, root: Fst, nonterminal: int):
     side, in state and arc order so the first bad label raises."""
     imap, omap = {EPSILON_ID: EPSILON_ID}, {EPSILON_ID: EPSILON_ID}
     for q in sub.states():
-        for arc in sub.arcs(q):
-            if arc.ilabel not in imap:
-                imap[arc.ilabel] = _map_label(arc.ilabel, sub.isymbols, root.isymbols)
-            if arc.olabel not in omap:
-                omap[arc.olabel] = _map_label(arc.olabel, sub.osymbols, root.osymbols)
-                if omap[arc.olabel] == nonterminal:
+        for i, o, _, _ in sub.arcs(q):
+            if i not in imap:
+                imap[i] = _map_label(i, sub.isymbols, root.isymbols)
+            if o not in omap:
+                omap[o] = _map_label(o, sub.osymbols, root.osymbols)
+                if omap[o] == nonterminal:
                     raise ReplaceRecursionError(
                         "replacement sub-machine writes the nonterminal label itself")
     return imap, omap
@@ -560,7 +553,7 @@ class ReplaceView(Fst):
             self._num_arcs += n_calls + len(self._returns) * block_arcs
         self._built = {}
 
-    def arcs(self, state: int) -> list[Arc]:
+    def arcs(self, state: int) -> list[tuple]:
         arcs = self._built.get(state)
         if arcs is not None:
             return arcs
@@ -572,17 +565,16 @@ class ReplaceView(Fst):
             kept, sites = call
             arcs = kept
             if self._returns:
-                arcs = kept + [Arc(EPSILON_ID, EPSILON_ID, w, self._entries[t])
+                arcs = kept + [(EPSILON_ID, EPSILON_ID, w, self._entries[t])
                                for w, t in sites]
         else:
             k, q = divmod(state - self._n, self._block)
             offset = state - q
             imap, omap = self._imap, self._omap
-            arcs = [Arc(imap[a.ilabel], omap[a.olabel], a.weight, offset + a.nextstate)
-                    for a in self._sub_arcs(q)]
+            arcs = [(imap[i], omap[o], w, offset + t) for i, o, w, t in self._sub_arcs(q)]
             fw = self._sub_finals.get(q)
             if fw is not None:
-                arcs.append(Arc(EPSILON_ID, EPSILON_ID, fw, self._returns[k]))
+                arcs.append((EPSILON_ID, EPSILON_ID, fw, self._returns[k]))
         self._built[state] = arcs
         return arcs
 
@@ -619,9 +611,9 @@ def shortest_path(a: Fst):
         s, arc = pred[s]
         arcs_rev.append(arc)
     ins, outs = [], []
-    for arc in reversed(arcs_rev):
-        if arc.ilabel != EPSILON_ID:
-            ins.append(a.isymbols.sym(arc.ilabel))
-        if arc.olabel != EPSILON_ID:
-            outs.append(a.osymbols.sym(arc.olabel))
+    for i, o, _, _ in reversed(arcs_rev):
+        if i != EPSILON_ID:
+            ins.append(a.isymbols.sym(i))
+        if o != EPSILON_ID:
+            outs.append(a.osymbols.sym(o))
     return tuple(ins), tuple(outs), best_cost

@@ -40,9 +40,9 @@ def write_fst_text(m: Fst) -> str:
     lines = [final_line(s) for s in lead]
     order = [m.start] + [s for s in m.states() if s != m.start]
     for s in order:
-        for arc in m.arcs(s):
-            w = "" if arc.weight == 0.0 else f"\t{format_weight(arc.weight)}"
-            lines.append(f"{s}\t{arc.nextstate}\t{arc.ilabel}\t{arc.olabel}{w}")
+        for i, o, w, t in m.arcs(s):
+            field = "" if w == 0.0 else f"\t{format_weight(w)}"
+            lines.append(f"{s}\t{t}\t{i}\t{o}{field}")
     lines.extend(final_line(s) for s in sorted(m.finals) if s not in lead)
     return "\n".join(lines) + "\n"
 

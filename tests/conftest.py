@@ -80,23 +80,23 @@ def all_arcs(m):
 
 
 def check_acceptor(m: Wfst) -> bool:
-    return all(arc.ilabel == arc.olabel for _, arc in all_arcs(m))
+    return all(i == o for _, (i, o, _, _) in all_arcs(m))
 
 
 def check_deterministic(m: Wfst) -> bool:
     """No input-epsilon arcs and at most one arc per (state, ilabel)."""
     for s in m.states():
         seen = set()
-        for arc in m.arcs(s):
-            if arc.ilabel == EPSILON_ID or arc.ilabel in seen:
+        for i, _, _, _ in m.arcs(s):
+            if i == EPSILON_ID or i in seen:
                 return False
-            seen.add(arc.ilabel)
+            seen.add(i)
     return True
 
 
 def check_eps_free(m: Wfst) -> bool:
     return not any(
-        arc.ilabel == EPSILON_ID and arc.olabel == EPSILON_ID for _, arc in all_arcs(m)
+        i == EPSILON_ID and o == EPSILON_ID for _, (i, o, _, _) in all_arcs(m)
     )
 
 
@@ -130,13 +130,13 @@ def enumerate_paths(a: Wfst, max_len: int, max_out_len: int | None = None,
             total = w + fw
             if total < accepted.get(pair, ZERO):
                 accepted[pair] = total
-        for arc in a.arcs(state):
-            nins = ins if arc.ilabel == EPSILON_ID else ins + (arc.ilabel,)
-            nouts = outs if arc.olabel == EPSILON_ID else outs + (arc.olabel,)
+        for i, o, aw, t in a.arcs(state):
+            nins = ins if i == EPSILON_ID else ins + (i,)
+            nouts = outs if o == EPSILON_ID else outs + (o,)
             if len(nins) > max_len or len(nouts) > max_out_len:
                 continue
-            nkey = (arc.nextstate, nins, nouts)
-            nw = w + arc.weight
+            nkey = (t, nins, nouts)
+            nw = w + aw
             if nw < best.get(nkey, ZERO) - 1e-15:
                 best[nkey] = nw
                 queue.append(nkey)
@@ -222,9 +222,9 @@ def per_label_nfa(nfa) -> Wfst:
     out.set_start(nfa.start)
     for s, w in nfa.finals.items():
         out.set_final(s, w)
-    for s, arc in all_arcs(nfa):
-        for label in nfa.members[arc.ilabel]:
-            out.add_arc(s, label, label, arc.weight, arc.nextstate)
+    for s, (i, _, w, t) in all_arcs(nfa):
+        for label in nfa.members[i]:
+            out.add_arc(s, label, label, w, t)
     return out
 
 
@@ -260,7 +260,7 @@ def ast_to_pattern(node, alphabet=None) -> str:
 
 def arc_snapshot(m: Wfst) -> list:
     """Every arc of m as a (src, ilabel, olabel, weight, nextstate) tuple."""
-    return [(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate) for s, arc in all_arcs(m)]
+    return [(s, *arc) for s, arc in all_arcs(m)]
 
 
 def paths_equal(lhs: dict, rhs: dict, tol=1e-9):
@@ -294,10 +294,10 @@ def path_counts(a: Wfst) -> Counter:
         state, ins, outs = stack.pop()
         if a.is_final(state):
             counts[ins, outs] += 1
-        for arc in a.arcs(state):
-            stack.append((arc.nextstate,
-                          ins if arc.ilabel == EPSILON_ID else ins + (arc.ilabel,),
-                          outs if arc.olabel == EPSILON_ID else outs + (arc.olabel,)))
+        for i, o, _, t in a.arcs(state):
+            stack.append((t,
+                          ins if i == EPSILON_ID else ins + (i,),
+                          outs if o == EPSILON_ID else outs + (o,)))
     return counts
 
 
@@ -306,10 +306,10 @@ def _eps_closure(a: Wfst, dist: dict) -> dict:
     stack = list(dist)
     while stack:
         s = stack.pop()
-        for arc in a.arcs(s):
-            if arc.ilabel == EPSILON_ID and dist[s] + arc.weight < dist.get(arc.nextstate, ZERO):
-                dist[arc.nextstate] = dist[s] + arc.weight
-                stack.append(arc.nextstate)
+        for i, _, w, t in a.arcs(s):
+            if i == EPSILON_ID and dist[s] + w < dist.get(t, ZERO):
+                dist[t] = dist[s] + w
+                stack.append(t)
     return dist
 
 
@@ -321,7 +321,7 @@ def acceptor_weights(a: Wfst, sequences) -> dict:
     one step per label followed by its closure. Prefixes shared between
     sequences are walked once. `a` may have no negative epsilon cycle.
     """
-    assert all(arc.ilabel == arc.olabel for _, arc in all_arcs(a)), "not an acceptor"
+    assert all(i == o for _, (i, o, _, _) in all_arcs(a)), "not an acceptor"
     reach = {(): _eps_closure(a, {a.start: 0.0}) if not a.is_empty() else {}}
 
     def reached(seq):
@@ -329,9 +329,9 @@ def acceptor_weights(a: Wfst, sequences) -> dict:
             label = a.isymbols.find(seq[-1])
             step = {}
             for s, w in reached(seq[:-1]).items():
-                for arc in a.arcs(s):
-                    if arc.ilabel == label and w + arc.weight < step.get(arc.nextstate, ZERO):
-                        step[arc.nextstate] = w + arc.weight
+                for i, _, aw, t in a.arcs(s):
+                    if i == label and w + aw < step.get(t, ZERO):
+                        step[t] = w + aw
             reach[seq] = _eps_closure(a, step)
         return reach[seq]
 
@@ -379,12 +379,12 @@ def connect(a: Wfst) -> Wfst:
         if s in forward:
             continue
         forward.add(s)
-        for arc in a.arcs(s):
-            if arc.nextstate not in forward:
-                queue.append(arc.nextstate)
+        for _, _, _, t in a.arcs(s):
+            if t not in forward:
+                queue.append(t)
     rev = [[] for _ in a.states()]
-    for s, arc in all_arcs(a):
-        rev[arc.nextstate].append(s)
+    for s, (_, _, _, t) in all_arcs(a):
+        rev[t].append(s)
     backward = set()
     queue = deque(s for s in a.finals if s in forward)
     while queue:
@@ -404,10 +404,9 @@ def connect(a: Wfst) -> Wfst:
         remap[s] = out.add_state()
     out.set_start(remap[a.start])
     for s in sorted(keep):
-        for arc in a.arcs(s):
-            if arc.nextstate in keep:
-                out.add_arc(remap[s], arc.ilabel, arc.olabel, arc.weight,
-                            remap[arc.nextstate])
+        for i, o, w, t in a.arcs(s):
+            if t in keep:
+                out.add_arc(remap[s], i, o, w, remap[t])
     for s, w in a.finals.items():
         if s in keep:
             out.set_final(remap[s], w)
@@ -430,9 +429,9 @@ def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
                               f"{root_table.name!r}")
         return target
 
-    sub_arcs = [(q, mapped(arc.ilabel, sub.isymbols, root.isymbols),
-                 mapped(arc.olabel, sub.osymbols, root.osymbols), arc.weight, arc.nextstate)
-                for q, arc in all_arcs(sub)]
+    sub_arcs = [(q, mapped(i, sub.isymbols, root.isymbols),
+                 mapped(o, sub.osymbols, root.osymbols), w, t)
+                for q, (i, o, w, t) in all_arcs(sub)]
     if any(o == nonterminal for _, _, o, _, _ in sub_arcs):
         raise ReplaceRecursionError("replacement sub-machine writes the nonterminal")
     out = Wfst(root.isymbols, root.osymbols)
@@ -442,23 +441,23 @@ def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
     for s, w in root.finals.items():
         out.set_final(s, w)
     calls = []
-    for s, arc in all_arcs(root):
-        if arc.olabel == nonterminal:
-            calls.append((s, arc))
+    for s, (i, o, w, t) in all_arcs(root):
+        if o == nonterminal:
+            calls.append((s, w, t))
         else:
-            out.add_arc(s, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
+            out.add_arc(s, i, o, w, t)
     if sub.is_empty() or not sub.finals:
         return out  # sub accepts nothing, so no call site leads anywhere
     copies = {}  # return target -> sub copy offset
-    for s, arc in calls:
-        offset = copies.get(arc.nextstate)
+    for s, weight, target in calls:
+        offset = copies.get(target)
         if offset is None:
-            offset = copies[arc.nextstate] = out.add_states(sub.num_states())
+            offset = copies[target] = out.add_states(sub.num_states())
             for q, i, o, w, t in sub_arcs:
                 out.add_arc(offset + q, i, o, w, offset + t)
             for q, fw in sub.finals.items():
-                out.add_arc(offset + q, EPSILON_ID, EPSILON_ID, fw, arc.nextstate)
-        out.add_arc(s, EPSILON_ID, EPSILON_ID, arc.weight, offset + sub.start)
+                out.add_arc(offset + q, EPSILON_ID, EPSILON_ID, fw, target)
+        out.add_arc(s, EPSILON_ID, EPSILON_ID, weight, offset + sub.start)
     return out
 
 
@@ -503,16 +502,16 @@ def check_stochastic(g: Wfst, counts: NgramCounts, tol: float = 1e-6) -> float:
     for s in g.states():
         word_arcs = []
         backoff_weight = None
-        for arc in g.arcs(s):
-            if arc.ilabel == EPSILON_ID:
-                if arc.nextstate == UNIGRAM_STATE:
-                    backoff_weight = arc.weight
+        for i, _, w, t in g.arcs(s):
+            if i == EPSILON_ID:
+                if t == UNIGRAM_STATE:
+                    backoff_weight = w
                 continue
-            if arc.nextstate == UNIGRAM_STATE:
+            if t == UNIGRAM_STATE:
                 continue  # char-fallback or `$REGEX` arc, outside the budget
-            symbol = g.isymbols.sym(arc.ilabel)
+            symbol = g.isymbols.sym(i)
             if symbol in vocab:
-                word_arcs.append((symbol, arc.weight))
+                word_arcs.append((symbol, w))
         if not word_arcs and backoff_weight is None and not g.is_final(s):
             continue
         mass = sum(math.exp(-w) for _, w in word_arcs)

@@ -114,6 +114,19 @@ def test_dropped_machines_die_by_refcount(bench, cycle_check):
     cycle_check("dropping the root")
 
 
+def test_collection_untracks_every_arc(bench):
+    """An arc is a tuple of numbers, so the first collection after its build
+    stops tracking it, and later collections do not rescan a machine's arcs."""
+    graph = seed_1_lm(*bench)
+    t_r = compile_biased('export = "a" [0-9]{2};', graph.charset, -1.0)[2]
+    back = read_fst_text(write_fst_text(graph.root), graph.charset, graph.words)
+    gc.collect()
+    for name, m in (("root", graph.root), ("T_r", t_r), ("root read back", back)):
+        tracked = sum(gc.is_tracked(arc) for s in m.states() for arc in m.arcs(s))
+        assert m.num_arcs() > 0
+        assert tracked == 0, f"{tracked} of the {name}'s {m.num_arcs()} arcs still tracked"
+
+
 def collections_during(func, *args):
     """The generation of each collection that starts while func(*args) runs."""
     seen = []

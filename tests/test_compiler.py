@@ -53,9 +53,9 @@ def accepts(machine, text):
         label = machine.isymbols.find(ch)
         if label is None:
             return False
-        for arc in machine.arcs(state):
-            if arc.ilabel == label:
-                state = arc.nextstate
+        for i, _, _, t in machine.arcs(state):
+            if i == label:
+                state = t
                 break
         else:
             return False
@@ -81,9 +81,8 @@ def random_walk(machine, rng):
     """The labels along a random path from the start that ends in a final."""
     state, labels = machine.start, []
     while not (machine.is_final(state) and (rng.random() < 0.3 or not machine.arcs(state))):
-        arc = rng.choice(machine.arcs(state))
-        labels.append(machine.isymbols.sym(arc.ilabel))
-        state = arc.nextstate
+        i, _, _, state = rng.choice(machine.arcs(state))
+        labels.append(machine.isymbols.sym(i))
     return "".join(labels)
 
 
@@ -293,8 +292,8 @@ def test_random_ast_gives_position_automaton(ast):
     assert _positions(ast, {}) + 1 == nfa.num_states()
     assert check_eps_free(nfa)
     into = {}
-    for src, arc in all_arcs(nfa):
-        into.setdefault(arc.nextstate, {}).setdefault(src, set()).add(arc.ilabel)
+    for src, (i, _, _, t) in all_arcs(nfa):
+        into.setdefault(t, {}).setdefault(src, set()).add(i)
     assert 0 not in into
     for by_source in into.values():
         assert len({frozenset(labels) for labels in by_source.values()}) == 1
@@ -339,7 +338,7 @@ class TestNfaToDfa:
         assert seen == [nfa]
         assert [len(nfa.arcs(s)) for s in nfa.states()] == [1, 1] + [3] * 8 + [0]
         for s in range(2, 10):
-            assert sorted(WIDE_TABLE.sym(arc.ilabel) for arc in nfa.arcs(s)) == ["A", "F", "K"]
+            assert sorted(WIDE_TABLE.sym(i) for i, _, _, _ in nfa.arcs(s)) == ["A", "F", "K"]
         assert (dfa.num_states(), dfa.num_arcs()) == (11, 2 + 36 * 8)
         assert write_fst_text(dfa) == write_fst_text(ops.optim(per_label_nfa(nfa)))
 
@@ -415,9 +414,9 @@ class TestDfaToAcceptor:
     def test_identity_labels_zero_weights(self, ab_table):
         ast = gr.parse_grammar('export = "a" "b"?;').export_ast()
         r = dfa_to_acceptor(nfa_to_dfa(ast_to_nfa(ast, ab_table)))
-        for _, arc in all_arcs(r):
-            assert arc.ilabel == arc.olabel
-            assert arc.weight == 0.0
+        for _, (i, o, w, _) in all_arcs(r):
+            assert i == o
+            assert w == 0.0
         assert all(w == 0.0 for w in r.finals.values())
 
     def test_ab_star_topology(self, ab_table):
@@ -445,7 +444,8 @@ class TestApplyBias:
         assert paths == pytest.approx({"a": -1.0, "ab": -2.0, "abb": -3.0, "abbb": -4.0})
 
     def test_leaves_r_unchanged(self, ab_table):
-        # T_r starts as a copy of R, which shares R's arcs
+        # T_r starts as a copy of R, so biasing must fill T_r's own arc
+        # lists and leave R's as they were
         ast = gr.parse_grammar('export = "a" "b"*;').export_ast()
         r = dfa_to_acceptor(nfa_to_dfa(ast_to_nfa(ast, ab_table)))
         before = arc_snapshot(r)
@@ -511,5 +511,5 @@ class TestScorer:
         s = scorer(ab_table, -3.0)
         assert s.num_states() == 1
         assert s.num_arcs() == 2
-        assert all(arc.weight == -3.0 for _, arc in all_arcs(s))
+        assert all(w == -3.0 for _, (_, _, w, _) in all_arcs(s))
         assert s.final(s.start) == 0.0

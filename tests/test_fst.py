@@ -153,10 +153,10 @@ class TestTextFormat:
         assert set(back.finals) == set(m.finals)
         for s in m.finals:
             assert back.finals[s] == pytest.approx(m.finals[s], abs=1e-8)
-        assert [(s, a.ilabel, a.olabel, a.nextstate) for s, a in all_arcs(back)] == \
-               [(s, a.ilabel, a.olabel, a.nextstate) for s, a in all_arcs(m)]
-        for (_, got), (_, want) in zip(all_arcs(back), all_arcs(m)):
-            assert got.weight == pytest.approx(want.weight, abs=1e-8)
+        assert [(s, i, o, t) for s, (i, o, _, t) in all_arcs(back)] == \
+               [(s, i, o, t) for s, (i, o, _, t) in all_arcs(m)]
+        for (_, (_, _, got, _)), (_, (_, _, want, _)) in zip(all_arcs(back), all_arcs(m)):
+            assert got == pytest.approx(want, abs=1e-8)
 
     def test_zero_weight_omitted(self, ab_table):
         m = Wfst(ab_table)

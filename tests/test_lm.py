@@ -118,13 +118,13 @@ def per_word_grammar(counts, cfg):
 def grammar_by_context(g):
     """build_grammar's output in per_word_grammar's form."""
     context = {UNIGRAM_STATE: None, g.start: "<s>"}
-    for arc in g.arcs(UNIGRAM_STATE):
-        context[arc.nextstate] = g.isymbols.sym(arc.ilabel)
+    for i, _, _, t in g.arcs(UNIGRAM_STATE):
+        context[t] = g.isymbols.sym(i)
     arcs = {}
-    for s, arc in all_arcs(g):
-        key = (context[s], g.isymbols.sym(arc.ilabel), context[arc.nextstate])
+    for s, (i, _, w, t) in all_arcs(g):
+        key = (context[s], g.isymbols.sym(i), context[t])
         assert key not in arcs
-        arcs[key] = arc.weight
+        arcs[key] = w
     return arcs, {context[s]: w for s, w in g.finals.items()}
 
 
@@ -138,16 +138,16 @@ def per_word_deviation(g, counts):
     for s in g.states():
         word_arcs = []
         backoff_weight = None
-        for arc in g.arcs(s):
-            if arc.ilabel == EPSILON_ID:
-                if arc.nextstate == UNIGRAM_STATE:
-                    backoff_weight = arc.weight
+        for i, _, w, t in g.arcs(s):
+            if i == EPSILON_ID:
+                if t == UNIGRAM_STATE:
+                    backoff_weight = w
                 continue
-            if arc.nextstate == UNIGRAM_STATE:
+            if t == UNIGRAM_STATE:
                 continue
-            symbol = g.isymbols.sym(arc.ilabel)
+            symbol = g.isymbols.sym(i)
             if symbol in vocab:
-                word_arcs.append((symbol, arc.weight))
+                word_arcs.append((symbol, w))
         if not word_arcs and backoff_weight is None and not g.is_final(s):
             continue
         mass = sum(math.exp(-w) for _, w in word_arcs)
@@ -225,11 +225,11 @@ class TestGrammar:
         g = grammar_from_probs({"foo": 0.001, "bar": 0.001}, {("foo", "bar"): 0.01},
                                make_word_table(["foo", "bar"]))
         by_label = {}
-        for s, arc in all_arcs(g):
-            by_label[(s, g.isymbols.sym(arc.ilabel))] = arc.weight
+        for s, (i, _, w, _) in all_arcs(g):
+            by_label[(s, g.isymbols.sym(i))] = w
         assert by_label[(g.start, "foo")] == pytest.approx(6.907755, abs=1e-6)
         assert by_label[(g.start, "bar")] == pytest.approx(6.907755, abs=1e-6)
-        bigram = [arc.weight for s, arc in all_arcs(g) if s != g.start]
+        bigram = [w for s, (_, _, w, _) in all_arcs(g) if s != g.start]
         assert bigram == [pytest.approx(4.605170, abs=1e-6)]
         # the two-word model's paths
         paths = {tuple(k[0]): w for k, w in enumerate_paths(g, 2).items()}
@@ -238,8 +238,8 @@ class TestGrammar:
 
     def test_neglog_conversion_exact(self):
         g = grammar_from_probs({"w": 0.001}, None, make_word_table(["w"]))
-        (_, arc), = list(all_arcs(g))
-        assert arc.weight == pytest.approx(-math.log(0.001), abs=1e-9)
+        (_, (_, _, w, _)), = list(all_arcs(g))
+        assert w == pytest.approx(-math.log(0.001), abs=1e-9)
 
     def test_counted_grammar_connected_and_finite(self):
         counts = count_ngrams(["the cat sat", "the dog sat", "a cat"])
@@ -304,7 +304,7 @@ class TestGrammar:
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
         g, l = add_char_fallback(g, l, charset, cfg)
         g, l = insert_nonterminal(g, l, cfg)
-        assert any(arc.ilabel == EPSILON_ID for _, arc in all_arcs(g))
+        assert any(i == EPSILON_ID for _, (i, _, _, _) in all_arcs(g))
         assert check_stochastic(g, counts) == pytest.approx(per_word_deviation(g, counts),
                                                             abs=1e-12)
 
@@ -414,7 +414,7 @@ class TestLexicon:
         # the backoff arcs, eps:eps, are the only eps-input arcs besides the
         # `$REGEX` call sites
         nt = word_table.id(REGEX_NT)
-        eps_outputs = {arc.olabel for _, arc in all_arcs(root) if arc.ilabel == EPSILON_ID}
+        eps_outputs = {o for _, (i, o, _, _) in all_arcs(root) if i == EPSILON_ID}
         assert eps_outputs == {EPSILON_ID, nt}
 
     def test_big_lexicon_determinizes(self):
@@ -499,8 +499,8 @@ class TestNonterminal:
             assert write_fst_text(splice(back)[0]) == write_fst_text(splice(g)[0])
 
     def test_steps_leave_their_inputs_unchanged(self):
-        # copies share Arc objects, so a step that changed an arc it was
-        # given would change every machine built from the same one
+        # a step that wrote into the arc lists it was given, not its own
+        # copy's, would change every machine built from the same one
         cfg = LmConfig(nonterminal_weight=-1.0)
         counts = count_ngrams(["foo bar", "bar foo", "foo"])
         words = counts.vocabulary()
@@ -508,7 +508,7 @@ class TestNonterminal:
         word_table = make_word_table(words)
         g = build_grammar(counts, cfg, word_table)
         l = build_lexicon(Lexicon.from_words(words), charset, word_table)
-        assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in all_arcs(g))
+        assert any(i == EPSILON_ID == o for _, (i, o, _, _) in all_arcs(g))
         machines = [g, l]
         snapshots = [arc_snapshot(g), arc_snapshot(l)]
         for step in (lambda g, l: add_char_fallback(g, l, charset, cfg),
@@ -519,7 +519,7 @@ class TestNonterminal:
             snapshots += [arc_snapshot(g), arc_snapshot(l)]
         root = build_root(l, g)
         assert [arc_snapshot(m) for m in machines] == snapshots
-        assert any(arc.ilabel == EPSILON_ID == arc.olabel for _, arc in all_arcs(root))
+        assert any(i == EPSILON_ID == o for _, (i, o, _, _) in all_arcs(root))
 
     def test_registers_its_symbol(self):
         # bench/workloads.py registers `$REGEX` before the call; both give one root
@@ -559,9 +559,9 @@ class TestNonterminal:
         trimmed = connect(root)
         assert (trimmed.num_states(), trimmed.num_arcs()) == (root.num_states(), root.num_arcs())
         nt = word_table.id(REGEX_NT)
-        nt_arcs = [arc for _, arc in all_arcs(root) if arc.olabel == nt]
+        nt_arcs = [arc for _, arc in all_arcs(root) if arc[1] == nt]
         assert nt_arcs, "nonterminal arcs must survive optim"
-        assert all(arc.ilabel == EPSILON_ID for arc in nt_arcs)
+        assert all(i == EPSILON_ID for i, _, _, _ in nt_arcs)
         # outputs containing the token are reachable
         paths = enumerate_paths(root, 4, max_out_len=4)
         assert any(REGEX_NT in outs for _, outs in paths)
@@ -572,7 +572,7 @@ class TestNonterminal:
         g2, l2 = insert_nonterminal(g, l, cfg_inf)
         root = build_root(l2, g2)
         nt = word_table.id(REGEX_NT)
-        assert not [arc for _, arc in all_arcs(root) if arc.olabel == nt]
+        assert not [arc for _, arc in all_arcs(root) if arc[1] == nt]
 
     def test_fallback_covers_oov(self):
         charset, word_table, g, l, cfg = self.setup_model()
@@ -621,7 +621,7 @@ class TestNonterminal:
         # from every state at once: a negative eps:eps cycle anywhere raises
         _shortest_distance(root.num_states(), dict.fromkeys(root.states(), 0.0),
                            lambda s: [arc for arc in root.arcs(s)
-                                      if arc.ilabel == EPSILON_ID == arc.olabel])
+                                      if arc[0] == EPSILON_ID == arc[1]])
 
     @pytest.mark.parametrize("with_nonterminal", [False, True])
     def test_root_with_colliding_spellings_is_plain_t(self, with_nonterminal):

@@ -114,7 +114,7 @@ class TestAcceptorWeights:
         with_eps = accepted = 0
         for _ in range(60):
             m = random_machine(rng, abcd_table, acceptor=True)
-            with_eps += any(arc.ilabel == EPSILON_ID for _, arc in all_arcs(m))
+            with_eps += any(i == EPSILON_ID for _, (i, _, _, _) in all_arcs(m))
             expected = {ins: w for (ins, _), w in enumerate_paths(m, 5).items()}
             got = acceptor_weights(m, sequences)
             for seq in sequences:
@@ -218,8 +218,8 @@ class TestCompose:
         for _ in range(300):
             a = random_machine(rng, abcd_table, max_states=4, acyclic=True, eps_prob=0.4)
             b = random_machine(rng, abcd_table, max_states=4, acyclic=True, eps_prob=0.4)
-            both_eps += (any(arc.olabel == EPSILON_ID for _, arc in all_arcs(a))
-                         and any(arc.ilabel == EPSILON_ID for _, arc in all_arcs(b)))
+            both_eps += (any(o == EPSILON_ID for _, (_, o, _, _) in all_arcs(a))
+                         and any(i == EPSILON_ID for _, (i, _, _, _) in all_arcs(b)))
             assert path_counts(compose(a, b)) == joined_counts(a, b)
         assert both_eps >= 90
 
@@ -265,8 +265,8 @@ class TestCompose:
             a = skewed_machine(rng, abcd_table, wide_a, "olabel")
             b = skewed_machine(rng, abcd_table, not wide_a, "ilabel")
             assert (len(a.arcs(a.start)) > len(b.arcs(b.start))) == wide_a
-            assert any(arc.olabel == EPSILON_ID for arc in a.arcs(a.start))
-            assert any(arc.ilabel == EPSILON_ID for arc in b.arcs(b.start))
+            assert any(o == EPSILON_ID for _, o, _, _ in a.arcs(a.start))
+            assert any(i == EPSILON_ID for i, _, _, _ in b.arcs(b.start))
             c = compose(a, b)
             expected = join_paths(enumerate_paths(a, 10, max_out_len=10),
                                   enumerate_paths(b, 10, max_out_len=10))
@@ -331,7 +331,7 @@ def skewed_machine(rng, table, wide, side):
 
 
 def eps_arcs_of(m):
-    return lambda s: [arc for arc in m.arcs(s) if arc.ilabel == EPSILON_ID == arc.olabel]
+    return lambda s: [arc for arc in m.arcs(s) if arc[0] == EPSILON_ID == arc[1]]
 
 
 class TestShortestDistance:
@@ -345,8 +345,8 @@ class TestShortestDistance:
                 want = _eps_closure(m, {s: 0.0})
                 assert dist == pytest.approx(want, abs=1e-12)
                 for t, (q, arc) in pred.items():
-                    assert arc in m.arcs(q) and arc.nextstate == t
-                    assert dist[t] == pytest.approx(dist[q] + arc.weight, abs=1e-12)
+                    assert arc in m.arcs(q) and arc[3] == t
+                    assert dist[t] == pytest.approx(dist[q] + arc[2], abs=1e-12)
                 wider += len(dist) > 1
         assert wider >= 40
 
@@ -468,7 +468,7 @@ class TestDeterminize:
             assert write_fst_text(optim(m)) == write_fst_text(minimize(determinize(m)))
         for out in outs:
             assert paths_equal(enumerate_paths(out, 4), want)
-            assert all(arc.weight != ZERO for _, arc in all_arcs(out))
+            assert all(w != ZERO for _, (_, _, w, _) in all_arcs(out))
 
     def test_overflowing_sums_are_no_path(self, ab_table):
         # every finite arc is stored, but the only path through 2 costs
@@ -645,8 +645,8 @@ class TestMinimize:
             for label in order + (a,):
                 m.add_arc(1, label, label, weight.get(label, 1.0), 2)
             out = minimize(m)
-            built.append(([(s, arc.ilabel, arc.nextstate) for s, arc in all_arcs(out)],
-                          [arc.weight for _, arc in all_arcs(out)], out.finals))
+            built.append(([(s, i, t) for s, (i, _, _, t) in all_arcs(out)],
+                          [w for _, (_, _, w, _) in all_arcs(out)], out.finals))
         (shape, weights, finals), (other_shape, other_weights, other_finals) = built
         assert shape == other_shape and finals.keys() == other_finals.keys()
         assert weights != other_weights  # the orders do differ
@@ -762,8 +762,7 @@ def pair_deterministic_machines(draw):
 @given(pair_deterministic_machines())
 def test_refinement_matches_moore(m):
     finals = {s: m.final(s) for s in m.states()}
-    arcs = {s: sorted((a.ilabel, a.olabel, a.weight, a.nextstate) for a in m.arcs(s))
-            for s in m.states()}
+    arcs = {s: sorted(m.arcs(s)) for s in m.states()}
     assert partition(_refine(finals, arcs)) == partition(moore_classes(finals, arcs))
     out = minimize(m)
     assert connect(out).num_states() == out.num_states()  # dead and unreachable gone
@@ -784,8 +783,8 @@ def test_minimize_is_canonical(m, rnd):
     for s in order:
         arcs = list(m.arcs(s))
         rnd.shuffle(arcs)
-        for a in arcs:
-            moved.add_arc(new_id[s], a.ilabel, a.olabel, a.weight, new_id[a.nextstate])
+        for i, o, w, t in arcs:
+            moved.add_arc(new_id[s], i, o, w, new_id[t])
     for s, w in m.finals.items():
         moved.set_final(new_id[s], w)
     assert write_fst_text(minimize(moved)) == write_fst_text(minimize(m))
@@ -820,8 +819,8 @@ class TestReplace:
         sub.add_arc(1, table.id("b"), table.id("b"), alpha, 1)
         sub.set_final(1)
         out = replace(root, nt, sub)
-        for _, arc in all_arcs(out):
-            assert arc.ilabel != nt and arc.olabel != nt
+        for _, (i, o, _, _) in all_arcs(out):
+            assert i != nt and o != nt
         paths = enumerate_paths(out, 4)
         strings = {"".join(k[0]): w for k, w in paths.items()}
         assert strings == pytest.approx({"a": -1.0, "ab": -2.0, "abb": -3.0, "abbb": -4.0})
@@ -897,7 +896,7 @@ class TestReplace:
         for _ in range(200):
             root = connect(random_machine(rng, table))
             sub = connect(random_machine(rng, sub_table, max_states=4))
-            if sub.is_empty() or not any(arc.olabel == nt for _, arc in all_arcs(root)):
+            if sub.is_empty() or not any(o == nt for _, (_, o, _, _) in all_arcs(root)):
                 continue
             out = replace(root, nt, sub)
             assert write_fst_text(connect(out)) == write_fst_text(out)
