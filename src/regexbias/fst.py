@@ -19,9 +19,11 @@ that needs different arcs puts new tuples in its own machine's lists.
 Weights are costs: min chooses between paths and + concatenates them. A
 weight of `inf`, the semiring's zero `ZERO`, is no transition:
 `Wfst.add_arc` stores no such arc and `set_final` no such final, so no
-algorithm checks for one. Code that fills arc lists itself, as
-`ops.ReplaceView` and some builders do, writes only finite weights or
-weights copied out of a Wfst.
+algorithm checks for one. Code that fills arc lists itself writes only
+finite weights or weights copied out of a Wfst, or drops an `inf` itself:
+`ops.compose` a sum w1 + w2 that overflows, `ops.minimize` a pushed weight
+that overflows, and `textio`'s reader an `inf` weight field.
+`ops.ReplaceView` and some builders fill lists too.
 
 A combinator that pairs two machines' labels, such as `ops.compose`,
 needs one table object on the shared side: tables grow, so two equal ones
@@ -147,7 +149,7 @@ class Fst:
     def check_pair_deterministic(self) -> bool:
         """At most one arc per (state, ilabel, olabel); eps:eps is one more
         label pair, as it is to `ops.determinize`."""
-        return all(len({(i, o) for i, o, _, _ in arcs}) == len(arcs)
+        return all(len(arcs) < 2 or len({(i, o) for i, o, _, _ in arcs}) == len(arcs)
                    for arcs in map(self.arcs, self.states()))
 
     def _check_state(self, state: int):

@@ -54,10 +54,10 @@ def _shortest_distance(n: int, sources, arcs_of):
     """Shortest distances from `sources` ({state: initial distance}) over
     the arcs `arcs_of(state)` returns, in a machine of n states.
 
-    Returns (dist, pred): dist maps every reached state to its distance,
-    pred maps every state reached from another to (that state, the arc).
-    FIFO Bellman-Ford: a distance changes only when it drops by more than
-    1e-15.
+    Returns (dist, pred), lists indexed by state: dist[s] is s's distance,
+    ZERO where s is not reached; pred[s] is (the state, the arc) whose
+    relaxation set it, None for a source or an unreached state. FIFO
+    Bellman-Ford: a distance changes only when it drops by more than 1e-15.
 
     A negative cycle raises NegativeCycleError. Every n relaxations the
     pred links are searched for a cycle in O(n), the amortized parent-graph
@@ -68,22 +68,25 @@ def _shortest_distance(n: int, sources, arcs_of):
     an improving walk of n arcs repeats a state, so only a negative cycle
     makes one; that raises naming the states still improving.
     """
-    dist = dict(sources)
-    pred = {}
-    steps = dict.fromkeys(dist, 0)
-    queue = deque(dist)
-    queued = set(dist)
+    dist = [ZERO] * n
+    pred = [None] * n
+    steps = [0] * n
+    queued = [False] * n
+    queue = deque(sources)
+    for s, d in sources.items():
+        dist[s] = d
+        queued[s] = True
     relaxed = 0
     while queue:
         s = queue.popleft()
-        queued.discard(s)
+        queued[s] = False
         base, walk = dist[s], steps[s] + 1
         for arc in arcs_of(s):
             _, _, w, t = arc
             nd = base + w
-            if nd < dist.get(t, ZERO) - 1e-15:
+            if nd < dist[t] - 1e-15:
                 if walk >= n:
-                    raise NegativeCycleError(queued | {t})
+                    raise NegativeCycleError({*queue, t})
                 dist[t] = nd
                 steps[t] = walk
                 pred[t] = (s, arc)
@@ -92,23 +95,24 @@ def _shortest_distance(n: int, sources, arcs_of):
                     cycle = _pred_cycle(pred)
                     if cycle:
                         raise NegativeCycleError(cycle)
-                if t not in queued:
-                    queued.add(t)
+                if not queued[t]:
+                    queued[t] = True
                     queue.append(t)
     return dist, pred
 
 
 def _pred_cycle(pred):
     """The states of a cycle of pred links, or None; O(len(pred))."""
-    done = set()
-    for s in pred:
+    done = [False] * len(pred)
+    for s in range(len(pred)):
         walk = {}  # state -> position on this walk
-        while s in pred and s not in done and s not in walk:
+        while pred[s] is not None and not done[s] and s not in walk:
             walk[s] = len(walk)
             s = pred[s][0]
         if s in walk:
             return list(walk)[walk[s]:]
-        done.update(walk)
+        for q in walk:
+            done[q] = True
     return None
 
 
@@ -147,42 +151,49 @@ def compose(a: Fst, b: Fst) -> Wfst:
 
     a_by_olabel = _label_index(a, 1)
     b_by_ilabel = _label_index(b, 0)
+    a_finals, b_finals = a.finals, b.finals
     state_ids = {}
-    queue = deque()
+    triples = []  # product state -> its (a state, b state, filter state)
 
     def state_of(triple):
         sid = state_ids.get(triple)
         if sid is None:
-            sid = out.add_state()
-            state_ids[triple] = sid
-            queue.append(triple)
+            sid = state_ids[triple] = out.add_state()
+            triples.append(triple)
         return sid
 
     out.set_start(state_of((a.start, b.start, 0)))
-    while queue:
-        triple = queue.popleft()
-        s1, s2, filt = triple
-        src = state_ids[triple]
-        fw = a.final(s1) + b.final(s2)
+    # ids follow first reach, so walking them in order is breadth first; a
+    # w1 + w2 that overflows to inf is no transition and gets no target
+    src = 0
+    while src < len(triples):
+        s1, s2, filt = triples[src]
+        fw = a_finals.get(s1, ZERO) + b_finals.get(s2, ZERO)
         if fw != ZERO:
             out.set_final(src, fw)
+        append = out.arcs(src).append
         a_index, b_index = a_by_olabel[s1], b_by_ilabel[s2]
         a_arcs, b_arcs = a.arcs(s1), b.arcs(s2)
         if len(a_arcs) <= len(b_arcs):
             for i1, o1, w1, t1 in a_arcs:
                 if o1 != EPSILON_ID:
                     for _, o2, w2, t2 in b_index.get(o1, ()):
-                        out.add_arc(src, i1, o2, w1 + w2, state_of((t1, t2, 0)))
+                        w = w1 + w2
+                        if w != ZERO:
+                            append((i1, o2, w, state_of((t1, t2, 0))))
         else:
             for i2, o2, w2, t2 in b_arcs:
                 if i2 != EPSILON_ID:
                     for i1, _, w1, t1 in a_index.get(i2, ()):
-                        out.add_arc(src, i1, o2, w1 + w2, state_of((t1, t2, 0)))
+                        w = w1 + w2
+                        if w != ZERO:
+                            append((i1, o2, w, state_of((t1, t2, 0))))
         if filt == 0:  # a moves alone on its output epsilon
             for i1, _, w1, t1 in a_index.get(EPSILON_ID, ()):
-                out.add_arc(src, i1, EPSILON_ID, w1, state_of((t1, s2, 0)))
+                append((i1, EPSILON_ID, w1, state_of((t1, s2, 0))))
         for _, o2, w2, t2 in b_index.get(EPSILON_ID, ()):  # b moves alone on its input epsilon
-            out.add_arc(src, EPSILON_ID, o2, w2, state_of((s1, t2, 1)))
+            append((EPSILON_ID, o2, w2, state_of((s1, t2, 1))))
+        src += 1
     return out
 
 
@@ -293,77 +304,101 @@ def minimize(a: Fst) -> Wfst:
 
 
 def _minimize(a: Fst) -> Wfst:
-    """minimize() of a machine known to be deterministic per label pair."""
+    """minimize() of a machine known to be deterministic per label pair.
+
+    Every per-state map is a list indexed by state id. One depth-first walk
+    from the start marks the reached states and reverses their arcs, so a
+    negative cycle the start cannot reach does not stop the pushing. The
+    potentials, shortest distances to a final over those reversed arcs (0
+    under a negative cycle), mark the co-accessible states. The push pass
+    builds their pushed final weights and sorted pushed arcs, and drops an
+    arc whose pushed weight overflows to inf, so what only it reached is not
+    rebuilt. Then `a` and every bound method of it go before `_refine`, the
+    memory peak, and the rebuild appends into the output breadth first.
+    Nothing may wrap this function, `nogc` included: a wrapper's argument
+    tuple would keep `a` alive, and optim holds no other reference to a
+    machine that determinize built.
+    """
     if a.is_empty():
         return Wfst(a.isymbols, a.osymbols)
-    # only the arcs of states the start reaches are reversed, so a negative
-    # cycle it cannot reach does not stop the pushing
+    isymbols, osymbols, start, a_finals = a.isymbols, a.osymbols, a.start, a.finals
+    arcs_of = a.arcs
     n = a.num_states()
     reached = [False] * n
-    reached[a.start] = True
-    stack = [a.start]
+    reached[start] = True
+    rev = [[] for _ in range(n)]
+    stack = [start]
     while stack:
-        for _, _, _, t in a.arcs(stack.pop()):
+        s = stack.pop()
+        for i, o, w, t in arcs_of(s):
+            rev[t].append((i, o, w, s))
             if not reached[t]:
                 reached[t] = True
                 stack.append(t)
-    # potentials are the shortest distances to a final over reversed arcs, so
-    # the states they reach are exactly the co-accessible ones
-    rev = [[] for _ in range(n)]
-    for s in range(n):
-        if reached[s]:
-            for i, o, w, t in a.arcs(s):
-                rev[t].append((i, o, w, s))
-    finals = {s: w for s, w in a.finals.items() if reached[s]}
+    sources = {s: w for s, w in a_finals.items() if reached[s]}
     try:
-        pot = _shortest_distance(n, finals, rev.__getitem__)[0]
+        pot = _shortest_distance(n, sources, rev.__getitem__)[0]
     except NegativeCycleError:
-        pot = dict.fromkeys(finals, 0.0)
-        queue = deque(pot)
-        while queue:
-            for _, _, _, t in rev[queue.popleft()]:
-                if t not in pot:
+        pot = [ZERO] * n
+        queue = list(sources)
+        for s in queue:
+            pot[s] = 0.0
+        for s in queue:
+            for _, _, _, t in rev[s]:
+                if pot[t] == ZERO:
                     pot[t] = 0.0
                     queue.append(t)
-    del rev, reached  # freed before the pushed arc lists are built
-    if a.start not in pot:
-        return Wfst(a.isymbols, a.osymbols)
-    pot[a.start] = 0.0  # keep total path weights unchanged
-    arcs = {s: sorted((i, o, w + pot[t] - p, t) for i, o, w, t in a.arcs(s) if t in pot)
-            for s, p in pot.items()}
-    finals = {s: a.final(s) - p for s, p in pot.items()}
-    start, out = a.start, Wfst(a.isymbols, a.osymbols)
-    # freed before the refinement below, minimize's memory peak; optim holds
-    # no other reference to a machine that determinize built. So nothing may
-    # wrap this function, `nogc` included: a wrapper's argument tuple would
-    # keep that machine alive until the rebuild ends.
-    del pot, a
+    del rev, reached, sources  # freed before the pushed arc lists are built
+    if pot[start] == ZERO:
+        return Wfst(isymbols, osymbols)
+    pot[start] = 0.0  # keep total path weights unchanged
+    finals = [None] * n  # None off the co-accessible states
+    arcs = [None] * n
+    for s, p in enumerate(pot):
+        if p != ZERO:
+            pushed = []
+            for i, o, w, t in arcs_of(s):
+                q = pot[t]
+                if q != ZERO:
+                    w = w + q - p
+                    if w != ZERO:
+                        pushed.append((i, o, w, t))
+            pushed.sort()
+            arcs[s] = pushed
+            finals[s] = a_finals.get(s, ZERO) - p
+    del pot, a, arcs_of, a_finals
     classes = _refine(finals, arcs)
 
-    # rebuild from the first state reached in each class, numbered breadth first
-    class_state = {classes[start]: out.add_state()}
+    out = Wfst(isymbols, osymbols)
+    out_finals = out.finals
+    class_state = [None] * n
+    class_state[classes[start]] = out.add_state()
     out.set_start(0)
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
+    queue = [start]
+    for s in queue:  # the list grows as it is walked: breadth first
         src = class_state[classes[s]]
-        out.set_final(src, finals[s])
+        fw = finals[s]
+        if fw != ZERO:
+            out_finals[src] = fw
+        append = out.arcs(src).append
         for i, o, w, t in arcs[s]:
-            dst = class_state.get(classes[t])
+            c = classes[t]
+            dst = class_state[c]
             if dst is None:
-                dst = class_state[classes[t]] = out.add_state()
+                dst = class_state[c] = out.add_state()
                 queue.append(t)
-            out.add_arc(src, i, o, w, dst)
+            append((i, o, w, dst))
     return out
 
 
 def _refine(finals, arcs):
-    """Hopcroft (1971) refinement: the coarsest partition of the states in
-    `finals` ({state: final weight}) whose classes agree on final weights
-    and, per out-label (ilabel, olabel, weight), on the successor's class.
-    `arcs` maps each state to its (ilabel, olabel, weight, successor) arcs,
-    sorted by label pair, one per pair, all into states of `finals`.
-    Returns {state: class}.
+    """Hopcroft (1971) refinement: the coarsest partition of the states
+    whose final weight `finals[s]` is not None, such that a class's states
+    agree on final weights and, per out-label (ilabel, olabel, weight), on
+    the successor's class. `arcs[s]` holds state s's (ilabel, olabel,
+    weight, successor) arcs, sorted by label pair, one per pair, all into
+    states being refined. Returns classes, a list that gives each such
+    state its class id and every other state None.
 
     A class splits the others for every label at once. Initial classes key
     on the final weight and the out-labels, so a class's states have arcs
@@ -372,46 +407,55 @@ def _refine(finals, arcs):
     and after a split of an unqueued class only the smaller half. Weights
     are keyed as floats: -0.0 == 0.0, and none is NaN.
     """
+    n = len(finals)
     labels = {}  # (ilabel, olabel, weight) -> label id
     first = {}  # (final weight, out-label ids) -> the states of an initial class
-    preds = {s: [] for s in finals}  # state -> [(label id, source)]
-    for s, fw in finals.items():
-        out = []
-        for i, o, w, t in arcs[s]:
-            label = labels.setdefault((i, o, w), len(labels))
-            out.append(label)
-            preds[t].append((label, s))
-        first.setdefault((fw, tuple(out)), set()).add(s)
-    members = list(first.values())
+    preds = [[] for _ in range(n)]  # state -> [(label id, source)]
+    for s, fw in enumerate(finals):
+        if fw is not None:
+            out = []
+            for i, o, w, t in arcs[s]:
+                label = labels.setdefault((i, o, w), len(labels))
+                out.append(label)
+                preds[t].append((label, s))
+            first.setdefault((fw, tuple(out)), []).append(s)
+    members = [set(states) for states in first.values()]
     del labels, first
-    classes = {s: c for c, states in enumerate(members) for s in states}
-    largest = max(range(len(members)), key=lambda c: len(members[c]))
+    classes = [None] * n
+    for c, states in enumerate(members):
+        for s in states:
+            classes[s] = c
+    size = [len(states) for states in members]
+    largest = max(range(len(members)), key=size.__getitem__)
     queue = [c for c in range(len(members)) if c != largest]
-    queued = set(queue)
+    queued = [True] * len(members)
+    queued[largest] = False
     while queue:
         splitter = queue.pop()
-        queued.discard(splitter)
+        queued[splitter] = False
         sources = {}  # label id -> the states whose arc on it enters the splitter
         for t in members[splitter]:
             for label, s in preds[t]:
-                if len(members[classes[s]]) > 1:  # a class of one cannot split
+                if size[classes[s]] > 1:  # a class of one cannot split
                     sources.setdefault(label, []).append(s)
         for hit in sources.values():
             parts = {}
             for s in hit:
                 parts.setdefault(classes[s], []).append(s)
             for c, part in parts.items():
-                rest = members[c]
-                if len(part) == len(rest):
+                if len(part) == size[c]:
                     continue
-                rest.difference_update(part)
+                members[c].difference_update(part)
+                size[c] -= len(part)
                 new = len(members)
                 members.append(set(part))
+                size.append(len(part))
                 for s in part:
                     classes[s] = new
-                half = new if c in queued or len(part) <= len(rest) else c
+                half = new if queued[c] or len(part) <= size[c] else c
+                queued.append(False)
                 queue.append(half)
-                queued.add(half)
+                queued[half] = True
     return classes
 
 
@@ -600,14 +644,14 @@ def shortest_path(a: Fst):
         raise NoPathError("machine has no states")
     dist, pred = _shortest_distance(a.num_states(), {a.start: 0.0}, a.arcs)
 
-    best_cost, best_state = min(((dist[s] + fw, s) for s, fw in a.finals.items() if s in dist),
-                                default=(ZERO, None))
+    best_cost, best_state = min(((dist[s] + fw, s) for s, fw in a.finals.items()
+                                 if dist[s] != ZERO), default=(ZERO, None))
     if best_state is None:
         raise NoPathError("no accepting path from the start state")
 
     arcs_rev = []
     s = best_state
-    while s in pred:
+    while pred[s] is not None:
         s, arc = pred[s]
         arcs_rev.append(arc)
     ins, outs = [], []

@@ -55,6 +55,7 @@ def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None
     lines = text.splitlines()
     state_limit = 2 * sum(1 for line in lines if line.strip())
     ilimit, olimit = len(m.isymbols), len(m.osymbols)
+    arcs = []  # state -> m's arc list for it
     start = None
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
@@ -62,30 +63,32 @@ def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None
         fields = line.split("\t")
         try:
             if len(fields) in (4, 5):
-                src, dst, ilabel, olabel = map(int, fields[:4])
-                if not (0 <= src < state_limit and 0 <= dst < state_limit):
-                    raise ValueError(f"state ids {src}, {dst} are outside 0..{state_limit - 1}")
+                state, dst = int(fields[0]), int(fields[1])
+                ilabel, olabel = int(fields[2]), int(fields[3])
+                if not (0 <= state < state_limit and 0 <= dst < state_limit):
+                    raise ValueError(f"state ids {state}, {dst} are outside 0..{state_limit - 1}")
                 if not (0 <= ilabel < ilimit and 0 <= olabel < olimit):
                     raise ValueError(f"labels {ilabel}:{olabel} are outside the symbol tables")
                 weight = parse_weight(fields[4]) if len(fields) == 5 else 0.0
-                top = src if src > dst else dst
-                if top >= m.num_states():
-                    m.add_states(top + 1 - m.num_states())
-                m.add_arc(src, ilabel, olabel, weight, dst)
+                top = state if state > dst else dst
             elif len(fields) in (1, 2):
-                state = int(fields[0])
+                state = top = int(fields[0])
                 if not 0 <= state < state_limit:
                     raise ValueError(f"state id {state} is outside 0..{state_limit - 1}")
                 weight = parse_weight(fields[1]) if len(fields) == 2 else 0.0
-                if state >= m.num_states():
-                    m.add_states(state + 1 - m.num_states())
-                m.set_final(state, weight)
+                dst = None
             else:
                 raise ValueError(f"expected 1, 2, 4 or 5 tab-separated fields, got {len(fields)}")
         except ValueError as exc:
             raise RegexBiasError(f"bad machine text at line {lineno}: {exc}") from None
+        if top >= len(arcs):
+            arcs.extend(map(m.arcs, range(m.add_states(top + 1 - len(arcs)), top + 1)))
+        if dst is None:
+            m.set_final(state, weight)
+        elif weight != ZERO:
+            arcs[state].append((ilabel, olabel, weight, dst))
         if start is None:
-            start = int(fields[0])
+            start = state
     if start is not None:
         m.set_start(start)
     return m

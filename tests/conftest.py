@@ -350,16 +350,20 @@ def moore_classes(finals, arcs):
     """Moore refinement, the oracle for `ops._refine`: classes start from the
     final weights and are refined on the signature (class, sorted (ilabel,
     olabel, weight, successor class)) in full rounds until no class splits.
-    Takes and returns what `_refine` does."""
-    states = list(finals)
+    Takes and returns what `_refine` does: lists indexed by state, None
+    for a state outside the machine refined."""
+    states = [s for s, fw in enumerate(finals) if fw is not None]
     ids = {}
-    classes = {s: ids.setdefault(finals[s], len(ids)) for s in states}
+    classes = [None] * len(finals)
+    for s in states:
+        classes[s] = ids.setdefault(finals[s], len(ids))
     count = len(ids)
     while True:
         ids = {}
-        refined = {s: ids.setdefault((classes[s], tuple(sorted(
-            (i, o, w, classes[t]) for i, o, w, t in arcs[s]))), len(ids))
-            for s in states}
+        refined = [None] * len(finals)
+        for s in states:
+            refined[s] = ids.setdefault((classes[s], tuple(sorted(
+                (i, o, w, classes[t]) for i, o, w, t in arcs[s]))), len(ids))
         if len(ids) == count:
             break
         classes, count = refined, len(ids)
@@ -461,11 +465,13 @@ def replace_eager(root: Wfst, nonterminal: int, sub: Wfst) -> Wfst:
     return out
 
 
-def partition(classes: dict):
-    """{state: class} as a set of frozensets of states, class ids forgotten."""
+def partition(classes: list):
+    """A class id per state, None outside, as a set of frozensets of
+    states, class ids forgotten."""
     blocks = {}
-    for s, c in classes.items():
-        blocks.setdefault(c, set()).add(s)
+    for s, c in enumerate(classes):
+        if c is not None:
+            blocks.setdefault(c, set()).add(s)
     return {frozenset(b) for b in blocks.values()}
 
 

@@ -235,6 +235,14 @@ class TestCompose:
             assert c.is_empty() and c.num_states() == 0
             assert c.isymbols is ab_table and c.osymbols is out_table
 
+    def test_overflowing_sum_is_no_arc(self, ab_table):
+        # 1.7e308 + 1.7e308 overflows to inf, which is no transition: the
+        # product keeps no arc for it, and allocates no state for its target
+        a = linear_acceptor("a", ab_table, arc_weight=1.7e308)
+        c = compose(a, a)
+        assert (c.num_states(), c.num_arcs()) == (1, 0)
+        assert all(w != ZERO for w in c.finals.values())
+
     def test_keeps_states_off_accepting_paths(self, ab_table):
         # the product is returned as built: the state b:b leads to stays
         c = compose(dead_end_machine(ab_table), identity_scorer(ab_table, 0.0))
@@ -342,12 +350,15 @@ class TestShortestDistance:
             m = random_machine(rng, abcd_table, acceptor=True, eps_prob=0.35)
             for s in m.states():
                 dist, pred = _shortest_distance(m.num_states(), {s: 0.0}, eps_arcs_of(m))
+                reached = {t: d for t, d in enumerate(dist) if d != ZERO}
                 want = _eps_closure(m, {s: 0.0})
-                assert dist == pytest.approx(want, abs=1e-12)
-                for t, (q, arc) in pred.items():
-                    assert arc in m.arcs(q) and arc[3] == t
-                    assert dist[t] == pytest.approx(dist[q] + arc[2], abs=1e-12)
-                wider += len(dist) > 1
+                assert reached == pytest.approx(want, abs=1e-12)
+                for t, link in enumerate(pred):
+                    if link is not None:
+                        q, arc = link
+                        assert arc in m.arcs(q) and arc[3] == t
+                        assert dist[t] == pytest.approx(dist[q] + arc[2], abs=1e-12)
+                wider += len(reached) > 1
         assert wider >= 40
 
     def test_negative_cycle_among_sources(self, ab_table):
@@ -458,8 +469,8 @@ class TestDeterminize:
         "0\t1\t1\t1\tinf\n0\t1\t2\t2\n1\n",
     ], ids=["eps-return", "no-eps"])
     def test_inf_arcs_are_no_path(self, text, ab_table):
-        # an arc of weight inf is no path: add_arc drops it as the text is
-        # read, so no output of determinize or either of optim's routes has it
+        # an arc of weight inf is no path: the reader drops it, so no
+        # output of determinize or either of optim's routes has it
         m = read_fst_text(text, ab_table)
         want = enumerate_paths(m, 4)
         outs = [determinize(m), optim(m)]
@@ -486,6 +497,25 @@ class TestDeterminize:
         assert want == {(("a",), ("a",)): 0.0}
         for out in (determinize(m), optim(m)):
             assert enumerate_paths(out, 4) == want
+
+    def test_overflowing_pushed_weight_is_no_path(self, ab_table):
+        # deterministic, so optim minimizes it directly: b's pushed weight
+        # 1.7e308 + 1.7e308 overflows to inf, so the arc is dropped and
+        # state 2, which only it reached, is not rebuilt
+        m = Wfst(ab_table)
+        m.add_states(4)
+        m.set_start(0)
+        m.add_arc(0, 1, 1, 0.0, 1)
+        m.add_arc(0, 2, 2, 1.7e308, 2)
+        m.add_arc(2, 1, 1, 1.7e308, 3)
+        m.set_final(1)
+        m.set_final(3)
+        want = enumerate_paths(m, 4)
+        for out in (minimize(m), optim(m)):
+            assert out.num_states() == 2
+            assert connect(out).num_states() == out.num_states()
+            assert enumerate_paths(out, 4) == want
+            assert all(w != ZERO for _, (_, _, w, _) in all_arcs(out))
 
     def test_min_over_duplicate_strings(self, ab_table):
         m = Wfst(ab_table)
@@ -607,9 +637,9 @@ class TestMinimize:
         # long chains, where queueing the wrong half of a split class shows
         for _ in range(1000):
             n = rng.randint(1, 16)
-            finals = {s: rng.choice([0.0, 0.5, ZERO]) for s in range(n)}
-            arcs = {s: [(i, i, 0.0, rng.randrange(n)) for i in (1, 2) if rng.random() < 0.9]
-                    for s in range(n)}
+            finals = [rng.choice([0.0, 0.5, ZERO]) for s in range(n)]
+            arcs = [[(i, i, 0.0, rng.randrange(n)) for i in (1, 2) if rng.random() < 0.9]
+                    for s in range(n)]
             assert partition(_refine(finals, arcs)) == partition(moore_classes(finals, arcs))
 
     def test_negative_cycle_fallback_trims(self, ab_table):
@@ -761,8 +791,8 @@ def pair_deterministic_machines(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(pair_deterministic_machines())
 def test_refinement_matches_moore(m):
-    finals = {s: m.final(s) for s in m.states()}
-    arcs = {s: sorted(m.arcs(s)) for s in m.states()}
+    finals = [m.final(s) for s in m.states()]
+    arcs = [sorted(m.arcs(s)) for s in m.states()]
     assert partition(_refine(finals, arcs)) == partition(moore_classes(finals, arcs))
     out = minimize(m)
     assert connect(out).num_states() == out.num_states()  # dead and unreachable gone
