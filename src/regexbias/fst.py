@@ -19,8 +19,9 @@ that needs different arcs puts new tuples in its own machine's lists.
 Weights are costs: min chooses between paths and + concatenates them. A
 weight of `inf`, the semiring's zero `ZERO`, is no transition:
 `Wfst.add_arc` stores no such arc and `set_final` no such final, so no
-algorithm checks for one. Code that fills arc lists itself writes only
-finite weights or weights copied out of a Wfst, or drops an `inf` itself:
+algorithm checks for one; both raise ConfigError on NaN and `-inf`. Code
+that fills arc lists itself writes only finite weights or weights copied
+out of a Wfst, or drops an `inf` itself:
 `ops.compose` a sum w1 + w2 that overflows, `ops.minimize` a pushed weight
 that overflows, and `textio`'s reader an `inf` weight field.
 `ops.ReplaceView` and some builders fill lists too.
@@ -45,7 +46,7 @@ import functools
 import gc
 import math
 
-from .errors import SymbolError
+from .errors import ConfigError, SymbolError
 
 EPSILON = "<eps>"
 BLANK = "<blank>"
@@ -193,15 +194,19 @@ class Wfst(Fst):
         if not 0 <= src < len(self._arcs) > dst >= 0:
             self._check_state(src)
             self._check_state(dst)
-        if weight != ZERO:
+        if -ZERO < weight < ZERO:
             self._arcs[src].append((ilabel, olabel, weight, dst))
+        elif weight != ZERO:
+            raise ConfigError(f"arc weight must be finite or inf, got {weight}")
 
     def set_final(self, state: int, weight: float = 0.0):
         self._check_state(state)
-        if weight == ZERO:
+        if -ZERO < weight < ZERO:
+            self.finals[state] = weight
+        elif weight == ZERO:
             self.finals.pop(state, None)
         else:
-            self.finals[state] = weight
+            raise ConfigError(f"final weight must be finite or inf, got {weight}")
 
     # -- storage --------------------------------------------------------
 

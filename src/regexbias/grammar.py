@@ -34,7 +34,7 @@ reference-engine oracle, `ast_to_pattern` in `tests/conftest.py`.
 import re as _stdlib_re
 import string
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import GrammarError
 
@@ -59,18 +59,39 @@ class Class:
     symbols: tuple
 
 
-@dataclass(frozen=True, eq=False)
-class Concat:
+class _Inner:
+    """A Concat, Union or Repeat, whose repr prints each of these under it
+    once and `...` where one recurs, as a shared subtree does."""
+
+    def __repr__(self):
+        printed = set()  # ids of the inner nodes shown so far
+
+        def show(x):
+            if isinstance(x, tuple):
+                return f"({', '.join(map(show, x))}{',' * (len(x) == 1)})"
+            if not isinstance(x, _Inner):
+                return repr(x)
+            if id(x) in printed:
+                return "..."
+            printed.add(id(x))
+            values = (f"{f.name}={show(getattr(x, f.name))}" for f in fields(x))
+            return f"{type(x).__name__}({', '.join(values)})"
+
+        return show(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Concat(_Inner):
     children: tuple
 
 
-@dataclass(frozen=True, eq=False)
-class Union:
+@dataclass(frozen=True, eq=False, repr=False)
+class Union(_Inner):
     children: tuple
 
 
-@dataclass(frozen=True, eq=False)
-class Repeat:
+@dataclass(frozen=True, eq=False, repr=False)
+class Repeat(_Inner):
     """`child` repeated min..max times; `max=None` is unbounded."""
 
     child: object

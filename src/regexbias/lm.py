@@ -15,11 +15,10 @@ Layout conventions baked in here and relied on downstream:
   `add_char_fallback`, `insert_nonterminal` and `build_root` register in it
   what they write, among them one token per recognizer character, so
   out-of-vocabulary spans can surface verbatim in the decoded token stream.
-* L emits a word on the first character of its spelling and a space
-  separator between words. Each word is spelled with its own characters:
-  `ops.determinize` takes each (ilabel, olabel) pair as one label, so
-  words that share a spelling, or whose spelling prefixes another's,
-  already differ on their first arc, and L needs no disambiguation
+* L spells each word with its own characters, emits the word on the
+  first one and reads a space separator between words. `ops.determinize`
+  takes each (ilabel, olabel) pair as one label, so a word that prefixes
+  another already differs on its first arc, and L needs no disambiguation
   symbols. Neither L nor the root adds a symbol to the caller's charset.
 * `#0` is the word-side backoff marker, and only that. G backs off on
   eps:eps arcs; inside `build_root` those arcs read `#0`, which L writes
@@ -99,37 +98,32 @@ class LmConfig:
 
 
 class Lexicon:
-    """Word -> character spelling map. Spellings may not contain spaces, and
-    no word may be a token `count_ngrams` rejects."""
+    """The words L spells, each with its own characters. A word may not be
+    empty, hold the word separator or be a token `count_ngrams` rejects."""
 
-    def __init__(self, entries=None):
-        self.entries: dict[str, tuple] = {}
-        for word, spelling in (entries or {}).items():
-            self.add(word, spelling)
+    def __init__(self, words=()):
+        self._words: set[str] = set()
+        for word in words:
+            self.add(word)
 
-    def add(self, word, spelling):
-        spelling = tuple(spelling)
-        if not word or not spelling:
-            raise LexiconError(f"empty word or spelling: {word!r} -> {spelling!r}")
+    def add(self, word):
+        if not word:
+            raise LexiconError("empty lexicon word")
         if word in _RESERVED_TOKENS:
             raise LexiconError(f"lexicon word {word!r} is reserved")
-        if WORD_SEPARATOR in spelling:
-            raise LexiconError(f"spelling of {word!r} contains the word separator")
-        self.entries[word] = spelling
+        if WORD_SEPARATOR in word:
+            raise LexiconError(f"lexicon word {word!r} contains the word separator")
+        self._words.add(word)
 
     @classmethod
     def from_words(cls, words):
-        """Spell each word with its own characters."""
-        lex = cls()
-        for w in words:
-            lex.add(w, tuple(w))
-        return lex
+        return cls(words)
 
     def words(self):
-        return sorted(self.entries)
+        return sorted(self._words)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._words)
 
 
 @nogc
@@ -256,7 +250,7 @@ def build_lexicon(lex: Lexicon, charset: SymbolTable, word_table: SymbolTable) -
     label rides on the first one. The input side is `charset`, unchanged;
     the output side is `word_table`, the table object G was built over."""
     if not len(lex):
-        raise RegexBiasError("cannot build a lexicon machine from no entries")
+        raise RegexBiasError("cannot build a lexicon machine from no words")
     sep = charset.find(WORD_SEPARATOR)
 
     l = Wfst(charset, word_table)
@@ -268,7 +262,7 @@ def build_lexicon(lex: Lexicon, charset: SymbolTable, word_table: SymbolTable) -
             raise SymbolError(f"word {w!r} missing from table {word_table.name!r}")
         cur = root
         out_label = wid
-        for ch in lex.entries[w]:
+        for ch in w:
             cid = charset.find(ch)
             if cid is None:
                 raise LexiconError(

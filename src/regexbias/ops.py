@@ -17,7 +17,9 @@ construction when its input is already deterministic per label pair.
 
 Minimization is the one step that trims. compose and replace return the
 machine as built, which may hold states off every accepting path;
-minimize drops those.
+minimize drops those. compose, determinize and minimize number their
+output breadth first, walking a list of states that grows as they reach
+new ones.
 
 The potentials minimization pushes weights with and shortest paths are
 both single-source shortest distances (Mohri 2002), and one routine,
@@ -59,18 +61,18 @@ def _shortest_distance(n: int, sources, arcs_of):
     relaxation set it, None for a source or an unreached state. FIFO
     Bellman-Ford: a distance changes only when it drops by more than 1e-15.
 
-    A negative cycle raises NegativeCycleError. Every n relaxations the
-    pred links are searched for a cycle in O(n), the amortized parent-graph
-    check of Cherkassky & Goldberg (1999). A cycle of pred links is always
-    negative, since each link was set by a strict improvement, and its
-    states are the ones named; this stops a search that hangs a long tail
-    off a negative cycle after O(n) relaxations, not O(n*m). As a backstop,
-    an improving walk of n arcs repeats a state, so only a negative cycle
-    makes one; that raises naming the states still improving.
+    A negative cycle raises NegativeCycleError, from one check: every n
+    relaxations the pred links are searched for a cycle in O(n), the
+    amortized parent-graph search of Cherkassky & Goldberg (1999). A cycle
+    of pred links is always negative, since each link was set by a strict
+    improvement, and its states are the ones named. A reachable negative
+    cycle always makes one: a distance that falls below every simple path's
+    cost has pred links that lead round a cycle. This stops a search that
+    hangs a long tail off a negative cycle after O(n) relaxations, not
+    O(n*m).
     """
     dist = [ZERO] * n
     pred = [None] * n
-    steps = [0] * n
     queued = [False] * n
     queue = deque(sources)
     for s, d in sources.items():
@@ -80,15 +82,12 @@ def _shortest_distance(n: int, sources, arcs_of):
     while queue:
         s = queue.popleft()
         queued[s] = False
-        base, walk = dist[s], steps[s] + 1
+        base = dist[s]
         for arc in arcs_of(s):
             _, _, w, t = arc
             nd = base + w
             if nd < dist[t] - 1e-15:
-                if walk >= n:
-                    raise NegativeCycleError({*queue, t})
                 dist[t] = nd
-                steps[t] = walk
                 pred[t] = (s, arc)
                 relaxed += 1
                 if relaxed % n == 0:
@@ -165,9 +164,7 @@ def compose(a: Fst, b: Fst) -> Wfst:
     out.set_start(state_of((a.start, b.start, 0)))
     # ids follow first reach, so walking them in order is breadth first; a
     # w1 + w2 that overflows to inf is no transition and gets no target
-    src = 0
-    while src < len(triples):
-        s1, s2, filt = triples[src]
+    for src, (s1, s2, filt) in enumerate(triples):  # the list grows as it is walked
         fw = a_finals.get(s1, ZERO) + b_finals.get(s2, ZERO)
         if fw != ZERO:
             out.set_final(src, fw)
@@ -193,7 +190,6 @@ def compose(a: Fst, b: Fst) -> Wfst:
                 append((i1, EPSILON_ID, w1, state_of((t1, s2, 0))))
         for _, o2, w2, t2 in b_index.get(EPSILON_ID, ()):  # b moves alone on its input epsilon
             append((EPSILON_ID, o2, w2, state_of((s1, t2, 1))))
-        src += 1
     return out
 
 
@@ -236,13 +232,10 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     out = Wfst(a.isymbols, a.osymbols)
     if a.is_empty():
         return out
-    start_key = ((a.start, 0.0),)
-    state_ids = {start_key: out.add_state()}
+    keys = [((a.start, 0.0),)]  # output state -> its subset
+    state_ids = {keys[0]: out.add_state()}
     out.set_start(0)
-    queue = deque([start_key])
-    while queue:
-        key = queue.popleft()
-        src = state_ids[key]
+    for src, key in enumerate(keys):  # the list grows as it is walked: breadth first
         fw = ZERO
         moves: dict[tuple[int, int], dict[int, float]] = {}
         for s, residual in key:
@@ -269,9 +262,8 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
                         "determinize", state_budget, len(state_ids),
                         f"determinize exceeded the {state_budget} subset-state budget",
                     )
-                dst = out.add_state()
-                state_ids[new_key] = dst
-                queue.append(new_key)
+                dst = state_ids[new_key] = out.add_state()
+                keys.append(new_key)
             out.add_arc(src, label[0], label[1], w_min, dst)
     return out
 
@@ -486,7 +478,8 @@ _CALL_INDEXES = weakref.WeakKeyDictionary()
 
 def replace(root: Fst, nonterminal: int, sub: Fst) -> "ReplaceView":
     """Splice `sub` in place of every root arc whose output label is the
-    nonterminal, an id of `root.osymbols`; input labels are not read.
+    nonterminal, an id of `root.osymbols`; input labels are not read. An id
+    that is epsilon or names no symbol there raises SymbolError.
 
     Each such arc s->t becomes an epsilon entry (carrying the arc
     weight) into a copy of sub's start, with epsilon returns from sub's
@@ -512,6 +505,8 @@ def replace(root: Fst, nonterminal: int, sub: Fst) -> "ReplaceView":
     accepting paths all ran through dropped call sites stays too. A trimmed
     root and a trimmed sub give a trimmed result.
     """
+    if not 0 < nonterminal < len(root.osymbols):
+        raise SymbolError(f"nonterminal {nonterminal} is not a label of {root.osymbols.name!r}")
     by_nonterminal = _CALL_INDEXES.get(root)
     if by_nonterminal is None:
         by_nonterminal = _CALL_INDEXES[root] = {}

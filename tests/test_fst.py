@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regexbias.errors import RegexBiasError, SymbolError
+from regexbias.errors import ConfigError, RegexBiasError, SymbolError
 from regexbias.fst import EPSILON, EPSILON_ID, SymbolTable, Wfst, linear_acceptor
 from regexbias.ops import optim, shortest_path
 from regexbias.textio import read_fst_text, write_fst_text
@@ -115,6 +115,18 @@ class TestWfst:
         assert [len(m.arcs(s)) for s in m.states()] == [1, 1, 0]
         with pytest.raises(IndexError):
             m.add_arc(0, 1, 1, math.inf, 5)
+
+    @pytest.mark.parametrize("weight", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_rejected(self, ab_table, weight):
+        # the reader rejects both, so a machine holding one would write text
+        # it cannot read back
+        m = linear_acceptor("ab", ab_table, arc_weight=1.0, final_weight=0.5)
+        before = arc_snapshot(m)
+        with pytest.raises(ConfigError, match="arc weight must be finite or inf"):
+            m.add_arc(0, 1, 1, weight, 1)
+        with pytest.raises(ConfigError, match="final weight must be finite or inf"):
+            m.set_final(2, weight)
+        assert arc_snapshot(m) == before and m.finals == {2: 0.5}
 
     def test_negative_zero_weights_read_as_zero(self, ab_table):
         def build(zero):

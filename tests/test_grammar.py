@@ -171,6 +171,21 @@ class TestAstIdentity:
         assert ast in {ast} and twin not in {ast}
         assert time.perf_counter() - t0 < 1.0
 
+    def test_repr_prints_a_shared_node_once(self):
+        # following every reference would print 2**60 leaves
+        lines = ['d0 = "a";'] + [f"d{i} = d{i - 1} d{i - 1};" for i in range(1, 61)]
+        ast = gr.parse_grammar("\n".join(lines + ["export = d60;"])).export_ast()
+        assert len(repr(ast)) < 10_000
+        assert repr(gr.parse_grammar('d = "a"; export = d d;').export_ast()) == (
+            "Concat(children=(Literal(symbol='a'), Literal(symbol='a')))")
+        assert repr(gr.parse_grammar('d = "ab"; export = d | d*;').export_ast()) == (
+            "Union(children=(Concat(children=(Literal(symbol='a'), Literal(symbol='b'))), "
+            "Repeat(child=..., min=0, max=None)))")
+        # a tree that shares nothing prints every field
+        tree = gr.Concat((gr.Repeat(gr.Class(("x", "y")), 2, 3),))
+        assert repr(tree) == ("Concat(children=(Repeat(child=Class(symbols=('x', 'y')), "
+                              "min=2, max=3),))")
+
     def test_equal_shapes_are_distinct_nodes(self):
         a, b = gr.Literal("a"), gr.Literal("a")
         assert a != b and len({a, b}) == 2

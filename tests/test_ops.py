@@ -154,6 +154,54 @@ class TestShortestPath:
         m = linear_acceptor("aab", ab_table, arc_weight=-2.0)
         assert shortest_path(m)[2] == pytest.approx(-6.0)
 
+    def test_negative_cycle_named_not_the_queue(self, ab_table):
+        # the one negative cycle is 1 -> 3 -> 1 at -1, and exactly its
+        # states are named
+        m = Wfst(ab_table)
+        m.add_states(4)
+        m.set_start(0)
+        for src, w, dst in [(0, 3.0, 1), (1, -2.0, 0), (1, 0.0, 3), (3, -1.0, 1)]:
+            m.add_arc(src, 1, 1, w, dst)
+        m.set_final(3)
+        with pytest.raises(NegativeCycleError) as err:
+            shortest_path(m)
+        assert sorted(err.value.states) == [1, 3]
+
+    def test_negative_cycle_named_is_one_random(self, ab_table):
+        # every error names states whose arcs among themselves close a
+        # negative cycle, checked by Bellman-Ford on those arcs alone
+        rng = random.Random(28)
+        errors = 0
+        for _ in range(300):
+            n = rng.randint(3, 12)
+            m = Wfst(ab_table)
+            m.add_states(n)
+            m.set_start(0)
+            for _ in range(rng.randint(n, 3 * n)):
+                m.add_arc(rng.randrange(n), 1, 1, rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0]),
+                          rng.randrange(n))
+            m.set_final(rng.randrange(n))
+            try:
+                shortest_path(m)
+            except NegativeCycleError as err:
+                errors += 1
+                named = set(err.states)
+                inner = [(s, w, t) for s, (_, _, w, t) in all_arcs(m) if s in named and t in named]
+                assert named and has_negative_cycle(named, inner), (write_fst_text(m), named)
+            except NoPathError:
+                pass
+        assert errors >= 150
+
+
+def has_negative_cycle(states, arcs):
+    """Bellman-Ford from a virtual source at 0 into every state: an arc that
+    still improves after len(states) rounds lies on a negative cycle."""
+    dist = dict.fromkeys(states, 0.0)
+    for _ in range(len(states)):
+        for s, w, t in arcs:
+            dist[t] = min(dist[t], dist[s] + w)
+    return any(dist[s] + w < dist[t] for s, w, t in arcs)
+
 
 def dead_end_machine(table):
     """0 -a:a-> 1, final, and 0 -b:b-> 2, which reaches no final."""
@@ -375,8 +423,8 @@ class TestShortestDistance:
 
     def test_negative_cycle_found_from_pred_links(self, ab_table):
         # a long chain hangs off a two-state negative cycle: the pred check
-        # stops the search within O(n) arc scans, not the n-arc walk bound's
-        # O(n * m), and names the cycle rather than the chain
+        # stops the search within O(n) arc scans, not O(n * m), and names
+        # the cycle rather than the chain
         n = 2002
         m = Wfst(ab_table)
         m.add_states(n)
@@ -891,6 +939,17 @@ class TestReplace:
         with pytest.warns(ReplaceNoOpWarning):
             out = replace(root, nt, sub)
         assert paths_equal(enumerate_paths(out, 3), enumerate_paths(root, 3))
+
+    @pytest.mark.parametrize("nt", [EPSILON_ID, 3, 99, -1])
+    def test_nonterminal_must_be_a_label(self, nt):
+        # epsilon would take every eps-output arc, backoffs included, for a
+        # call site; an id outside the table names nothing. Neither is indexed
+        table = make_table(["x", "$REGEX"], "syms")
+        root = self.make_root(table, table.id("$REGEX"))
+        root.add_arc(0, table.id("x"), EPSILON_ID, 0.0, 1)
+        with pytest.raises(SymbolError, match=f"nonterminal {nt} is not a label of 'syms'"):
+            replace(root, nt, linear_acceptor("x", table))
+        assert root not in ops._CALL_INDEXES
 
     def test_empty_sub_drops_call_sites(self):
         # an empty sub accepts nothing: the result is the one a sub without
