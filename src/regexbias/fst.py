@@ -20,11 +20,20 @@ Weights are costs: min chooses between paths and + concatenates them. A
 weight of `inf`, the semiring's zero `ZERO`, is no transition:
 `Wfst.add_arc` stores no such arc and `set_final` no such final, so no
 algorithm checks for one; both raise ConfigError on NaN and `-inf`. Code
-that fills arc lists itself writes only finite weights or weights copied
-out of a Wfst, or drops an `inf` itself:
-`ops.compose` a sum w1 + w2 that overflows, `ops.minimize` a pushed weight
-that overflows, and `textio`'s reader an `inf` weight field.
-`ops.ReplaceView` and some builders fill lists too.
+that fills arc lists and finals itself keeps the same rule, in one of two
+ways:
+
+* Finite weights only. `compiler.ast_to_nfa` and `lm.build_lexicon`
+  write 0; `lm.build_root` writes 0 on its `#0` loops and copies G's
+  weights; `compiler.nfa_to_dfa` and `ops.ReplaceView` copy weights out of
+  machines.
+* It drops an `inf` itself. `ops.compose` drops a sum w1 + w2 that
+  overflows, `ops.minimize` a pushed weight that overflows, and `textio`'s
+  reader an `inf` weight field, after rejecting NaN and `-inf` as
+  `add_arc` would. `lm.build_grammar` and its unigram layout drop the
+  -log of a probability that is 0, and `lm.add_char_fallback` and
+  `insert_nonterminal` an `LmConfig` weight of +inf, which the config
+  has checked.
 
 A combinator that pairs two machines' labels, such as `ops.compose`,
 needs one table object on the shared side: tables grow, so two equal ones

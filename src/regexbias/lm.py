@@ -158,26 +158,24 @@ def make_word_table(words, name="words") -> SymbolTable:
     return SymbolTable.from_symbols(sorted(words), name)
 
 
-def _neglog(p: float) -> float:
-    if p <= 0.0:
-        return ZERO
-    return -math.log(p)
-
-
 def _unigram_layout(p_uni: dict, word_table: SymbolTable):
     """G's shared layout: the unigram state UNIGRAM_STATE, then one state per
-    word of `p_uni` in sorted order, reached from it at -log p(w). Returns
-    the machine, with no start state yet, and {word: state}."""
+    word of `p_uni` in sorted order, reached from it at -log p(w), with no
+    arc where p(w) is 0. Returns the machine, with no start state yet, and
+    {word: (its id in `word_table`, its state)}."""
     if not p_uni:
         raise RegexBiasError("cannot build a grammar from an empty vocabulary")
     g = Wfst(word_table, word_table)
-    g.add_state()
-    word_state = {}
-    for w in sorted(p_uni):
-        word_state[w] = g.add_state()
+    g.add_states(len(p_uni) + 1)
+    append = g.arcs(UNIGRAM_STATE).append
+    target = {}
+    for state, w in enumerate(sorted(p_uni), UNIGRAM_STATE + 1):
         tok = word_table.id(w)
-        g.add_arc(UNIGRAM_STATE, tok, tok, _neglog(p_uni[w]), word_state[w])
-    return g, word_state
+        target[w] = (tok, state)
+        p = p_uni[w]
+        if p > 0.0:
+            append((tok, tok, -math.log(p), state))
+    return g, target
 
 
 @nogc
@@ -193,53 +191,61 @@ def build_grammar(counts: NgramCounts, cfg: LmConfig, word_table: SymbolTable) -
     The start state `<s>` is the exception: its unseen mass leaves out
     `</s>`, so the empty sentence has no path, and it backs off exactly,
     with one arc per unseen word w at bow * p(w) straight to w's state.
+
+    Arcs are appended to G's lists as tuples. Every count is at least 1,
+    as `count_ngrams` makes them, and the discount is below 1, so each
+    probability is above 0 but a backoff one that underflows, which gets
+    no arc.
     """
     vocab = counts.vocabulary()
     d = cfg.backoff_discount
     total = sum(c for w, c in counts.unigram.items() if w != SENTENCE_START)
     p_uni = {w: counts.unigram[w] / total for w in vocab}
-    g, word_state = _unigram_layout(p_uni, word_table)
+    g, target = _unigram_layout(p_uni, word_table)
+    finals = g.finals
+    log = math.log
 
     p_uni[SENTENCE_END] = counts.unigram.get(SENTENCE_END, 0) / total
-    g.set_final(UNIGRAM_STATE, _neglog(p_uni[SENTENCE_END]))
+    finals[UNIGRAM_STATE] = -log(p_uni[SENTENCE_END])
 
     contexts = {}
     for (w1, w2), c in counts.bigram.items():
         contexts.setdefault(w1, {})[w2] = c
     start_state = g.add_state()
     g.set_start(start_state)
-    state_of = dict(word_state)
-    state_of[SENTENCE_START] = start_state
 
     vocab_mass = math.fsum(p_uni[w] for w in vocab)
     for w1 in sorted(contexts):
-        src = state_of[w1]
+        exact = w1 == SENTENCE_START
+        src = start_state if exact else target[w1][1]
+        append = g.arcs(src).append
         conts = contexts[w1]
         c_ctx = sum(conts.values())
-        exact = w1 == SENTENCE_START
         seen = [w for w in conts if w != SENTENCE_END]
-        unseen_mass = vocab_mass - math.fsum(p_uni[w] for w in seen)
+        unseen_mass = vocab_mass - math.fsum(map(p_uni.__getitem__, seen))
         end_unseen = SENTENCE_END not in conts and not exact
         if end_unseen:
             unseen_mass += p_uni[SENTENCE_END]
         # counts, not the float difference, decide there is nowhere to back off to
         discount = d if len(seen) < len(vocab) or end_unseen else 0.0
-        for w2 in sorted(conts):
-            p = (conts[w2] - discount) / c_ctx
+        for w2, c in sorted(conts.items()):
+            p = (c - discount) / c_ctx
             if w2 == SENTENCE_END:
-                g.set_final(src, _neglog(p))
+                finals[src] = -log(p)
             else:
-                g.add_arc(src, word_table.id(w2), word_table.id(w2),
-                          _neglog(p), word_state[w2])
+                tok, t = target[w2]
+                append((tok, tok, -log(p), t))
         if discount > 0.0:
             bow = (discount * len(conts) / c_ctx) / unseen_mass
             if exact:
                 for w in vocab:
                     if w not in conts:
-                        g.add_arc(src, word_table.id(w), word_table.id(w),
-                                  _neglog(bow * p_uni[w]), word_state[w])
-            else:
-                g.add_arc(src, EPSILON_ID, EPSILON_ID, _neglog(bow), UNIGRAM_STATE)
+                        p = bow * p_uni[w]
+                        if p > 0.0:
+                            tok, t = target[w]
+                            append((tok, tok, -log(p), t))
+            elif bow > 0.0:
+                append((EPSILON_ID, EPSILON_ID, -log(bow), UNIGRAM_STATE))
     return g
 
 
@@ -248,33 +254,40 @@ def build_lexicon(lex: Lexicon, charset: SymbolTable, word_table: SymbolTable) -
     """Characters -> words transducer, closed over word sequences with a
     space separator; each word is spelled with its own characters and its
     label rides on the first one. The input side is `charset`, unchanged;
-    the output side is `word_table`, the table object G was built over."""
+    the output side is `word_table`, the table object G was built over.
+    The states are the start, then one per character of each word in
+    sorted order, all added at once; arcs are appended as tuples."""
     if not len(lex):
         raise RegexBiasError("cannot build a lexicon machine from no words")
     sep = charset.find(WORD_SEPARATOR)
+    char_id = {ch: cid for cid, ch in enumerate(charset)}
+    words = lex.words()
 
     l = Wfst(charset, word_table)
-    root = l.add_state()
-    l.set_start(root)
-    for w in lex.words():
+    n = 1 + sum(map(len, words))
+    arcs = list(map(l.arcs, range(l.add_states(n), n)))
+    l.set_start(0)
+    finals = l.finals
+    last = 0  # the last state given to a character
+    for w in words:
         wid = word_table.find(w)
         if wid is None:
             raise SymbolError(f"word {w!r} missing from table {word_table.name!r}")
-        cur = root
+        append = arcs[0].append
         out_label = wid
         for ch in w:
-            cid = charset.find(ch)
+            cid = char_id.get(ch)
             if cid is None:
                 raise LexiconError(
                     f"spelling of {w!r} uses unknown character {ch!r}"
                 )
-            nxt = l.add_state()
-            l.add_arc(cur, cid, out_label, 0.0, nxt)
-            cur = nxt
+            last += 1
+            append((cid, out_label, 0.0, last))
+            append = arcs[last].append
             out_label = EPSILON_ID
-        l.set_final(cur, 0.0)
+        finals[last] = 0.0
         if sep is not None:
-            l.add_arc(cur, sep, EPSILON_ID, 0.0, root)
+            append((sep, EPSILON_ID, 0.0, 0))
     return l
 
 
@@ -285,25 +298,28 @@ def _add_unigram_tokens(g: Wfst, l: Wfst, tokens, weight: float):
     gains per token a loop on the unigram state and an arc into it from the
     start state at `weight`, or none at +inf. L gains one final state,
     entered from the start on each pair, looping on each pair that reads a
-    character, and left for the start on the separator."""
+    character, and left for the start on the separator. The arcs are
+    appended as tuples: `weight` comes from an `LmConfig`, which has
+    checked it."""
     word_table = g.isymbols
     if word_table is not l.osymbols:
         raise SymbolTableMismatchError(word_table, l.osymbols,
                                        "G and L must share one word table object")
     g2, l2 = g.copy(), l.copy()
     hub = l2.add_state()
+    g_lists = [g2.arcs(s) for s in {UNIGRAM_STATE, g2.start}] if weight != ZERO else []
+    entries, loops = l2.arcs(l2.start), l2.arcs(hub)
     for cid, symbol in tokens:
         tok = word_table.add(symbol)
-        g2.add_arc(UNIGRAM_STATE, tok, tok, weight, UNIGRAM_STATE)
-        if g2.start != UNIGRAM_STATE:
-            g2.add_arc(g2.start, tok, tok, weight, UNIGRAM_STATE)
-        l2.add_arc(l2.start, cid, tok, 0.0, hub)
+        for arcs in g_lists:
+            arcs.append((tok, tok, weight, UNIGRAM_STATE))
+        entries.append((cid, tok, 0.0, hub))
         if cid != EPSILON_ID:  # an epsilon loop would emit tokens reading nothing
-            l2.add_arc(hub, cid, tok, 0.0, hub)
-    l2.set_final(hub, 0.0)
+            loops.append((cid, tok, 0.0, hub))
+    l2.finals[hub] = 0.0
     sep = l2.isymbols.find(WORD_SEPARATOR)
     if sep is not None:
-        l2.add_arc(hub, sep, EPSILON_ID, 0.0, l2.start)
+        loops.append((sep, EPSILON_ID, 0.0, l2.start))
     return g2, l2
 
 
@@ -355,5 +371,5 @@ def build_root(l_prime: Wfst, g_prime: Wfst) -> Wfst:
                 arcs[k] = (backoff, EPSILON_ID, w, t)
     l = l_prime.copy()
     for s in l.finals:
-        l.add_arc(s, EPSILON_ID, backoff, 0.0, s)
+        l.arcs(s).append((EPSILON_ID, backoff, 0.0, s))
     return optim(compose(l, g))

@@ -132,9 +132,11 @@ def compose(a: Fst, b: Fst) -> Wfst:
 
     Matching scans the side with fewer arcs at each product state and
     looks the other side up in its per-state label index: a's arcs by
-    olabel, b's by ilabel (Allauzen et al. 2007). The product's state
-    numbering and arc order follow that choice; `optim`'s output does not
-    depend on either.
+    olabel, b's by ilabel (Allauzen et al. 2007). An operand state's index
+    is built when the product first reaches it, so a small product with a
+    large machine reads only the large machine's states it reaches. The
+    product's state numbering and arc order follow that choice; `optim`'s
+    output does not depend on either.
 
     Every product state is reached from the start by construction, but
     some may reach no final: the product is not trimmed, and may have
@@ -148,61 +150,82 @@ def compose(a: Fst, b: Fst) -> Wfst:
     if a.is_empty() or b.is_empty():
         return out
 
-    a_by_olabel = _label_index(a, 1)
-    b_by_ilabel = _label_index(b, 0)
+    a_arcs_of, b_arcs_of = a.arcs, b.arcs
     a_finals, b_finals = a.finals, b.finals
-    state_ids = {}
-    triples = []  # product state -> its (a state, b state, filter state)
-
-    def state_of(triple):
-        sid = state_ids.get(triple)
-        if sid is None:
-            sid = state_ids[triple] = out.add_state()
-            triples.append(triple)
-        return sid
-
-    out.set_start(state_of((a.start, b.start, 0)))
-    # ids follow first reach, so walking them in order is breadth first; a
-    # w1 + w2 that overflows to inf is no transition and gets no target
+    # per operand state, its label index, built when the product first reaches it
+    a_by_olabel = [None] * a.num_states()
+    b_by_ilabel = [None] * b.num_states()
+    finals = out.finals
+    triples = [(a.start, b.start, 0)]  # product state -> its (a state, b state, filter state)
+    state_ids = {triples[0]: 0}
+    arcs = []  # product state -> its arc list in out
+    # ids follow first reach, given inline where an arc first reaches a
+    # triple, so walking them in order is breadth first; a w1 + w2 that
+    # overflows to inf is no transition and gets no target
     for src, (s1, s2, filt) in enumerate(triples):  # the list grows as it is walked
+        if src == len(arcs):  # add the states reached since the last batch
+            arcs.extend(map(out.arcs, range(out.add_states(len(triples) - src), len(triples))))
         fw = a_finals.get(s1, ZERO) + b_finals.get(s2, ZERO)
         if fw != ZERO:
-            out.set_final(src, fw)
-        append = out.arcs(src).append
-        a_index, b_index = a_by_olabel[s1], b_by_ilabel[s2]
-        a_arcs, b_arcs = a.arcs(s1), b.arcs(s2)
+            finals[src] = fw
+        append = arcs[src].append
+        a_arcs, b_arcs = a_arcs_of(s1), b_arcs_of(s2)
+        a_index = a_by_olabel[s1]
+        if a_index is None:
+            a_index = a_by_olabel[s1] = _label_index(a_arcs, 1)
+        b_index = b_by_ilabel[s2]
+        if b_index is None:
+            b_index = b_by_ilabel[s2] = _label_index(b_arcs, 0)
         if len(a_arcs) <= len(b_arcs):
             for i1, o1, w1, t1 in a_arcs:
                 if o1 != EPSILON_ID:
                     for _, o2, w2, t2 in b_index.get(o1, ()):
                         w = w1 + w2
                         if w != ZERO:
-                            append((i1, o2, w, state_of((t1, t2, 0))))
+                            key = (t1, t2, 0)
+                            dst = state_ids.get(key)
+                            if dst is None:
+                                dst = state_ids[key] = len(triples)
+                                triples.append(key)
+                            append((i1, o2, w, dst))
         else:
             for i2, o2, w2, t2 in b_arcs:
                 if i2 != EPSILON_ID:
                     for i1, _, w1, t1 in a_index.get(i2, ()):
                         w = w1 + w2
                         if w != ZERO:
-                            append((i1, o2, w, state_of((t1, t2, 0))))
+                            key = (t1, t2, 0)
+                            dst = state_ids.get(key)
+                            if dst is None:
+                                dst = state_ids[key] = len(triples)
+                                triples.append(key)
+                            append((i1, o2, w, dst))
         if filt == 0:  # a moves alone on its output epsilon
             for i1, _, w1, t1 in a_index.get(EPSILON_ID, ()):
-                append((i1, EPSILON_ID, w1, state_of((t1, s2, 0))))
+                key = (t1, s2, 0)
+                dst = state_ids.get(key)
+                if dst is None:
+                    dst = state_ids[key] = len(triples)
+                    triples.append(key)
+                append((i1, EPSILON_ID, w1, dst))
         for _, o2, w2, t2 in b_index.get(EPSILON_ID, ()):  # b moves alone on its input epsilon
-            append((EPSILON_ID, o2, w2, state_of((s1, t2, 1))))
+            key = (s1, t2, 1)
+            dst = state_ids.get(key)
+            if dst is None:
+                dst = state_ids[key] = len(triples)
+                triples.append(key)
+            append((EPSILON_ID, o2, w2, dst))
+    out.set_start(0)
     return out
 
 
-def _label_index(m: Fst, side: int) -> list[dict[int, list[tuple]]]:
-    """Per state of m, {label: arcs} keyed on each arc's label at index
-    `side`: 0 for ilabel, 1 for olabel."""
-    index = []
-    for s in m.states():
-        by_label: dict[int, list[tuple]] = {}
-        for arc in m.arcs(s):
-            by_label.setdefault(arc[side], []).append(arc)
-        index.append(by_label)
-    return index
+def _label_index(arcs, side: int) -> dict[int, list[tuple]]:
+    """{label: arcs} keyed on each arc's label at index `side`: 0 for
+    ilabel, 1 for olabel."""
+    by_label: dict[int, list[tuple]] = {}
+    for arc in arcs:
+        by_label.setdefault(arc[side], []).append(arc)
+    return by_label
 
 
 # ---------------------------------------------------------------------------

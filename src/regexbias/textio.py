@@ -47,44 +47,62 @@ def write_fst_text(m: Fst) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Ints(dict):
+    """Decimal text -> int, converting each distinct text once."""
+
+    def __missing__(self, text):
+        value = self[text] = int(text)
+        return value
+
+
 @nogc
 def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None = None) -> Wfst:
     """Parse machine text; malformed input raises RegexBiasError. State ids
-    stay below twice the non-blank lines: a trimmed machine's states all appear."""
+    stay below twice the non-blank lines: a trimmed machine's states all
+    appear. A line is tested for being blank only when it fails to parse,
+    as every whitespace-only line does."""
     m = Wfst(isymbols, osymbols)
     lines = text.splitlines()
-    state_limit = 2 * sum(1 for line in lines if line.strip())
+    state_limit = 2 * sum(map(bool, map(str.strip, lines)))
     ilimit, olimit = len(m.isymbols), len(m.osymbols)
     arcs = []  # state -> m's arc list for it
+    finals = m.finals
+    ints = _Ints()  # state ids and labels recur from line to line
     start = None
     for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
         fields = line.split("\t")
+        n = len(fields)
         try:
-            if len(fields) in (4, 5):
-                state, dst = int(fields[0]), int(fields[1])
-                ilabel, olabel = int(fields[2]), int(fields[3])
+            if n == 4 or n == 5:
+                state, dst = ints[fields[0]], ints[fields[1]]
+                ilabel, olabel = ints[fields[2]], ints[fields[3]]
                 if not (0 <= state < state_limit and 0 <= dst < state_limit):
                     raise ValueError(f"state ids {state}, {dst} are outside 0..{state_limit - 1}")
                 if not (0 <= ilabel < ilimit and 0 <= olabel < olimit):
                     raise ValueError(f"labels {ilabel}:{olabel} are outside the symbol tables")
-                weight = parse_weight(fields[4]) if len(fields) == 5 else 0.0
+                weight = float(fields[4]) if n == 5 else 0.0
+                if not -ZERO < weight < ZERO:
+                    parse_weight(fields[4])  # raises on NaN and -inf; inf is no arc
                 top = state if state > dst else dst
-            elif len(fields) in (1, 2):
-                state = top = int(fields[0])
+            elif n == 1 or n == 2:
+                state = top = ints[fields[0]]
                 if not 0 <= state < state_limit:
                     raise ValueError(f"state id {state} is outside 0..{state_limit - 1}")
-                weight = parse_weight(fields[1]) if len(fields) == 2 else 0.0
+                weight = parse_weight(fields[1]) if n == 2 else 0.0
                 dst = None
             else:
-                raise ValueError(f"expected 1, 2, 4 or 5 tab-separated fields, got {len(fields)}")
+                raise ValueError(f"expected 1, 2, 4 or 5 tab-separated fields, got {n}")
         except ValueError as exc:
+            if not line.strip():
+                continue
             raise RegexBiasError(f"bad machine text at line {lineno}: {exc}") from None
         if top >= len(arcs):
             arcs.extend(map(m.arcs, range(m.add_states(top + 1 - len(arcs)), top + 1)))
         if dst is None:
-            m.set_final(state, weight)
+            if weight != ZERO:
+                finals[state] = weight
+            else:
+                finals.pop(state, None)
         elif weight != ZERO:
             arcs[state].append((ilabel, olabel, weight, dst))
         if start is None:

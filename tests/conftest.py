@@ -25,7 +25,6 @@ from regexbias.lm import (
     SENTENCE_START,
     UNIGRAM_STATE,
     NgramCounts,
-    _neglog,
     _unigram_layout,
 )
 
@@ -481,13 +480,13 @@ def grammar_from_probs(uni_probs: dict, bi_probs: dict | None,
     unigram arcs from the start at -log p(w), bigram arcs between word
     states at -log p(w2|w1), every word state final with weight 0. The start
     state is the unigram state."""
-    g, word_state = _unigram_layout(uni_probs, word_table)
+    g, target = _unigram_layout(uni_probs, word_table)
     g.set_start(UNIGRAM_STATE)
-    for s in word_state.values():
+    for _, s in target.values():
         g.set_final(s, 0.0)
     for (w1, w2), p in sorted((bi_probs or {}).items()):
-        tok = g.isymbols.id(w2)
-        g.add_arc(word_state[w1], tok, tok, _neglog(p), word_state[w2])
+        tok, t = target[w2]
+        g.add_arc(target[w1][1], tok, tok, -math.log(p), t)
     return g
 
 

@@ -221,6 +221,14 @@ class TestTextFormat:
         text = "0\t1\t1\t1\t0.5\n1\n"
         back = read_fst_text("\n  \n" + text.replace("\n", "\n\t\n", 1) + "\n", ab_table)
         assert write_fst_text(back) == text
+        # a whitespace-only line is blank whatever its field count, an arc
+        # line's 4 and 5 included, and does not count towards the state limit
+        for blank in ("\t\t\t", "\t\t\t\t", "        ", " \t \t\t "):
+            back = read_fst_text(f"{blank}\n" + text.replace("\n", f"\n{blank}\n", 1) + blank,
+                                 ab_table)
+            assert write_fst_text(back) == text
+            with pytest.raises(RegexBiasError, match="line 2: state ids 0, 4 are outside 0..3"):
+                read_fst_text(f"{blank}\n0\t4\t1\t1\n{blank}\n4\n", ab_table)
 
     def test_three_fields_rejected(self, ab_table):
         with pytest.raises(RegexBiasError, match=re.escape(

@@ -457,6 +457,18 @@ class TestComposeLG:
         ins, outs, w = shortest_path(t)
         assert w == pytest.approx(6.907755, abs=1e-6)
 
+    def test_start_at_the_unigram_state_gains_one_arc_per_token(self):
+        # a G whose start is its unigram state gains one loop per token
+        # there, not a loop and a start arc on the same state
+        charset, word_table, l, g = self.build_foobar()
+        assert g.start == UNIGRAM_STATE
+        g2, _ = insert_nonterminal(g, l, LmConfig(nonterminal_weight=1.5))
+        nt = word_table.id(REGEX_NT)
+        assert [arc for arc in g2.arcs(UNIGRAM_STATE) if arc[0] == nt] == \
+               [(nt, nt, 1.5, UNIGRAM_STATE)]
+        g3, _ = add_char_fallback(g, l, charset, LmConfig())
+        assert len(g3.arcs(UNIGRAM_STATE)) == len(g.arcs(UNIGRAM_STATE)) + len(charset) - 2
+
     def test_optim_equals_brute_force_join(self):
         _, _, l, g = self.build_foobar()
         t = optim(compose(l, g))

@@ -18,7 +18,7 @@ from regexbias.errors import (
     SymbolError,
     SymbolTableMismatchError,
 )
-from regexbias.fst import EPSILON_ID, ZERO, SymbolTable, Wfst, linear_acceptor
+from regexbias.fst import EPSILON_ID, ZERO, Fst, SymbolTable, Wfst, linear_acceptor
 from regexbias.ops import (
     ReplaceNoOpWarning,
     _refine,
@@ -48,6 +48,7 @@ from conftest import (
     random_machine,
     replace_eager,
 )
+from test_bench import bench  # noqa: F401  (the fixture that imports bench/)
 
 
 def identity_scorer(table, weight):
@@ -337,6 +338,55 @@ class TestCompose:
             c = compose(a, b)
             expected = join_paths(enumerate_paths(a, 6), enumerate_paths(b, 6))
             assert paths_equal(enumerate_paths(c, 6), expected)
+
+    def test_reads_only_the_states_the_product_reaches(self, bench):
+        # a sentence against the V~200 root: compose reads the arcs of the
+        # root states that a prefix of the sentence leads to, not every state
+        workloads, measure = bench
+        lm = workloads.build_lm_root(
+            workloads.inputs.lm_inputs(random.Random(1), 200).corpus, measure.NullTracer())
+        text = " ".join(lm.vocab[:3])
+        sentence = linear_acceptor(text, lm.charset)
+        root = ArcReads(lm.root)
+        assert write_fst_text(compose(sentence, root)) == \
+               write_fst_text(compose(sentence, lm.root))
+        labels = [lm.charset.id(ch) for ch in text]
+        reached = {(0, lm.root.start)}  # (characters read, root state)
+        stack = list(reached)
+        while stack:
+            k, q = stack.pop()
+            for i, _, _, t in lm.root.arcs(q):
+                if i == EPSILON_ID:
+                    nxt = (k, t)
+                elif k < len(labels) and i == labels[k]:
+                    nxt = (k + 1, t)
+                else:
+                    continue
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        assert set(root.reads) == {q for _, q in reached}
+        assert len(root.reads) < lm.root.num_states() // 10
+
+
+class ArcReads(Fst):
+    """A machine read through a thin wrapper that counts the reads of each
+    state's arcs."""
+
+    def __init__(self, m):
+        self.m, self.reads = m, Counter()
+        self.isymbols, self.osymbols = m.isymbols, m.osymbols
+        self.start, self.finals = m.start, m.finals
+
+    def arcs(self, state):
+        self.reads[state] += 1
+        return self.m.arcs(state)
+
+    def num_states(self):
+        return self.m.num_states()
+
+    def num_arcs(self):
+        return self.m.num_arcs()
 
 
 def joined_counts(a, b):
