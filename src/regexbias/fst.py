@@ -156,12 +156,6 @@ class Fst:
         """True when the machine has no start state at all."""
         return self.start is None
 
-    def check_pair_deterministic(self) -> bool:
-        """At most one arc per (state, ilabel, olabel); eps:eps is one more
-        label pair, as it is to `ops.determinize`."""
-        return all(len(arcs) < 2 or len({(i, o) for i, o, _, _ in arcs}) == len(arcs)
-                   for arcs in map(self.arcs, self.states()))
-
     def _check_state(self, state: int):
         n = self.num_states()
         if not 0 <= state < n:

@@ -34,6 +34,7 @@ Layout conventions baked in here and relied on downstream:
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -130,28 +131,36 @@ class Lexicon:
 def count_ngrams(lines) -> NgramCounts:
     """Exact unigram and bigram counts with sentence-boundary markers.
 
-    A line holding a boundary marker, `<eps>` or a symbol of
-    `fst.RESERVED` as a token raises RegexBiasError: each would be taken
-    for the symbol it names.
+    `lines` is read once, so it may be a generator. Each non-blank line is
+    padded with `<s>` and `</s>` onto one token list, which `Counter`
+    counts with its bigrams, less the `</s> <s>` joins between lines. A
+    line holding a boundary marker, `<eps>` or a symbol of `fst.RESERVED`
+    as a token raises RegexBiasError naming the first such line: each
+    would be taken for the symbol it names. The check runs once, on the
+    counts, and only a failing corpus is searched line by line.
     """
-    counts = NgramCounts()
-    uni, bi = counts.unigram, counts.bigram
+    padded = []
+    ends = []  # (line number, end in padded) per non-blank line
     for lineno, line in enumerate(lines, 1):
         tokens = line.split()
-        if not tokens:
-            continue
-        reserved = _RESERVED_TOKENS.intersection(tokens)
-        if reserved:
-            raise RegexBiasError(f"line {lineno}: corpus token {min(reserved)!r} is reserved")
-        uni[SENTENCE_START] = uni.get(SENTENCE_START, 0) + 1
-        prev = SENTENCE_START
-        for tok in tokens:
-            uni[tok] = uni.get(tok, 0) + 1
-            bi[(prev, tok)] = bi.get((prev, tok), 0) + 1
-            prev = tok
-        uni[SENTENCE_END] = uni.get(SENTENCE_END, 0) + 1
-        bi[(prev, SENTENCE_END)] = bi.get((prev, SENTENCE_END), 0) + 1
-    return counts
+        if tokens:
+            padded.append(SENTENCE_START)
+            padded += tokens
+            padded.append(SENTENCE_END)
+            ends.append((lineno, len(padded)))
+    uni = Counter(padded)
+    n = len(ends)
+    if any(uni[tok] != (n if tok in (SENTENCE_START, SENTENCE_END) else 0)
+           for tok in _RESERVED_TOKENS):  # a line holds a reserved token
+        begin = 0
+        for lineno, end in ends:
+            reserved = _RESERVED_TOKENS.intersection(padded[begin + 1:end - 1])
+            if reserved:
+                raise RegexBiasError(f"line {lineno}: corpus token {min(reserved)!r} is reserved")
+            begin = end
+    bi = Counter(zip(padded, padded[1:]))
+    del bi[(SENTENCE_END, SENTENCE_START)]  # the joins between sentences
+    return NgramCounts(uni, bi)
 
 
 def make_word_table(words, name="words") -> SymbolTable:

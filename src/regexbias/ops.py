@@ -6,14 +6,16 @@ a read-only view, a `ReplaceView`, that shares the root's arc lists and
 builds the spliced states' lists on use.
 Composition needs one table object between its operands, pairs epsilons
 through the two-state sequence filter so each epsilon path is built once,
-and matches labels from the side with fewer arcs at each product state.
+and at each product state scans the side with fewer arcs, taking that
+side's epsilon moves from the same scan, and indexes only the other side.
 Determinization is a weighted subset construction
 carrying residual weights whose label is each arc's (ilabel, olabel)
 pair, eps:eps included: it removes no epsilons, as OpenFst's does not,
 and so handles transducers and acceptors alike. Minimization
 trims, pushes weights and merges states by Hopcroft partition refinement
-on (ilabel, olabel, pushed weight) labels; optim skips the subset
-construction when its input is already deterministic per label pair.
+on (ilabel, olabel, pushed weight) labels; its walk from the start
+tests determinism per label pair, and optim runs the subset construction
+only when that test fails.
 
 Minimization is the one step that trims. compose and replace return the
 machine as built, which may hold states off every accepting path;
@@ -29,6 +31,7 @@ both single-source shortest distances (Mohri 2002), and one routine,
 import warnings
 import weakref
 from collections import deque
+from operator import itemgetter
 
 from .errors import (
     BudgetExceededError,
@@ -132,11 +135,14 @@ def compose(a: Fst, b: Fst) -> Wfst:
 
     Matching scans the side with fewer arcs at each product state and
     looks the other side up in its per-state label index: a's arcs by
-    olabel, b's by ilabel (Allauzen et al. 2007). An operand state's index
-    is built when the product first reaches it, so a small product with a
-    large machine reads only the large machine's states it reaches. The
-    product's state numbering and arc order follow that choice; `optim`'s
-    output does not depend on either.
+    olabel, b's by ilabel (Allauzen et al. 2007). Only the looked-up side
+    is indexed: the scanned side's epsilon moves come from the same scan,
+    the other side's from its index. An operand state's index is built
+    when the product first looks it up, so a small product with a large
+    machine reads only the large machine's states it reaches. A product
+    state's arcs are its label matches, then a's epsilon moves, then b's;
+    its numbering and arc order follow the choice of side, and `optim`'s
+    output depends on neither.
 
     Every product state is reached from the start by construction, but
     some may reach no final: the product is not trimmed, and may have
@@ -170,13 +176,11 @@ def compose(a: Fst, b: Fst) -> Wfst:
             finals[src] = fw
         append = arcs[src].append
         a_arcs, b_arcs = a_arcs_of(s1), b_arcs_of(s2)
-        a_index = a_by_olabel[s1]
-        if a_index is None:
-            a_index = a_by_olabel[s1] = _label_index(a_arcs, 1)
-        b_index = b_by_ilabel[s2]
-        if b_index is None:
-            b_index = b_by_ilabel[s2] = _label_index(b_arcs, 0)
-        if len(a_arcs) <= len(b_arcs):
+        if len(a_arcs) <= len(b_arcs):  # scan a, look b up; a's epsilons come from the scan
+            b_index = b_by_ilabel[s2]
+            if b_index is None:
+                b_index = b_by_ilabel[s2] = _label_index(b_arcs, 0)
+            a_eps = []
             for i1, o1, w1, t1 in a_arcs:
                 if o1 != EPSILON_ID:
                     for _, o2, w2, t2 in b_index.get(o1, ()):
@@ -188,7 +192,14 @@ def compose(a: Fst, b: Fst) -> Wfst:
                                 dst = state_ids[key] = len(triples)
                                 triples.append(key)
                             append((i1, o2, w, dst))
-        else:
+                elif filt == 0:
+                    a_eps.append((i1, o1, w1, t1))
+            b_eps = b_index.get(EPSILON_ID, ())
+        else:  # scan b, look a up; b's epsilons come from the scan
+            a_index = a_by_olabel[s1]
+            if a_index is None:
+                a_index = a_by_olabel[s1] = _label_index(a_arcs, 1)
+            b_eps = []
             for i2, o2, w2, t2 in b_arcs:
                 if i2 != EPSILON_ID:
                     for i1, _, w1, t1 in a_index.get(i2, ()):
@@ -200,15 +211,17 @@ def compose(a: Fst, b: Fst) -> Wfst:
                                 dst = state_ids[key] = len(triples)
                                 triples.append(key)
                             append((i1, o2, w, dst))
-        if filt == 0:  # a moves alone on its output epsilon
-            for i1, _, w1, t1 in a_index.get(EPSILON_ID, ()):
-                key = (t1, s2, 0)
-                dst = state_ids.get(key)
-                if dst is None:
-                    dst = state_ids[key] = len(triples)
-                    triples.append(key)
-                append((i1, EPSILON_ID, w1, dst))
-        for _, o2, w2, t2 in b_index.get(EPSILON_ID, ()):  # b moves alone on its input epsilon
+                else:
+                    b_eps.append((i2, o2, w2, t2))
+            a_eps = a_index.get(EPSILON_ID, ()) if filt == 0 else ()
+        for i1, _, w1, t1 in a_eps:  # a moves alone on its output epsilon
+            key = (t1, s2, 0)
+            dst = state_ids.get(key)
+            if dst is None:
+                dst = state_ids[key] = len(triples)
+                triples.append(key)
+            append((i1, EPSILON_ID, w1, dst))
+        for _, o2, w2, t2 in b_eps:  # b moves alone on its input epsilon
             key = (s1, t2, 1)
             dst = state_ids.get(key)
             if dst is None:
@@ -299,40 +312,46 @@ def determinize(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
 def minimize(a: Fst) -> Wfst:
     """Merge indistinguishable states of a deterministic machine.
 
-    Requires input that is deterministic at least per label pair. States
-    off every start-to-final path are dropped, the only trimming in this
-    module. Weights are pushed toward the start, then `_refine` merges the
-    states that agree on pushed final weights and out-arcs. Pushing is
-    skipped when a negative cycle makes shortest suffix costs undefined;
-    exactly-equal suffixes still merge then. The result is numbered
-    breadth first with each state's arcs sorted by (ilabel, olabel), so it
-    does not depend on the input's state numbering. Its weights depend on
-    the input's arc order only within `_shortest_distance`'s 1e-15
-    tolerance: of two paths whose costs differ by less, the first relaxed
-    sets the potential that pushing uses.
+    Requires input that is deterministic per label pair on every state the
+    start reaches: `_minimize`'s walk tests this, and a repeated pair there
+    raises NondeterministicInputError. A repeat on an unreached state is
+    trimmed with it. States off every start-to-final path are dropped, the
+    only trimming in this module. Weights are pushed toward the start, then
+    `_refine` merges the states that agree on pushed final weights and
+    out-arcs. Pushing is skipped when a negative cycle makes shortest
+    suffix costs undefined; exactly-equal suffixes still merge then. The
+    result is numbered breadth first with each state's arcs sorted by
+    (ilabel, olabel), so it does not depend on the input's state numbering.
+    Its weights depend on the input's arc order only within
+    `_shortest_distance`'s 1e-15 tolerance: of two paths whose costs differ
+    by less, the first relaxed sets the potential that pushing uses.
     """
-    if not a.is_empty() and not a.check_pair_deterministic():
+    out = _minimize(a)
+    if out is None:
         raise NondeterministicInputError(
             "minimize requires a deterministic machine (per (ilabel, olabel) pair)"
         )
-    return _minimize(a)
+    return out
 
 
-def _minimize(a: Fst) -> Wfst:
-    """minimize() of a machine known to be deterministic per label pair.
+def _minimize(a: Fst) -> Wfst | None:
+    """minimize() of `a`, or None when a state the start reaches has two
+    arcs on one (ilabel, olabel) pair.
 
     Every per-state map is a list indexed by state id. One depth-first walk
     from the start marks the reached states and reverses their arcs, so a
     negative cycle the start cannot reach does not stop the pushing. The
-    potentials, shortest distances to a final over those reversed arcs (0
-    under a negative cycle), mark the co-accessible states. The push pass
-    builds their pushed final weights and sorted pushed arcs, and drops an
-    arc whose pushed weight overflows to inf, so what only it reached is not
-    rebuilt. Then `a` and every bound method of it go before `_refine`, the
-    memory peak, and the rebuild appends into the output breadth first.
-    Nothing may wrap this function, `nogc` included: a wrapper's argument
-    tuple would keep `a` alive, and optim holds no other reference to a
-    machine that determinize built.
+    walk also tests each reached state with two or more arcs for a repeated
+    label pair, and returns None at the first, before any potential is
+    computed. The potentials, shortest distances to a final over the
+    reversed arcs (0 under a negative cycle), mark the co-accessible
+    states. The push pass builds their pushed final weights and sorted
+    pushed arcs, and drops an arc whose pushed weight overflows to inf, so
+    what only it reached is not rebuilt. Then `a` and every bound method of
+    it go before `_refine`, the memory peak, and the rebuild appends into
+    the output breadth first. Nothing may wrap this function, `nogc`
+    included: a wrapper's argument tuple would keep `a` alive, and optim
+    holds no other reference to a machine that determinize built.
     """
     if a.is_empty():
         return Wfst(a.isymbols, a.osymbols)
@@ -343,9 +362,15 @@ def _minimize(a: Fst) -> Wfst:
     reached[start] = True
     rev = [[] for _ in range(n)]
     stack = [start]
+    olabel = itemgetter(1)
     while stack:
         s = stack.pop()
-        for i, o, w, t in arcs_of(s):
+        leaving = arcs_of(s)
+        n_out = len(leaving)  # distinct olabels settle most states without building pairs
+        if (n_out > 1 and len(set(map(olabel, leaving))) < n_out
+                and len({(i, o) for i, o, _, _ in leaving}) < n_out):
+            return None  # two arcs on one label pair
+        for i, o, w, t in leaving:
             rev[t].append((i, o, w, s))
             if not reached[t]:
                 reached[t] = True
@@ -478,16 +503,19 @@ def _refine(finals, arcs):
 def optim(a: Fst, state_budget: int = DETERMINIZE_STATE_BUDGET) -> Wfst:
     """minimize(determinize(a)); the usual decode-graph optimization step.
 
-    Input that is deterministic per label pair, with eps:eps counted as
-    one more pair, and has at most `state_budget` states skips the subset
-    construction: every subset would be one state with residual 0, so
-    determinize would only renumber the accessible part, and minimize's
-    result does not depend on the numbering. Larger input still goes
-    through determinize and its budget.
+    Input of at most `state_budget` states goes to `_minimize` first. When
+    its walk finds every state the start reaches deterministic per label
+    pair, with eps:eps counted as one more pair, that is the result: every
+    subset would be one state with residual 0, so determinize would only
+    renumber the accessible part, and minimize's result does not depend on
+    the numbering. Otherwise, and for larger input, the result is
+    `_minimize(determinize(a))`, under determinize's budget.
     """
-    if a.num_states() > state_budget or not a.check_pair_deterministic():
-        return _minimize(determinize(a, state_budget))
-    return _minimize(a)
+    if a.num_states() <= state_budget:
+        out = _minimize(a)
+        if out is not None:
+            return out
+    return _minimize(determinize(a, state_budget))
 
 
 # ---------------------------------------------------------------------------

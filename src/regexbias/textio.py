@@ -39,10 +39,10 @@ def write_fst_text(m: Fst) -> str:
     lead = [] if m.arcs(m.start) else [m.start]
     lines = [final_line(s) for s in lead]
     order = [m.start] + [s for s in m.states() if s != m.start]
-    for s in order:
+    for s in order:  # `%.9g` prints every weight as format_weight does
         for i, o, w, t in m.arcs(s):
-            field = "" if w == 0.0 else f"\t{format_weight(w)}"
-            lines.append(f"{s}\t{t}\t{i}\t{o}{field}")
+            lines.append("%d\t%d\t%d\t%d\t%.9g" % (s, t, i, o, w) if w else
+                         "%d\t%d\t%d\t%d" % (s, t, i, o))
     lines.extend(final_line(s) for s in sorted(m.finals) if s not in lead)
     return "\n".join(lines) + "\n"
 

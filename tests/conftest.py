@@ -93,6 +93,13 @@ def check_deterministic(m: Wfst) -> bool:
     return True
 
 
+def pair_deterministic(m) -> bool:
+    """At most one arc per (state, ilabel, olabel), on every state, reached
+    or not; eps:eps is one more label pair, as it is to `ops.determinize`."""
+    return all(len(arcs) < 2 or len({(i, o) for i, o, _, _ in arcs}) == len(arcs)
+               for arcs in map(m.arcs, m.states()))
+
+
 def check_eps_free(m: Wfst) -> bool:
     return not any(
         i == EPSILON_ID and o == EPSILON_ID for _, (i, o, _, _) in all_arcs(m)

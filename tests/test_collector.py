@@ -24,7 +24,7 @@ from regexbias.errors import (
 from regexbias.fst import REGEX_NT, Wfst, linear_acceptor
 from regexbias.textio import read_fst_text, write_fst_text
 
-from conftest import make_table
+from conftest import make_table, pair_deterministic
 from test_bench import SLOW_RUNGS, bench  # noqa: F401  (the fixture that imports bench/)
 
 ENTITY_REGEXES = 20
@@ -235,6 +235,6 @@ def test_minimize_frees_determinized_machine_before_refining(monkeypatch, ab_tab
     monkeypatch.setattr(ops, "determinize", determinize_and_watch)
     monkeypatch.setattr(ops, "_refine", refine_once_freed)
     m = nondeterministic(ab_table)
-    assert not m.check_pair_deterministic()
+    assert not pair_deterministic(m)
     ops.optim(m)
     assert len(made) == 1

@@ -40,6 +40,7 @@ from conftest import (
     connect,
     enumerate_paths,
     make_table,
+    pair_deterministic,
     per_label_nfa,
 )
 
@@ -192,7 +193,7 @@ class TestAstToNfa:
         flat = per_label_nfa(nfa)
         assert (nfa.num_states(), nfa.num_arcs()) == (states, CLASS_ARCS[text])
         assert flat.num_arcs() == arcs
-        assert nfa.check_pair_deterministic() == flat.check_pair_deterministic() == deterministic
+        assert pair_deterministic(nfa) == pair_deterministic(flat) == deterministic
         if deterministic:
             monkeypatch.setattr(ops, "determinize", fail_if_called("determinize"))
         dfa = nfa_to_dfa(nfa)

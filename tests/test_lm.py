@@ -58,6 +58,7 @@ from conftest import (
     join_paths,
     join_with_acceptor,
     make_table,
+    pair_deterministic,
     paths_equal,
     replace_eager,
 )
@@ -195,6 +196,16 @@ class TestCountNgrams:
             count_ngrams(["a b", "", f"a {marker} b"])
         for line in (f"a{marker}", f"<{marker}>"):
             assert count_ngrams([line]).unigram[line] == 1
+
+    def test_reads_a_generator_once(self):
+        rng = random.Random(12)
+        lines = [" ".join(rng.choice("abc") for _ in range(rng.randint(0, 5)))
+                 for _ in range(200)]
+        counts = count_ngrams(iter(lines))
+        assert counts == count_ngrams(lines)
+        assert counts.unigram["<s>"] == sum(1 for line in lines if line.split())
+        with pytest.raises(RegexBiasError, match=re.escape("line 3: corpus token '#0'")):
+            count_ngrams(line for line in ["a b", "", "a #0 b", "$REGEX"])
 
     def test_against_independent_counter(self):
         rng = random.Random(11)
@@ -426,7 +437,7 @@ class TestLexicon:
         word_table = make_word_table(words)
         l = build_lexicon(lex, charset, word_table)
         out = determinize(l)
-        assert out.check_pair_deterministic()
+        assert pair_deterministic(out)
 
 
 class TestComposeLG:

@@ -21,6 +21,7 @@ from regexbias.errors import (
 from regexbias.fst import EPSILON_ID, ZERO, Fst, SymbolTable, Wfst, linear_acceptor
 from regexbias.ops import (
     ReplaceNoOpWarning,
+    _minimize,
     _refine,
     _shortest_distance,
     compose,
@@ -42,6 +43,7 @@ from conftest import (
     join_paths,
     make_table,
     moore_classes,
+    pair_deterministic,
     partition,
     path_counts,
     paths_equal,
@@ -534,7 +536,7 @@ class TestDeterminize:
         m.add_arc(1, EPSILON_ID, EPSILON_ID, 2.0, 2)
         m.set_final(2)
         out = determinize(m)
-        assert out.check_pair_deterministic()
+        assert pair_deterministic(out)
         assert enumerate_paths(out, 2) == {((), ()): 3.0}
 
     def test_negative_eps_cycle_raises(self, ab_table):
@@ -572,7 +574,7 @@ class TestDeterminize:
         m = read_fst_text(text, ab_table)
         want = enumerate_paths(m, 4)
         outs = [determinize(m), optim(m)]
-        if m.check_pair_deterministic():
+        if pair_deterministic(m):
             outs += [minimize(m), minimize(determinize(m))]
             assert write_fst_text(optim(m)) == write_fst_text(minimize(determinize(m)))
         for out in outs:
@@ -636,13 +638,13 @@ class TestDeterminize:
         for _ in range(25):
             m = random_machine(rng, abcd_table, acyclic=True, acceptor=True)
             out = determinize(m)
-            assert out.check_pair_deterministic()
+            assert pair_deterministic(out)
 
     def test_language_preserved_random(self, rng, abcd_table):
         for _ in range(40):
             m = random_machine(rng, abcd_table, acyclic=True)
             out = determinize(m)
-            assert out.check_pair_deterministic()
+            assert pair_deterministic(out)
             assert paths_equal(enumerate_paths(out, 8, max_out_len=8),
                                enumerate_paths(m, 8, max_out_len=8))
 
@@ -674,6 +676,28 @@ class TestMinimize:
         m.set_final(1)
         with pytest.raises(NondeterministicInputError):
             minimize(m)
+
+    @pytest.mark.parametrize("reached", [False, True], ids=["unreached", "reached"])
+    def test_determinism_is_tested_on_reached_states(self, reached, ab_table, monkeypatch):
+        # state 2 has two a:a arcs; only an arc from the start makes that a
+        # repeat minimize must reject, since an unreached state is trimmed
+        m = linear_acceptor("a", ab_table, arc_weight=1.0)
+        m.add_state()
+        m.add_arc(2, 1, 1, 0.5, 1)
+        m.add_arc(2, 1, 1, 2.0, 1)
+        if reached:
+            m.add_arc(0, 2, 2, 0.0, 2)
+        assert not pair_deterministic(m)
+        want = write_fst_text(_minimize(determinize(m)))
+        assert write_fst_text(optim(m)) == want
+        if reached:
+            with pytest.raises(NondeterministicInputError):
+                minimize(m)
+        else:
+            assert write_fst_text(minimize(m)) == want
+            assert want == write_fst_text(minimize(linear_acceptor("a", ab_table, arc_weight=1.0)))
+            monkeypatch.setattr(ops, "determinize", None)
+            assert write_fst_text(optim(m)) == want
 
     def test_equivalent_finals_merge(self, ab_table):
         # two distinct final states with identical suffix behavior
@@ -802,6 +826,31 @@ class TestOptim:
             out = optim(m)
             assert paths_equal(enumerate_paths(out, 8, max_out_len=8),
                                enumerate_paths(m, 8, max_out_len=8))
+
+    def test_matches_minimize_of_determinize(self, rng, abcd_table):
+        # optim minimizes directly when its walk finds no repeated label
+        # pair on a reached state, and determinizes first otherwise; both
+        # routes give what the subset construction would
+        seen = Counter()
+        for k in range(120):
+            m = random_machine(rng, abcd_table, acyclic=True, arc_density=2.5)
+            if k % 3 == 0:  # a repeated pair on a state the start cannot reach
+                unreached = m.add_state()
+                t = rng.randrange(unreached)
+                m.add_arc(unreached, 1, 1, 0.5, t)
+                m.add_arc(unreached, 1, 1, 1.5, t)
+            reached, stack = {m.start}, [m.start]
+            while stack:
+                for _, _, _, t in m.arcs(stack.pop()):
+                    if t not in reached:
+                        reached.add(t)
+                        stack.append(t)
+            direct = all(len({(i, o) for i, o, _, _ in m.arcs(s)}) == len(m.arcs(s))
+                         for s in reached)
+            assert (_minimize(m) is not None) == direct
+            seen[direct, pair_deterministic(m)] += 1
+            assert write_fst_text(optim(m)) == write_fst_text(_minimize(determinize(m)))
+        assert len(seen) == 3 and min(seen.values()) >= 10, seen
 
     def test_deterministic_input_skips_determinize(self, ab_table, monkeypatch):
         m = linear_acceptor("abba", ab_table, arc_weight=1.0)
@@ -1104,8 +1153,8 @@ class TestReplace:
             assert (out.num_states(), out.num_arcs()) == (oracle.num_states(), oracle.num_arcs())
             assert write_fst_text(out) == write_fst_text(oracle)
             assert sum(len(out.arcs(s)) for s in out.states()) == out.num_arcs()
-            deterministic = out.check_pair_deterministic()
-            assert deterministic == oracle.check_pair_deterministic()
+            deterministic = pair_deterministic(out)
+            assert deterministic == pair_deterministic(oracle)
             seen["deterministic"] += deterministic
             blocks = (oracle.num_states() - root.num_states()) // max(sub.num_states(), 1)
             seen["targets"] += blocks >= 2
@@ -1146,7 +1195,7 @@ class TestReplace:
         root = linear_acceptor(["x", "$REGEX", "y"], table)
         t_r = compile_biased('export = ("a" | "b")* "a" ("a" | "b");', chars, -1.0)[2]
         view, oracle = replace(root, nt, t_r), replace_eager(root, nt, t_r)
-        assert view.check_pair_deterministic() is oracle.check_pair_deterministic() is True
+        assert pair_deterministic(view) is pair_deterministic(oracle) is True
         for op in (optim, minimize):
             assert write_fst_text(op(view)) == write_fst_text(op(oracle))
         assert repr(view) == (f"ReplaceView({oracle.num_states()} states, "
