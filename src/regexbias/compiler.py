@@ -72,22 +72,27 @@ def _then(follow, left, right):
     return f1 + f2 if n1 else f1, l1 + l2 if n2 else l2, n1 and n2
 
 
+def _character(alphabet, symbol):
+    """`symbol`'s label when it is one of the alphabet's characters, which
+    the reserved symbols, CTC's `<blank>` among them, are not."""
+    return None if symbol in RESERVED else alphabet.find(symbol)
+
+
 def _build(node, walk):
     """Positions for `node`, recorded in `walk`, ast_to_nfa's (alphabet,
     carried, follow, narrowed); returns the node's (first, last, nullable)."""
     alphabet, carried, follow, narrowed = walk
     if isinstance(node, gr.Literal):
-        label = alphabet.find(node.symbol)
+        label = _character(alphabet, node.symbol)
         if label is None:
-            raise SymbolError(f"regex symbol {node.symbol!r} is not in the "
-                              f"decoder alphabet {alphabet.name!r}")
+            raise SymbolError(f"regex symbol {node.symbol!r} is not a character of "
+                              f"the decoder alphabet {alphabet.name!r}")
         labels = [label]
     elif isinstance(node, gr.Class):
         labels = narrowed.get(id(node))
         if labels is None:
-            labels = narrowed[id(node)] = [alphabet.id(c) for c in node.symbols
-                                           if alphabet.find(c) is not None
-                                           and c not in RESERVED]
+            labels = narrowed[id(node)] = [label for c in node.symbols if
+                                           (label := _character(alphabet, c)) is not None]
         if not labels:
             raise SymbolError(
                 f"character class {node.symbols!r} has no symbols in the "
@@ -150,10 +155,11 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
     `members` maps that label to the whole class, so expanding each arc
     into one per member gives the per-label position automaton.
 
-    Literals must exist in the alphabet; character classes narrow to the
-    alphabet's subset of their range, once per Class node however often it
-    repeats, and must stay non-empty. More than DETERMINIZE_STATE_BUDGET
-    states raise before any is built.
+    Literals must be characters of the alphabet, which no reserved symbol
+    is; character classes narrow to the alphabet's characters in their
+    range, once per Class node however often it repeats, and must stay
+    non-empty. More than DETERMINIZE_STATE_BUDGET states raise before any
+    is built.
     """
     size = _positions(ast, {}) + 1  # the symbol positions plus the start
     if size > DETERMINIZE_STATE_BUDGET:

@@ -29,9 +29,9 @@ ways:
   machines.
 * It drops an `inf` itself. `ops.compose` drops a sum w1 + w2 that
   overflows, `ops.minimize` a pushed weight that overflows, and `textio`'s
-  reader an `inf` weight field, after rejecting NaN and `-inf` as
-  `add_arc` would. `lm.build_grammar` and its unigram layout drop the
-  -log of a probability that is 0, and `lm.add_char_fallback` and
+  reader an `inf` arc or final weight, after one check rejects NaN and
+  `-inf` as `add_arc` would. `lm.build_grammar` and its unigram layout
+  drop the -log of a probability that is 0, and `lm.add_char_fallback` and
   `insert_nonterminal` an `LmConfig` weight of +inf, which the config
   has checked.
 

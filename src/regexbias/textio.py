@@ -1,29 +1,17 @@
-"""AT&T-style machine text.
+"""AT&T-style machine text, which every machine round-trips through.
 
 Arc lines are `src<TAB>dst<TAB>ilabel<TAB>olabel<TAB>weight`, final lines
 are `state<TAB>weight`; the weight field is omitted when it is 0. Labels
 are integer ids into the symbol tables the reader is given (`<eps>` is
 id 0); the tables themselves are not serialized. The first line's src is
-the start state. Weights print with up to 9 significant digits, `inf` for
-the zero element.
+the start state. Every state is named by a line: a state with no arcs gets
+a final line, `state<TAB>inf` when it is not final, so a read-back has
+exactly the writer's states. Every weight prints as `%.9g`, which writes
+the zero element as `inf`.
 """
 
 from .errors import RegexBiasError
 from .fst import ZERO, Fst, SymbolTable, Wfst, nogc
-
-
-def format_weight(w: float) -> str:
-    if w == ZERO:
-        return "inf"
-    return f"{w:.9g}"
-
-
-def parse_weight(text: str) -> float:
-    """A finite weight or `inf`; NaN and -inf are rejected with ValueError."""
-    w = float(text)
-    if w != w or w == -ZERO:
-        raise ValueError(f"weight must be finite or inf, got {text!r}")
-    return w
 
 
 def write_fst_text(m: Fst) -> str:
@@ -32,18 +20,22 @@ def write_fst_text(m: Fst) -> str:
 
     def final_line(s):
         w = m.final(s)
-        return f"{s}\t{format_weight(w)}" if w != 0.0 else str(s)
+        return "%d\t%.9g" % (s, w) if w else str(s)
 
-    # the first line names the start state, so an arcless start leads with its
-    # final line (`inf` when it is not final)
+    # the first line names the start, so an arcless start leads with its final
+    # line; each other final or arcless state gets one after the arcs, by id
     lead = [] if m.arcs(m.start) else [m.start]
     lines = [final_line(s) for s in lead]
+    tail = set(m.finals)
     order = [m.start] + [s for s in m.states() if s != m.start]
-    for s in order:  # `%.9g` prints every weight as format_weight does
-        for i, o, w, t in m.arcs(s):
+    for s in order:
+        arcs = m.arcs(s)
+        if not arcs:
+            tail.add(s)
+        for i, o, w, t in arcs:
             lines.append("%d\t%d\t%d\t%d\t%.9g" % (s, t, i, o, w) if w else
                          "%d\t%d\t%d\t%d" % (s, t, i, o))
-    lines.extend(final_line(s) for s in sorted(m.finals) if s not in lead)
+    lines.extend(final_line(s) for s in sorted(tail) if s not in lead)
     return "\n".join(lines) + "\n"
 
 
@@ -58,8 +50,8 @@ class _Ints(dict):
 @nogc
 def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None = None) -> Wfst:
     """Parse machine text; malformed input raises RegexBiasError. State ids
-    stay below twice the non-blank lines: a trimmed machine's states all
-    appear. A line is tested for being blank only when it fails to parse,
+    stay below twice the non-blank lines, as the writer names every state
+    on a line. A line is tested for being blank only when it fails to parse,
     as every whitespace-only line does."""
     m = Wfst(isymbols, osymbols)
     lines = text.splitlines()
@@ -80,18 +72,17 @@ def read_fst_text(text: str, isymbols: SymbolTable, osymbols: SymbolTable | None
                     raise ValueError(f"state ids {state}, {dst} are outside 0..{state_limit - 1}")
                 if not (0 <= ilabel < ilimit and 0 <= olabel < olimit):
                     raise ValueError(f"labels {ilabel}:{olabel} are outside the symbol tables")
-                weight = float(fields[4]) if n == 5 else 0.0
-                if not -ZERO < weight < ZERO:
-                    parse_weight(fields[4])  # raises on NaN and -inf; inf is no arc
                 top = state if state > dst else dst
             elif n == 1 or n == 2:
                 state = top = ints[fields[0]]
                 if not 0 <= state < state_limit:
                     raise ValueError(f"state id {state} is outside 0..{state_limit - 1}")
-                weight = parse_weight(fields[1]) if n == 2 else 0.0
                 dst = None
             else:
                 raise ValueError(f"expected 1, 2, 4 or 5 tab-separated fields, got {n}")
+            weight = float(fields[-1]) if n == 2 or n == 5 else 0.0
+            if not -ZERO < weight <= ZERO:  # NaN and -inf; inf is no arc or final
+                raise ValueError(f"weight must be finite or inf, got {fields[-1]!r}")
         except ValueError as exc:
             if not line.strip():
                 continue

@@ -26,7 +26,7 @@ from regexbias.errors import (
     RegexBiasError,
     SymbolError,
 )
-from regexbias.fst import SymbolTable
+from regexbias.fst import RESERVED, SymbolTable
 from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose
 from regexbias.textio import write_fst_text
 
@@ -123,6 +123,18 @@ class TestAstToNfa:
     def test_unknown_symbol(self, ab_table):
         with pytest.raises(SymbolError):
             ast_to_nfa(gr.Literal("z"), ab_table)
+
+    @pytest.mark.parametrize("reserved", sorted(RESERVED))
+    def test_reserved_symbol_is_no_regex_symbol(self, reserved):
+        # a T_r never reads `<blank>`, `#0` or `$REGEX`, though the alphabet
+        # holds them: a Literal naming one raises as a Class of only it does
+        table = make_table(["a", *sorted(RESERVED)], "with_reserved")
+        with pytest.raises(SymbolError, match="is not a character of the decoder alphabet"):
+            ast_to_nfa(gr.Literal(reserved), table)
+        with pytest.raises(SymbolError, match="has no symbols in the decoder alphabet"):
+            ast_to_nfa(gr.Class((reserved,)), table)
+        nfa = ast_to_nfa(gr.Class(("a", reserved)), table)
+        assert language(nfa, 2) == {"a"}
 
     def test_class_narrowed_but_nonempty(self, ab_table):
         nfa = ast_to_nfa(gr.Class(("a", "z")), ab_table)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from regexbias.errors import ConfigError, RegexBiasError, SymbolError
 from regexbias.fst import EPSILON, EPSILON_ID, SymbolTable, Wfst, linear_acceptor
-from regexbias.ops import optim, shortest_path
+from regexbias.ops import compose, optim, replace, shortest_path
 from regexbias.textio import read_fst_text, write_fst_text
 
 from conftest import (
@@ -19,6 +19,7 @@ from conftest import (
     check_eps_free,
     connect,
     make_table,
+    random_machine,
 )
 from test_bench import bench  # noqa: F401  (the fixture that imports bench/)
 
@@ -199,11 +200,19 @@ class TestTextFormat:
             assert write_fst_text(back) == text
 
     def test_inf_weight(self, ab_table):
-        from regexbias.textio import format_weight, parse_weight
-
-        assert format_weight(math.inf) == "inf"
-        assert parse_weight("inf") == math.inf
-        assert format_weight(6.907755278982137) == "6.90775528"
+        # an arcless start that is not final leads with `inf`, a final weight
+        # prints with 9 significant digits, and `inf` on a final line is no final
+        m = Wfst(ab_table)
+        m.add_states(2)
+        m.set_start(1)
+        m.add_arc(0, 1, 1, 0.0, 1)
+        m.set_final(0, 6.907755278982137)
+        text = write_fst_text(m)
+        assert text == "1\tinf\n0\t1\t1\t1\n0\t6.90775528\n"
+        back = read_fst_text(text, ab_table)
+        assert (back.start, back.num_states(), back.finals) == (1, 2, {0: 6.90775528})
+        assert write_fst_text(back) == text
+        assert read_fst_text(text + "0\tinf\n", ab_table).finals == {}
 
     def test_inf_arc_line_builds_no_arc(self, ab_table):
         # the line still names the start and grows the states
@@ -246,6 +255,8 @@ class TestTextFormat:
             ("0\t1\t1\t1\t-inf\n", 1),
             ("0\t1\t1\t1\n1\tnan\n", 2),
             ("0\t1\t1\t1\n2000000\n", 2),    # would allocate 2M states
+            ("0\t1\t1\t1\n1000000000\n", 2),
+            ("0\t1000000000\t1\t1\n", 1),
         ]
         for text, lineno in bad:
             with pytest.raises(RegexBiasError, match=f"line {lineno}:"):
@@ -281,6 +292,55 @@ def test_text_roundtrip_keeps_text_start_and_counts(m):
     assert back.start == m.start
     assert (back.num_states(), back.num_arcs(), back.finals.keys()) == \
            (m.num_states(), m.num_arcs(), m.finals.keys())
+
+
+def assert_round_trips(m):
+    """write -> read -> write gives the same text, and the read-back has m's
+    start, states, arcs and finals, each weight rounded to 9 digits."""
+    text = write_fst_text(m)
+    back = read_fst_text(text, m.isymbols, m.osymbols)
+    assert write_fst_text(back) == text
+    assert (back.start, back.num_states()) == (m.start, m.num_states())
+    assert arc_snapshot(back) == [(s, i, o, float("%.9g" % w), t)
+                                  for s, i, o, w, t in arc_snapshot(m)]
+    assert back.finals == {s: float("%.9g" % w) for s, w in m.finals.items()}
+
+
+class TestUntrimmedRoundTrip:
+    """Machines that `compose` and `replace` return are not trimmed: a state
+    may have no arcs and no final weight, and still reads back."""
+
+    SUB_TABLE = make_table(["a", "b"], "sub")
+    ROOT_TABLE = make_table(["a", "b", "$REGEX"], "root")
+
+    def untrimmed(self, kind, rng):
+        if kind == "random_machine":
+            return random_machine(rng, TEXT_TABLE)
+        if kind == "compose":
+            return compose(random_machine(rng, TEXT_TABLE), random_machine(rng, TEXT_TABLE))
+        root = random_machine(rng, self.ROOT_TABLE)
+        n, nt = root.num_states(), self.ROOT_TABLE.id("$REGEX")
+        root.add_arc(rng.randrange(n), nt, nt, 0.5, rng.randrange(n))  # a call site
+        return replace(root, nt, random_machine(rng, self.SUB_TABLE, max_states=4))
+
+    @pytest.mark.parametrize("kind", ["random_machine", "compose", "replace"])
+    def test_seeded_machines(self, kind):
+        rng = random.Random(31)
+        unnamed = 0  # machines with an arcless state that is not final
+        for _ in range(400):
+            m = self.untrimmed(kind, rng)
+            assert_round_trips(m)
+            unnamed += any(not m.arcs(s) and not m.is_final(s) for s in m.states())
+        assert unnamed >= 20
+
+    def test_isolated_states_after_the_last_arc(self, ab_table):
+        m = Wfst(ab_table)
+        m.add_states(5)
+        m.set_start(0)
+        m.add_arc(0, 1, 1, 0.0, 4)
+        m.set_final(4)
+        assert write_fst_text(m) == "0\t4\t1\t1\n1\tinf\n2\tinf\n3\tinf\n4\n"
+        assert_round_trips(m)
 
 
 class TestReadAsBuilt:
