@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 from . import grammar as gr
 from .errors import BudgetExceededError, ConfigError, GrammarError, SymbolError
-from .fst import RESERVED, SymbolTable, Wfst, character_symbols
+from .fst import EPSILON_ID, RESERVED, SymbolTable, Wfst, character_symbols
 from .ops import DETERMINIZE_STATE_BUDGET, optim
 
 
 @dataclass(frozen=True)
 class BiasSpec:
-    """Per-matched-symbol cost alpha; negative values strengthen the bias."""
+    """Per-matched-symbol cost alpha; a lower alpha biases more strongly
+    (see `compile_biased` for the neutral point)."""
 
     alpha: float
 
@@ -73,9 +74,10 @@ def _then(follow, left, right):
 
 
 def _character(alphabet, symbol):
-    """`symbol`'s label when it is one of the alphabet's characters, which
-    the reserved symbols, CTC's `<blank>` among them, are not."""
-    return None if symbol in RESERVED else alphabet.find(symbol)
+    """`symbol`'s label when `character_symbols(alphabet)` lists it: never
+    `<eps>` or a reserved symbol, CTC's `<blank>` among them."""
+    label = alphabet.find(symbol)
+    return None if label == EPSILON_ID or symbol in RESERVED else label
 
 
 def _build(node, walk):
@@ -91,8 +93,8 @@ def _build(node, walk):
     elif isinstance(node, gr.Class):
         labels = narrowed.get(id(node))
         if labels is None:
-            labels = narrowed[id(node)] = [label for c in node.symbols if
-                                           (label := _character(alphabet, c)) is not None]
+            labels = narrowed[id(node)] = {label for c in node.symbols if
+                                           (label := _character(alphabet, c)) is not None}
         if not labels:
             raise SymbolError(
                 f"character class {node.symbols!r} has no symbols in the "
@@ -155,9 +157,10 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
     `members` maps that label to the whole class, so expanding each arc
     into one per member gives the per-label position automaton.
 
-    Literals must be characters of the alphabet, which no reserved symbol
-    is; character classes narrow to the alphabet's characters in their
-    range, once per Class node however often it repeats, and must stay
+    A regex symbol is a character exactly when `character_symbols` lists
+    it, which `<eps>` and the reserved symbols are not. Literals must be
+    characters; character classes narrow to their distinct characters,
+    once per Class node however often it repeats, and must stay
     non-empty. More than DETERMINIZE_STATE_BUDGET states raise before any
     is built.
     """
@@ -263,7 +266,7 @@ def compile_grammar(text: str, alphabet: SymbolTable):
     """Grammar text -> (GrammarSource, unweighted acceptor R).
 
     A regex that accepts the empty string is rejected: its `$REGEX` span could
-    read nothing, a free or negative epsilon loop when nonterminal_weight <= 0.
+    read nothing, a free epsilon loop.
     """
     source = gr.parse_grammar(text)
     nfa = ast_to_nfa(source.export_ast(), alphabet)
@@ -279,9 +282,9 @@ def compile_biased(text: str, alphabet: SymbolTable, alpha: float):
     """Grammar text -> (GrammarSource, R, T_r at the given alpha). A bad
     alpha is rejected before the grammar is compiled. alpha is an absolute
     cost per character: in a root (see `lm.LmConfig`), a matching span of
-    n characters goes through `$REGEX` exactly when nonterminal_weight +
-    n*alpha < n*char_fallback_penalty, so at the defaults the neutral
-    alpha is 8.0, not 0."""
+    any length goes through `$REGEX` exactly when alpha <
+    char_fallback_penalty, so at the defaults the neutral alpha is 8.0,
+    not 0."""
     bias = BiasSpec(alpha)
     source, r = compile_grammar(text, alphabet)
     return source, r, apply_bias(r, bias)

@@ -25,15 +25,15 @@ ways:
 
 * Finite weights only. `compiler.ast_to_nfa` and `lm.build_lexicon`
   write 0; `lm.build_root` writes 0 on its `#0` loops and copies G's
-  weights; `compiler.nfa_to_dfa` and `ops.ReplaceView` copy weights out of
+  weights; `lm.add_char_fallback` writes the `LmConfig`'s penalty, which
+  the config has checked finite, and `insert_nonterminal` writes 0;
+  `compiler.nfa_to_dfa` and `ops.ReplaceView` copy weights out of
   machines.
 * It drops an `inf` itself. `ops.compose` drops a sum w1 + w2 that
   overflows, `ops.minimize` a pushed weight that overflows, and `textio`'s
   reader an `inf` arc or final weight, after one check rejects NaN and
   `-inf` as `add_arc` would. `lm.build_grammar` and its unigram layout
-  drop the -log of a probability that is 0, and `lm.add_char_fallback` and
-  `insert_nonterminal` an `LmConfig` weight of +inf, which the config
-  has checked.
+  drop the -log of a probability that is 0.
 
 A combinator that pairs two machines' labels, such as `ops.compose`,
 needs one table object on the shared side: tables grow, so two equal ones

@@ -50,7 +50,6 @@ from .fst import (
     EPSILON_ID,
     REGEX_NT,
     RESERVED,
-    ZERO,
     SymbolTable,
     Wfst,
     character_symbols,
@@ -77,25 +76,19 @@ class NgramCounts:
 
 @dataclass
 class LmConfig:
-    """T_r's alpha is an absolute cost per character: a matching span of n
-    characters goes through `$REGEX` exactly when nonterminal_weight +
-    n*alpha < n*char_fallback_penalty, so at the defaults the neutral
-    alpha is 8.0, not 0."""
+    """T_r's alpha is the one bias strength, an absolute cost per
+    character: `$REGEX` is entered at no cost, so a matching span of any
+    length n goes through it exactly when alpha < char_fallback_penalty,
+    and at the defaults the neutral alpha is 8.0, not 0."""
 
     backoff_discount: float = 0.4
     char_fallback_penalty: float = 8.0
-    nonterminal_weight: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.backoff_discount < 1.0:
             raise ConfigError(f"backoff_discount must be in (0, 1), got {self.backoff_discount}")
         if math.isnan(self.char_fallback_penalty) or math.isinf(self.char_fallback_penalty):
             raise ConfigError("char_fallback_penalty must be finite")
-        # +inf means no `$REGEX` arc; -inf would make every residual -inf - -inf
-        if math.isnan(self.nonterminal_weight) or self.nonterminal_weight == -math.inf:
-            raise ConfigError(
-                f"nonterminal_weight must be a real or +inf, got {self.nonterminal_weight}"
-            )
 
 
 class Lexicon:
@@ -305,18 +298,17 @@ def _add_unigram_tokens(g: Wfst, l: Wfst, tokens, weight: float):
     """Copies of G and L with unigram tokens, (character id, word symbol)
     pairs whose symbols are registered in the word table G and L share. G
     gains per token a loop on the unigram state and an arc into it from the
-    start state at `weight`, or none at +inf. L gains one final state,
-    entered from the start on each pair, looping on each pair that reads a
-    character, and left for the start on the separator. The arcs are
-    appended as tuples: `weight` comes from an `LmConfig`, which has
-    checked it."""
+    start state at `weight`. L gains one final state, entered from the
+    start on each pair, looping on each pair that reads a character, and
+    left for the start on the separator. The arcs are appended as tuples:
+    `weight` is finite: 0, or a penalty an `LmConfig` has checked."""
     word_table = g.isymbols
     if word_table is not l.osymbols:
         raise SymbolTableMismatchError(word_table, l.osymbols,
                                        "G and L must share one word table object")
     g2, l2 = g.copy(), l.copy()
     hub = l2.add_state()
-    g_lists = [g2.arcs(s) for s in {UNIGRAM_STATE, g2.start}] if weight != ZERO else []
+    g_lists = [g2.arcs(s) for s in {UNIGRAM_STATE, g2.start}]
     entries, loops = l2.arcs(l2.start), l2.arcs(hub)
     for cid, symbol in tokens:
         tok = word_table.add(symbol)
@@ -353,8 +345,10 @@ def insert_nonterminal(g: Wfst, l: Wfst, cfg: LmConfig):
     while the rest is scored by G. The `$REGEX` arc loops on the unigram
     state and also leads there from the start state, so a line may begin
     with, or consist of, a regex entity. `$REGEX` is registered in the word
-    table G and L share."""
-    return _add_unigram_tokens(g, l, [(EPSILON_ID, REGEX_NT)], cfg.nonterminal_weight)
+    table G and L share. Its arcs cost 0: T_r's alpha alone prices a
+    regex span. `cfg` is not read; it stays only because
+    `bench/workloads.py` passes one."""
+    return _add_unigram_tokens(g, l, [(EPSILON_ID, REGEX_NT)], 0.0)
 
 
 @nogc

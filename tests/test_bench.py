@@ -86,15 +86,13 @@ def test_request_splices_equal_eager_splice(bench):
 
 
 def test_neutral_alpha_costs_what_char_fallback_costs(bench):
-    # at alpha = char_fallback_penalty and nonterminal_weight 0, a spliced
-    # entity ties with its char tokens, so the view's best path costs what
-    # the root's does with its `$REGEX` call sites dropped, as a splice of
-    # an empty machine drops them
+    # at alpha = char_fallback_penalty, a spliced entity ties with its char
+    # tokens, so the view's best path costs what the root's does with its
+    # `$REGEX` call sites dropped, as a splice of an empty machine drops them
     workloads, measure = bench
     requests = workloads.RegexRequests(1)
     requests.setup(measure.NullTracer())
     lm = requests.lm
-    assert lm.cfg.nonterminal_weight == 0.0
     neutral = lm.cfg.char_fallback_penalty
     plain = replace(lm.root, requests.nonterminal, Wfst(requests.alphabet))
     rng = random.Random(1)

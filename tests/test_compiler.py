@@ -26,7 +26,7 @@ from regexbias.errors import (
     RegexBiasError,
     SymbolError,
 )
-from regexbias.fst import RESERVED, SymbolTable
+from regexbias.fst import EPSILON, RESERVED, SymbolTable, character_symbols
 from regexbias.ops import DETERMINIZE_STATE_BUDGET, compose
 from regexbias.textio import write_fst_text
 
@@ -124,17 +124,24 @@ class TestAstToNfa:
         with pytest.raises(SymbolError):
             ast_to_nfa(gr.Literal("z"), ab_table)
 
-    @pytest.mark.parametrize("reserved", sorted(RESERVED))
-    def test_reserved_symbol_is_no_regex_symbol(self, reserved):
-        # a T_r never reads `<blank>`, `#0` or `$REGEX`, though the alphabet
-        # holds them: a Literal naming one raises as a Class of only it does
+    @pytest.mark.parametrize("symbol", ["a", EPSILON, *sorted(RESERVED)])
+    def test_reserved_symbol_is_no_regex_symbol(self, symbol):
+        # a symbol is a regex character exactly when `character_symbols`
+        # lists it: a T_r never reads `<eps>`, `<blank>`, `#0` or `$REGEX`,
+        # though the alphabet holds them, and a Literal naming one raises as
+        # a Class of only it does
         table = make_table(["a", *sorted(RESERVED)], "with_reserved")
+        label, a = table.id(symbol), table.id("a")
+        if symbol in character_symbols(table):
+            for ast in (gr.Literal(symbol), gr.Class((symbol,))):
+                assert ast_to_nfa(ast, table).arcs(0) == [(label, label, 0.0, 1)]
+            return
         with pytest.raises(SymbolError, match="is not a character of the decoder alphabet"):
-            ast_to_nfa(gr.Literal(reserved), table)
+            ast_to_nfa(gr.Literal(symbol), table)
         with pytest.raises(SymbolError, match="has no symbols in the decoder alphabet"):
-            ast_to_nfa(gr.Class((reserved,)), table)
-        nfa = ast_to_nfa(gr.Class(("a", reserved)), table)
-        assert language(nfa, 2) == {"a"}
+            ast_to_nfa(gr.Class((symbol,)), table)
+        nfa = ast_to_nfa(gr.Class(("a", symbol)), table)
+        assert nfa.arcs(0) == [(a, a, 0.0, 1)]
 
     def test_class_narrowed_but_nonempty(self, ab_table):
         nfa = ast_to_nfa(gr.Class(("a", "z")), ab_table)
@@ -150,10 +157,13 @@ class TestAstToNfa:
 
     def test_repeated_class_members_build_one_arc(self):
         # a class lists each member once, so the NFA stays deterministic per
-        # label pair and optim skips the subset construction
+        # label pair and optim skips the subset construction; a Class built
+        # through the API may name a member twice and still gets one arc
         def nfa_text(text):
             return write_fst_text(ast_to_nfa(parse_export(text), WIDE_TABLE))
         assert nfa_text("[a-za-z]{3}") == nfa_text("[a-z]{3}")
+        label = WIDE_TABLE.id("a")
+        assert ast_to_nfa(gr.Class(("a", "a")), WIDE_TABLE).arcs(0) == [(label, label, 0.0, 1)]
 
     def test_class_narrowed_once_per_node(self, monkeypatch):
         # the ten copies of [A-Z0-9] share one node, so its 36 symbols are

@@ -332,12 +332,8 @@ class TestGrammar:
             LmConfig(char_fallback_penalty=math.inf)
 
     @pytest.mark.parametrize("bad", [dict(backoff_discount=0.0),
-                                     dict(char_fallback_penalty=math.nan),
-                                     dict(nonterminal_weight=math.nan),
-                                     dict(nonterminal_weight=-math.inf)])
+                                     dict(char_fallback_penalty=math.nan)])
     def test_bad_config_is_typed(self, bad):
-        # -inf used to pass and crash determinize in build_root: every
-        # residual of a `$REGEX` subset became -inf - -inf = nan
         with pytest.raises(ConfigError) as err:
             LmConfig(**bad)
         assert isinstance(err.value, RegexBiasError) and isinstance(err.value, ValueError)
@@ -473,10 +469,10 @@ class TestComposeLG:
         # there, not a loop and a start arc on the same state
         charset, word_table, l, g = self.build_foobar()
         assert g.start == UNIGRAM_STATE
-        g2, _ = insert_nonterminal(g, l, LmConfig(nonterminal_weight=1.5))
+        g2, _ = insert_nonterminal(g, l, LmConfig())
         nt = word_table.id(REGEX_NT)
         assert [arc for arc in g2.arcs(UNIGRAM_STATE) if arc[0] == nt] == \
-               [(nt, nt, 1.5, UNIGRAM_STATE)]
+               [(nt, nt, 0.0, UNIGRAM_STATE)]
         g3, _ = add_char_fallback(g, l, charset, LmConfig())
         assert len(g3.arcs(UNIGRAM_STATE)) == len(g.arcs(UNIGRAM_STATE)) + len(charset) - 2
 
@@ -521,7 +517,7 @@ class TestNonterminal:
     def test_steps_leave_their_inputs_unchanged(self):
         # a step that wrote into the arc lists it was given, not its own
         # copy's, would change every machine built from the same one
-        cfg = LmConfig(nonterminal_weight=-1.0)
+        cfg = LmConfig()
         counts = count_ngrams(["foo bar", "bar foo", "foo"])
         words = counts.vocabulary()
         charset = charset_for(words)
@@ -586,14 +582,6 @@ class TestNonterminal:
         paths = enumerate_paths(root, 4, max_out_len=4)
         assert any(REGEX_NT in outs for _, outs in paths)
 
-    def test_infinite_weight_disables_nonterminal(self):
-        charset, word_table, g, l, cfg = self.setup_model()
-        cfg_inf = LmConfig(nonterminal_weight=math.inf)
-        g2, l2 = insert_nonterminal(g, l, cfg_inf)
-        root = build_root(l2, g2)
-        nt = word_table.id(REGEX_NT)
-        assert not [arc for _, arc in all_arcs(root) if arc[1] == nt]
-
     def test_fallback_covers_oov(self):
         charset, word_table, g, l, cfg = self.setup_model()
         t = compose(l, g)
@@ -609,9 +597,9 @@ class TestNonterminal:
         charset, word_table, g, l, cfg = self.setup_model()
         g2, l2 = insert_nonterminal(g, l, cfg)
         paths = enumerate_paths(build_root(l2, g2), 1, max_out_len=1)
-        # $REGEX straight from the start, then </s> from the unigram state
-        assert paths[((), (REGEX_NT,))] == pytest.approx(
-            cfg.nonterminal_weight - math.log(3 / 8), abs=1e-6)
+        # $REGEX straight from the start at no cost, then </s> from the
+        # unigram state
+        assert paths[((), (REGEX_NT,))] == pytest.approx(-math.log(3 / 8), abs=1e-6)
 
     def test_root_accepts_line_starting_oov(self):
         charset, word_table, g, l, cfg = self.setup_model()
@@ -690,36 +678,37 @@ class TestNonterminal:
         assert paths_equal(paths_plain, expected, tol=1e-6)
 
 
-@pytest.mark.parametrize("weight", [0.0, 1.5, -1.0])
+@pytest.mark.parametrize("digits", [1, 3, 6])
 @pytest.mark.parametrize("alpha", [-2.0, 0.0, 7.0, 8.0, 9.0])
-def test_date_regex_splices_into_root(alpha, weight):
-    # corpus -> root -> splice a compiled date regex at `$REGEX`: an entity
-    # in a sentence decodes to its characters, through `$REGEX` at w plus
+def test_digit_regex_splices_into_root(alpha, digits):
+    # corpus -> root -> splice a compiled digit-run regex at `$REGEX`: an
+    # entity in a sentence decodes to its characters, through `$REGEX` at
     # alpha per character where that is cheaper than char tokens at the
-    # fallback penalty each, so alpha is absolute and 8.0 is neutral at w = 0
+    # fallback penalty each, so alpha is absolute and 8.0 is neutral
+    # whatever the entity's length
     rng = random.Random(13)
-    cfg = LmConfig(nonterminal_weight=weight)
+    cfg = LmConfig()
     counts = count_ngrams(zipf_corpus(rng, 30, 90, min_len=2))
     vocab = counts.vocabulary()
-    charset = charset_for(vocab, extra=" /0123456789")
+    charset = charset_for(vocab, extra=" 0123456789")
     words = make_word_table(vocab)
     g = build_grammar(counts, cfg, words)
     l = build_lexicon(Lexicon.from_words(vocab), charset, words)
     g, l = add_char_fallback(g, l, charset, cfg)
     g, l = insert_nonterminal(g, l, cfg)
     root = build_root(l, g)
-    _, _, t_r = compile_biased('export = \\d{2} "/" \\d{2} "/" \\d{4};', charset, alpha)
+    _, _, t_r = compile_biased('export = \\d+;', charset, alpha)
     spliced = replace(root, words.id(REGEX_NT), t_r)
     assert write_fst_text(spliced) == write_fst_text(replace_eager(root, words.id(REGEX_NT), t_r))
 
     w1, w2, w3 = rng.sample(vocab, 3)
-    entity = "12/05/2021"
+    entity = "120521"[:digits]
     sentence = linear_acceptor(f"{w1} {w2} {entity} {w3}", charset)
     _, outs, cost = shortest_path(compose(sentence, spliced))
     _, base_outs, base = shortest_path(compose(sentence, root))
     assert outs == base_outs == (w1, w2, *entity, w3)
-    gain = weight + len(entity) * (alpha - cfg.char_fallback_penalty)
-    assert cost == pytest.approx(base + min(0.0, gain), abs=1e-6)
+    gain = digits * min(0.0, alpha - cfg.char_fallback_penalty)
+    assert cost == pytest.approx(base + gain, abs=1e-6)
 
 
 def test_splice_matches_the_nonterminal_on_the_word_side():
