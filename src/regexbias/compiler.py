@@ -1,5 +1,5 @@
 """Regex AST -> NFA -> minimal DFA, the unweighted acceptor R -> biased
-machine T_r.
+machine T_r, all run from grammar text by `compile_biased`, the one entry.
 
 The NFA is Glushkov's position automaton: eps-free, one state per symbol
 position plus the start. Most entity-style regexes give one that is already
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import grammar as gr
 from .errors import BudgetExceededError, ConfigError, GrammarError, SymbolError
-from .fst import EPSILON_ID, RESERVED, SymbolTable, Wfst, character_symbols
+from .fst import SymbolTable, Wfst, character_symbols, is_character
 from .ops import DETERMINIZE_STATE_BUDGET, optim
 
 
@@ -73,19 +73,12 @@ def _then(follow, left, right):
     return f1 + f2 if n1 else f1, l1 + l2 if n2 else l2, n1 and n2
 
 
-def _character(alphabet, symbol):
-    """`symbol`'s label when `character_symbols(alphabet)` lists it: never
-    `<eps>` or a reserved symbol, CTC's `<blank>` among them."""
-    label = alphabet.find(symbol)
-    return None if label == EPSILON_ID or symbol in RESERVED else label
-
-
 def _build(node, walk):
     """Positions for `node`, recorded in `walk`, ast_to_nfa's (alphabet,
     carried, follow, narrowed); returns the node's (first, last, nullable)."""
     alphabet, carried, follow, narrowed = walk
     if isinstance(node, gr.Literal):
-        label = _character(alphabet, node.symbol)
+        label = alphabet.find(node.symbol) if is_character(node.symbol) else None
         if label is None:
             raise SymbolError(f"regex symbol {node.symbol!r} is not a character of "
                               f"the decoder alphabet {alphabet.name!r}")
@@ -93,8 +86,8 @@ def _build(node, walk):
     elif isinstance(node, gr.Class):
         labels = narrowed.get(id(node))
         if labels is None:
-            labels = narrowed[id(node)] = {label for c in node.symbols if
-                                           (label := _character(alphabet, c)) is not None}
+            labels = narrowed[id(node)] = {label for c in node.symbols if is_character(c)
+                                           and (label := alphabet.find(c)) is not None}
         if not labels:
             raise SymbolError(
                 f"character class {node.symbols!r} has no symbols in the "
@@ -157,12 +150,11 @@ def ast_to_nfa(ast, alphabet: SymbolTable) -> PositionAutomaton:
     `members` maps that label to the whole class, so expanding each arc
     into one per member gives the per-label position automaton.
 
-    A regex symbol is a character exactly when `character_symbols` lists
-    it, which `<eps>` and the reserved symbols are not. Literals must be
-    characters; character classes narrow to their distinct characters,
-    once per Class node however often it repeats, and must stay
-    non-empty. More than DETERMINIZE_STATE_BUDGET states raise before any
-    is built.
+    A regex symbol is a character exactly when `fst.is_character` accepts
+    it and the alphabet holds it. Literals must be characters; character
+    classes narrow to their distinct characters, once per Class node
+    however often it repeats, and must stay non-empty. More than
+    DETERMINIZE_STATE_BUDGET states raise before any is built.
     """
     size = _positions(ast, {}) + 1  # the symbol positions plus the start
     if size > DETERMINIZE_STATE_BUDGET:
@@ -251,7 +243,7 @@ def apply_bias(r: Wfst, bias: BiasSpec) -> Wfst:
     """T_r: R with alpha added to every arc, so each matched symbol costs alpha.
 
     For an epsilon-free, trimmed R over character symbols, as
-    compile_grammar builds it, this is S_alpha o R (see `scorer`), state
+    compile_biased builds it, this is S_alpha o R (see `scorer`), state
     for state and arc for arc. R is left unchanged: T_r is a copy of it
     whose arc lists hold new arcs.
     """
@@ -262,29 +254,20 @@ def apply_bias(r: Wfst, bias: BiasSpec) -> Wfst:
     return t_r
 
 
-def compile_grammar(text: str, alphabet: SymbolTable):
-    """Grammar text -> (GrammarSource, unweighted acceptor R).
-
-    A regex that accepts the empty string is rejected: its `$REGEX` span could
-    read nothing, a free epsilon loop.
-    """
+def compile_biased(text: str, alphabet: SymbolTable, alpha: float):
+    """Grammar text -> (GrammarSource, R, T_r at the given alpha). A bad
+    alpha is rejected before the grammar is parsed, and a regex that
+    accepts the empty string, whose `$REGEX` span would be a free epsilon
+    loop, before any subset construction. alpha is an absolute cost per
+    character: in a root (see `lm.LmConfig`), a matching span of any
+    length goes through `$REGEX` exactly when alpha <
+    char_fallback_penalty, so at the defaults the neutral alpha is 8.0."""
+    bias = BiasSpec(alpha)
     source = gr.parse_grammar(text)
     nfa = ast_to_nfa(source.export_ast(), alphabet)
-    # the position automaton's start is final exactly when the regex is
-    # nullable, so this runs before the subset construction
+    # the position automaton's start is final exactly when the regex is nullable
     if nfa.is_final(nfa.start):
         raise GrammarError("the export must not accept the empty string")
     # the minimal DFA of a zero-weight acceptor is already R
-    return source, nfa_to_dfa(nfa)
-
-
-def compile_biased(text: str, alphabet: SymbolTable, alpha: float):
-    """Grammar text -> (GrammarSource, R, T_r at the given alpha). A bad
-    alpha is rejected before the grammar is compiled. alpha is an absolute
-    cost per character: in a root (see `lm.LmConfig`), a matching span of
-    any length goes through `$REGEX` exactly when alpha <
-    char_fallback_penalty, so at the defaults the neutral alpha is 8.0,
-    not 0."""
-    bias = BiasSpec(alpha)
-    source, r = compile_grammar(text, alphabet)
+    r = nfa_to_dfa(nfa)
     return source, r, apply_bias(r, bias)

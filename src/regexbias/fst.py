@@ -39,6 +39,9 @@ A combinator that pairs two machines' labels, such as `ops.compose`,
 needs one table object on the shared side: tables grow, so two equal ones
 need not stay equal. `ops.replace` alone maps labels by symbol.
 
+`is_character` is the one character rule, which the regex compiler and
+`lm.add_char_fallback` both read: any symbol but `<eps>` and the `RESERVED` ones.
+
 The bulk builders run with CPython's cyclic garbage collector paused,
 through `nogc`: `ops.compose`, `determinize`, `minimize` and `optim`,
 `textio`'s reader, and each `lm` step from n-gram counts to the root.
@@ -232,9 +235,14 @@ class Wfst(Fst):
         return out
 
 
+def is_character(symbol: str) -> bool:
+    """A symbol the recognizer can emit: any but `<eps>` and `RESERVED`'s."""
+    return symbol != EPSILON and symbol not in RESERVED
+
+
 def character_symbols(table: SymbolTable):
-    """Symbols the recognizer can actually emit: everything but the reserved ones."""
-    return [s for i, s in enumerate(table) if i != EPSILON_ID and s not in RESERVED]
+    """The symbols of `table` that `is_character` accepts, in id order."""
+    return [s for s in table if is_character(s)]
 
 
 def linear_acceptor(symbols, table: SymbolTable, arc_weight: float = 0.0,

@@ -52,7 +52,7 @@ from .fst import (
     RESERVED,
     SymbolTable,
     Wfst,
-    character_symbols,
+    is_character,
     nogc,
 )
 from .ops import compose, optim
@@ -302,6 +302,8 @@ def _add_unigram_tokens(g: Wfst, l: Wfst, tokens, weight: float):
     start on each pair, looping on each pair that reads a character, and
     left for the start on the separator. The arcs are appended as tuples:
     `weight` is finite: 0, or a penalty an `LmConfig` has checked."""
+    if g.is_empty() or l.is_empty():
+        raise RegexBiasError(f"empty {'G' if g.is_empty() else 'L'}: no start to add tokens to")
     word_table = g.isymbols
     if word_table is not l.osymbols:
         raise SymbolTableMismatchError(word_table, l.osymbols,
@@ -325,18 +327,21 @@ def _add_unigram_tokens(g: Wfst, l: Wfst, tokens, weight: float):
 
 
 def add_char_fallback(g: Wfst, l: Wfst, charset: SymbolTable, cfg: LmConfig):
-    """Attach the out-of-vocabulary escape hatch.
+    """Attach the out-of-vocabulary escape hatch: a char token per symbol
+    of L's input table that `fst.is_character` accepts, but the word
+    separator. `charset` must be that table object; it stays only because
+    `bench/workloads.py` passes it.
 
-    The grammar's unigram state gains a self-loop per character token at
-    char_fallback_penalty, and the start state an arc per character token
-    into it at the same cost, so a line may begin with an out-of-vocabulary
-    span; the lexicon gains identity character paths so any text can be
-    consumed and resurfaced verbatim as char tokens, which are registered in
-    the word table G and L share.
+    G's unigram state gains a loop per token at char_fallback_penalty, and
+    its start an arc per token into it at the same cost, so a line may
+    begin with an out-of-vocabulary span; L gains identity paths, so any
+    text resurfaces verbatim as char tokens, registered in the word table
+    G and L share.
     """
-    chars = [c for c in character_symbols(charset) if c != WORD_SEPARATOR]
-    return _add_unigram_tokens(g, l, [(charset.id(c), c) for c in chars],
-                               cfg.char_fallback_penalty)
+    if charset is not l.isymbols:
+        raise SymbolTableMismatchError(charset, l.isymbols, "charset must be L's input table")
+    tokens = [(i, c) for i, c in enumerate(l.isymbols) if is_character(c) and c != WORD_SEPARATOR]
+    return _add_unigram_tokens(g, l, tokens, cfg.char_fallback_penalty)
 
 
 def insert_nonterminal(g: Wfst, l: Wfst, cfg: LmConfig):

@@ -14,7 +14,6 @@ from regexbias.compiler import (
     apply_bias,
     ast_to_nfa,
     compile_biased,
-    compile_grammar,
     dfa_to_acceptor,
     nfa_to_dfa,
     scorer,
@@ -201,7 +200,7 @@ class TestAstToNfa:
         # 60 doublings parse to 61 shared nodes but would unfold to 2**60 positions
         lines = ['d0 = "a";'] + [f"d{i} = d{i - 1} d{i - 1};" for i in range(1, 61)]
         with pytest.raises(BudgetExceededError, match="ast_to_nfa would build") as err:
-            compile_grammar("\n".join(lines + ["export = d60;"]), ab_table)
+            compile_biased("\n".join(lines + ["export = d60;"]), ab_table, 1.0)
         assert (err.value.stage, err.value.limit) == ("ast_to_nfa", DETERMINIZE_STATE_BUDGET)
         assert err.value.used == 2 ** 60 + 1  # one state per "a", plus the start
 
@@ -229,7 +228,7 @@ class TestAstToNfa:
 
     def test_nested_repeats_over_budget(self, ab_table):
         with pytest.raises(BudgetExceededError, match="ast_to_nfa") as err:
-            compile_grammar('export = ((("a"{64}){64}){64}){64};', ab_table)
+            compile_biased('export = ((("a"{64}){64}){64}){64};', ab_table, 1.0)
         assert (err.value.stage, err.value.limit) == ("ast_to_nfa", DETERMINIZE_STATE_BUDGET)
         assert err.value.used > err.value.limit
 
@@ -430,7 +429,7 @@ class TestCompileGrammar:
         # whose DFA has 2**17 states fails without building it
         monkeypatch.setattr(compiler, "nfa_to_dfa", fail_if_called("nfa_to_dfa"))
         with pytest.raises(GrammarError, match="empty string"):
-            compile_grammar('export = (("a" | "b")* "a" ("a" | "b"){16})?;', ab_table)
+            compile_biased('export = (("a" | "b")* "a" ("a" | "b"){16})?;', ab_table, 1.0)
 
 
 class TestDfaToAcceptor:

@@ -553,20 +553,69 @@ class TestNonterminal:
     def test_separate_word_tables_rejected(self):
         # equal tables are still two tables: a token or `#0` registered in
         # one would be missing from the other, so L' would write output
-        # labels its own table does not hold
+        # labels its own table does not hold; and a charset equal to L's
+        # input table but not that object could grow apart from it
         cfg = LmConfig()
         counts = count_ngrams(["foo bar", "bar foo", "foo"])
         words = counts.vocabulary()
         charset = charset_for(words)
         g = build_grammar(counts, cfg, make_word_table(words))
         l = build_lexicon(Lexicon.from_words(words), charset, make_word_table(words))
+        l_shared = build_lexicon(Lexicon.from_words(words), charset, g.isymbols)
         tables = [list(g.isymbols), list(l.osymbols), list(charset)]
-        for step in (lambda: add_char_fallback(g, l, charset, cfg),
-                     lambda: insert_nonterminal(g, l, cfg),
-                     lambda: build_root(l, g)):
-            with pytest.raises(SymbolTableMismatchError, match="equal but separate tables"):
+        for step, detail in (
+                (lambda: add_char_fallback(g, l, charset, cfg), "share one word table"),
+                (lambda: insert_nonterminal(g, l, cfg), "share one word table"),
+                (lambda: build_root(l, g), "share one word table"),
+                (lambda: add_char_fallback(g, l_shared, charset_for(words), cfg),
+                 "charset must be L's input table")):
+            with pytest.raises(SymbolTableMismatchError,
+                               match=f"equal but separate tables .*{detail}"):
                 step()
             assert [list(g.isymbols), list(l.osymbols), list(charset)] == tables
+
+    @pytest.mark.parametrize("empty", ["G", "L"])
+    @pytest.mark.parametrize("step", ["add_char_fallback", "insert_nonterminal"])
+    def test_empty_machine_rejected(self, step, empty):
+        # a machine with no start state, as empty machine text reads back,
+        # has no start or unigram state to attach tokens to
+        cfg = LmConfig()
+        counts = count_ngrams(["foo bar", "bar foo", "foo"])
+        words = counts.vocabulary()
+        charset = charset_for(words)
+        word_table = make_word_table(words)
+        g = build_grammar(counts, cfg, word_table)
+        l = build_lexicon(Lexicon.from_words(words), charset, word_table)
+        if empty == "G":
+            g = read_fst_text("", word_table, word_table)
+        else:
+            l = read_fst_text("", charset, word_table)
+        run = {"add_char_fallback": lambda: add_char_fallback(g, l, charset, cfg),
+               "insert_nonterminal": lambda: insert_nonterminal(g, l, cfg)}[step]
+        tables = [list(charset), list(word_table)]
+        with pytest.raises(RegexBiasError, match=f"empty {empty}:"):
+            run()
+        assert [list(charset), list(word_table)] == tables
+
+    def test_charset_other_than_ls_rejected(self):
+        # L reads "ab " by its own table; a charset that numbers the same
+        # characters otherwise would give each char token the other's
+        # label, and the root would decode the line "aa" as ("b", "b")
+        cfg = LmConfig()
+        counts = count_ngrams(["ab ba", "ab"])
+        vocab = counts.vocabulary()
+        words = make_word_table(vocab)
+        g = build_grammar(counts, cfg, words)
+        chars = SymbolTable.from_symbols("ab ", "chars")
+        l = build_lexicon(Lexicon.from_words(vocab), chars, words)
+        other = SymbolTable.from_symbols("ba ", "chars2")
+        tables = [list(chars), list(other), list(words)]
+        with pytest.raises(SymbolTableMismatchError, match="first differing at id 1: 'b' vs 'a'"):
+            add_char_fallback(g, l, other, cfg)
+        assert [list(chars), list(other), list(words)] == tables
+        g, l = add_char_fallback(g, l, chars, cfg)
+        root = build_root(l, g)
+        assert shortest_path(compose(linear_acceptor("aa", chars), root))[1] == ("a", "a")
 
     def test_nonterminal_survives_into_root(self):
         charset, word_table, g, l, cfg = self.setup_model()
